@@ -26,6 +26,7 @@ import statistics
 import tempfile
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import InvalidBounds, NoObservations, StoreCorrupt, TraceMismatch
@@ -355,7 +356,11 @@ class StepRecord:
 
 @dataclass
 class ProtocolRun:
-    """Per-step records plus derived aggregates for one protocol run."""
+    """Per-step records plus derived aggregates for one protocol run.
+
+    Each aggregate is computed on first use and cached, so ``aggregates``
+    and ``compare_runs`` share one pass; the steps must not change after.
+    """
 
     protocol: str
     header: dict
@@ -364,22 +369,22 @@ class ProtocolRun:
     identity_violations: int = 0
     mutations: list[dict] = field(default_factory=list)
 
-    @property
+    @cached_property
     def undershoot_count(self) -> int:
         return sum(1 for s in self.steps if s.shoot.kind is ShootKind.UNDERSHOOT)
 
-    @property
+    @cached_property
     def cumulative_overshoot(self) -> float:
         return float(
             sum(s.shoot.magnitude for s in self.steps
                 if s.shoot.kind is ShootKind.OVERSHOOT)
         )
 
-    @property
+    @cached_property
     def total_cost(self) -> int:
         return sum(s.cost for s in self.steps)
 
-    @property
+    @cached_property
     def delivered_fraction(self) -> float:
         return sum(1 for s in self.steps if s.delivered) / len(self.steps)
 
@@ -387,7 +392,7 @@ class ProtocolRun:
     def delivery_times(self) -> list[int]:
         return sorted(s.delivered_at for s in self.steps if s.delivered_at is not None)
 
-    @property
+    @cached_property
     def jitter(self) -> float:
         return _jitter(self.delivery_times)
 
@@ -616,10 +621,12 @@ def run_antifragile(
     depth = 0
     mutation_step: int | None = None
     mutations: list[dict] = []
+    calmest = ys[0]  # running min(ys[:review_at])
     for k in range(1, n // review_every + 1):
         review_at = k * review_every
         window = range(review_at - review_every, review_at)
-        estimate = burstiness(ys, window, min(ys[:review_at]))
+        calmest = min(calmest, min(ys[window.start:review_at]))
+        estimate = burstiness(ys, window, calmest)
         if algorithm == "repetition" and estimate > config.burstiness_threshold:
             signature = _signature(estimate)
             entry = store.get(signature)
@@ -694,16 +701,17 @@ def run_antifragile(
             delivered_at=delivered_at[t],
         ))
 
-    # Identity accounting: jitter per completed review epoch.
+    # Identity accounting: jitter per review epoch, delivery times bucketed
+    # by epoch in one pass (every delivery time lies in [0, n)).
     violations = 0
     if isinstance(config.identity_profile, Teleconferencing):
         bound = config.identity_profile.jitter_bound
-        epoch_count = math.ceil(n / review_every)
-        times = [dt for dt in delivered_at if dt is not None]
-        for k in range(epoch_count):
-            start = k * review_every
-            end = min((k + 1) * review_every, n)
-            epoch_times = sorted(dt for dt in times if start <= dt < end)
+        epochs: list[list[int]] = [[] for _ in range(math.ceil(n / review_every))]
+        for dt in delivered_at:
+            if dt is not None:
+                epochs[dt // review_every].append(dt)
+        for epoch_times in epochs:
+            epoch_times.sort()
             if _jitter(epoch_times) > bound:
                 violations += 1
 
@@ -787,9 +795,12 @@ class KnowledgeStore:
 
     @staticmethod
     def _validate(entry: dict) -> None:
-        if not isinstance(entry, dict) or "signature" not in entry \
+        if not isinstance(entry, dict) or not isinstance(entry.get("signature"), str) \
                 or "algorithm" not in entry:
             raise StoreCorrupt(f"malformed store entry: {entry!r}")
+        depth = entry.get("depth", 0)
+        if not isinstance(depth, int) or isinstance(depth, bool):
+            raise StoreCorrupt(f"store entry depth is not an integer: {entry!r}")
 
     @classmethod
     def load(cls, path: str) -> "KnowledgeStore":
@@ -802,7 +813,10 @@ class KnowledgeStore:
             raise StoreCorrupt(f"cannot parse knowledge store {path}: {exc}") from exc
         if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
             raise StoreCorrupt(f"knowledge store {path} has no entry list")
-        return cls(entries=data["entries"], path=path)
+        try:
+            return cls(entries=data["entries"], path=path)
+        except StoreCorrupt as exc:
+            raise StoreCorrupt(f"knowledge store {path}: {exc}") from exc
 
     def get(self, signature: str) -> dict | None:
         entry = self._entries.get(signature)

@@ -8,7 +8,8 @@ manifests to JSON. Reruns with identical inputs produce byte-identical
 outputs; the only file touched outside the output directory is an
 explicitly named knowledge store.
 
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 internal error.
+Exit codes: 0 success, 2 config error (a corrupt knowledge store included),
+3 I/O error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -42,7 +43,12 @@ from .channel import (
     run_entelechial,
     step_csv_rows,
 )
-from .errors import IncommensurableBehaviors, InvalidBounds, ResilienceError
+from .errors import (
+    IncommensurableBehaviors,
+    InvalidBounds,
+    ResilienceError,
+    StoreCorrupt,
+)
 from .fitness import FitVariant, fit, supply
 from .organs import CyberneticClass, compare_classes
 from .sentinel import (
@@ -89,6 +95,11 @@ def _require(config: dict, key: str, context: str):
     if key not in config:
         raise ConfigError(f"{context}: missing required key {key!r}")
     return config[key]
+
+
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (JSON true would otherwise pass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _section(config, context: str) -> dict:
@@ -228,7 +239,7 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
                 fit_variant: FitVariant | None = None) -> int:
     config = _section(_load_json(config_path), "config")
     steps = _require(config, "steps", "config")
-    if not isinstance(steps, int) or steps < 1:
+    if not _is_int(steps) or steps < 1:
         raise ConfigError("config: steps must be a positive integer")
     seed = seed_override if seed_override is not None else _require(config, "seed", "config")
     if "protocols" in config:
@@ -314,7 +325,7 @@ def _build_scenario(config: dict) -> tuple[Scenario, int, int]:
     canary_config = _section(config.get("canary", {}), "canary")
     policy_config = _section(config.get("policy", {}), "policy")
     pool_size = config.get("pool_size", 100)
-    if not isinstance(pool_size, int):
+    if not _is_int(pool_size):
         raise ConfigError("config: pool_size must be an integer")
     try:
         mine = CoalMine(
@@ -341,7 +352,7 @@ def _build_scenario(config: dict) -> tuple[Scenario, int, int]:
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
     steps = config.get("steps", 500)
-    if not isinstance(steps, int) or steps < 1:
+    if not _is_int(steps) or steps < 1:
         raise ConfigError("config: steps must be a positive integer")
     seed = config.get("seed", 0)
     return scenario, steps, seed
@@ -501,7 +512,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_compare(args.descriptor_a, args.descriptor_b, args.organs,
                                args.fit_variant)
         parser.error(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, StoreCorrupt) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -200,29 +200,30 @@ def detect_need_for_social(
 
 
 class CanaryPool:
-    """Mutable pool of deployed canaries; they fail and never recover."""
+    """Mutable pool of deployed canaries; they fail and never recover.
+
+    Canaries are interchangeable, so the pool keeps only how many are still
+    alive: ``size``, ``failed`` and ``alive_count`` are O(1).
+    """
 
     def __init__(self, size: int):
         if size < 0:
             raise ValueError("pool size must be non-negative")
-        self.alive = [True] * size
-
-    @property
-    def size(self) -> int:
-        return len(self.alive)
+        self.size = size
+        self.alive_count = size
 
     @property
     def failed(self) -> int:
-        return sum(1 for a in self.alive if not a)
-
-    @property
-    def alive_count(self) -> int:
-        return self.size - self.failed
+        return self.size - self.alive_count
 
     def step_threatened(self, rng: random.Random, hazard: float) -> None:
-        for i, is_alive in enumerate(self.alive):
-            if is_alive and rng.random() < hazard:
-                self.alive[i] = False
+        """Each live canary draws once from ``rng`` and dies below ``hazard``."""
+        draw = rng.random
+        deaths = 0
+        for _ in range(self.alive_count):
+            if draw() < hazard:
+                deaths += 1
+        self.alive_count -= deaths
 
 
 def estimate_supply(pool: CanaryPool) -> float:
@@ -320,7 +321,9 @@ def scenario_csv_rows(run: ScenarioRun) -> list[tuple[str, ...]]:
     return rows
 
 
-def simulate(scenario: Scenario, steps: int, seed: int) -> ScenarioRun:
+def simulate(
+    scenario: Scenario, steps: int, seed: int, *, until_decided: bool = False
+) -> ScenarioRun:
     """Run the scenario for a number of steps under one seed.
 
     Step order: the mine state evolves; live canaries roll their hazard
@@ -328,6 +331,13 @@ def simulate(scenario: Scenario, steps: int, seed: int) -> ScenarioRun:
     estimates and may evacuate, irreversibly; a non-evacuated miner then
     rolls its own hazard while the threat persists. With an empty pool no
     estimates exist and the miner never evacuates.
+
+    A step costs one random draw per live canary while the mine threatens,
+    plus O(1); the pool estimates are O(1). With ``until_decided`` the run
+    ends after the step where the miner evacuates or dies: its survival
+    outcome cannot change after that step, so ``survived``,
+    ``evacuation_step`` and ``miner_failed_step`` equal those of the full
+    run, while ``steps`` holds only the records up to that step.
     """
     if steps < 1:
         raise ValueError("steps must be a positive integer")
@@ -377,6 +387,8 @@ def simulate(scenario: Scenario, steps: int, seed: int) -> ScenarioRun:
             miner_alive=miner_alive,
             evacuated=evacuated,
         ))
+        if until_decided and (evacuated or not miner_alive):
+            break
 
     header = {
         "pool_size": scenario.pool_size,
@@ -403,13 +415,17 @@ def simulate(scenario: Scenario, steps: int, seed: int) -> ScenarioRun:
 def survival_rate(
     scenario: Scenario, steps: int, runs: int, base_seed: int = 0
 ) -> dict:
-    """Monte Carlo survival statistics over consecutive seeds."""
+    """Monte Carlo survival statistics over consecutive seeds.
+
+    Each run stops at the step where its miner evacuates or dies, since its
+    outcome is decided there; the counts equal those of full-length runs.
+    """
     if runs < 1:
         raise ValueError("runs must be a positive integer")
     survived = 0
     evacuated = 0
     for i in range(runs):
-        run = simulate(scenario, steps, base_seed + i)
+        run = simulate(scenario, steps, base_seed + i, until_decided=True)
         survived += run.survived
         evacuated += run.evacuation_step is not None
     return {

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from resilsim.cli import main
 
 CHANNEL_CONFIG = {
@@ -140,6 +142,31 @@ class TestChannelCommand:
         assert (tmp_path / "lessons.json").read_bytes() == store_bytes
         assert read_tree(out1) == read_tree(out2)
 
+    def test_boolean_steps_exits_2(self, tmp_path):
+        config = write_json(tmp_path / "config.json", {**CHANNEL_CONFIG, "steps": True})
+        out = tmp_path / "out"
+        assert main(["channel", "-c", config, "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [
+        "{not json",
+        '{"entries": {}}',
+        '{"entries": [{"signature": "bursty-high"}]}',
+        '{"entries": [{"signature": ["x"], "algorithm": "interleaved"}]}',
+        '{"entries": [{"signature": "bursty-high", "algorithm": "interleaved",'
+        ' "depth": "4"}]}',
+    ])
+    def test_corrupt_knowledge_store_exits_2_naming_it(self, tmp_path, capsys, content):
+        store = tmp_path / "lessons.json"
+        store.write_text(content)
+        config = write_json(tmp_path / "config.json",
+                            {**CHANNEL_CONFIG, "knowledge_store": str(store)})
+        assert main(["channel", "-c", config, "-o", str(tmp_path / "out")]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("config error: ")
+        assert str(store) in message
+        assert store.read_text() == content
+
 
 class TestSentinelCommand:
     def test_single_run_outputs(self, tmp_path):
@@ -194,6 +221,14 @@ class TestSentinelCommand:
         config = write_json(tmp_path / "config.json",
                             {"miner": {"figures": ["t", "gas_level"]}})
         assert main(["sentinel", "-c", config, "-o", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("key", ["steps", "pool_size"])
+    @pytest.mark.parametrize("args", [[], ["--runs", "3"]])
+    def test_boolean_integer_fields_exit_2(self, tmp_path, key, args):
+        config = write_json(tmp_path / "config.json", {**SENTINEL_CONFIG, key: True})
+        out = tmp_path / "out"
+        assert main(["sentinel", "-c", config, "-o", str(out), *args]) == 2
+        assert not out.exists()
 
 
 class TestCompareCommand:

@@ -1,0 +1,101 @@
+"""Golden output hashes: byte-identical determinism against fixed digests.
+
+Each case runs one small CLI invocation in a fresh directory, with the
+config at the relative path ``config.json`` and outputs under ``out/``
+(the manifest records the config path as given), and compares the sha256
+of every file the invocation wrote with the digests below. The digests
+were recorded from the code before the hot loops were made linear; a
+change that alters any output byte fails here, unlike a rerun check.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from resilsim.cli import main
+
+README_CHANNEL = {
+    "channel": {"kind": "bursty", "p_enter": 0.05, "p_exit": 0.3,
+                "y_calm": 1, "y_burst": 5, "burst_correlated": True},
+    "steps": 2000,
+    "seed": 17,
+    "knowledge_store": "lessons.json",
+    "protocols": [
+        {"kind": "elastic", "yield_point": 6},
+        {"kind": "entelechial",
+         "predictor": {"kind": "window_max", "window": 8}, "epsilon": 1.5},
+        {"kind": "antifragile",
+         "predictor": {"kind": "window_max", "window": 8}, "epsilon": 1.5,
+         "epochs_per_review": 50,
+         "identity_profile": {"kind": "teleconferencing", "jitter_bound": 0.5}},
+    ],
+}
+
+README_SENTINEL = {
+    "mine": {"p_enter_ts": 0.01, "p_exit_ts": 0.1},
+    "miner": {"hazard_ts": 0.02, "evacuation_threshold": 25.0},
+    "canary": {"hazard_ts": 0.3},
+    "pool_size": 100,
+    "steps": 500,
+    "seed": 0,
+}
+
+CASES = {
+    "channel": (README_CHANNEL, ["channel"]),
+    "sentinel-curve": (README_SENTINEL, ["sentinel", "--curve", "200"]),
+    "sentinel-runs": ({"steps": 300, "seed": 4}, ["sentinel", "--runs", "60"]),
+}
+
+GOLDEN = {
+    "channel": {
+        "lessons.json": "25ab20441e6864780016fa926275fe507fe6e52f11140968d7f0c8559a9356a8",
+        "out/aggregates.json": "a79d5fba0407250c2a6c5cb878f89ed84901b844620b1451873be77bf6463230",
+        "out/antifragile_steps.csv": "ca71f5849a550ac0f16105b6b871ef56ace1c3d6bd8cdfd2204bc0418488c35b",
+        "out/compare.csv": "e721e8c809d6f92e9c5ad362d4154847cede6013bf219b39dcbca3f94a084aa9",
+        "out/elastic_steps.csv": "5f853b59b4064bc743565c95bcf67054eb00ca7c791b5d1c04b516f2f9ebeae1",
+        "out/entelechial_steps.csv": "988907fb921dd518299856cadc09345895a7ed7c69173ac96448a03294213d3b",
+        "out/manifest.json": "431aea4a7c6fef99ab838aa18f7dd1a92e6f6bf07c4bc5fb52a84d3bffeee017",
+    },
+    "sentinel-curve": {
+        "out/curve.csv": "c0694d0b7cedd22653369ab2a57a2453da6f803762b382086e246cda28f017de",
+        "out/manifest.json": "f461ef2874426dfa8d27000fdcf55d0ec059f284770d3e8391ad26ed2e080460",
+        "out/summary.json": "d4bd31fcf042b2ce0af90f565e7650275fe539af8851d36147e4390ab6671e78",
+        "out/trace.csv": "a7ed98670b5ae7cf14ec82806b4ef1c0cf6b3c4e558cc4c03673fff3700359b9",
+    },
+    "sentinel-runs": {
+        "out/batch.json": "b2fc4da7675d6d8222111eab60c5f29d996b32cbd7d7ee72953a8ed265d6ab6a",
+        "out/manifest.json": "74416d64d3282d765416954f6296dff66363ebe068128871b09b265c5329eff8",
+    },
+}
+
+
+def run_case(name, directory):
+    """Run one case inside ``directory``; return {relative path: sha256}."""
+    config, argv = CASES[name]
+    (directory / "config.json").write_text(json.dumps(config, indent=2) + "\n")
+    code = main([*argv, "-c", "config.json", "-o", "out"])
+    assert code == 0
+    return {
+        path.relative_to(directory).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file() and path.name != "config.json"
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_golden_digests(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+def test_channel_case_mutates_and_violates_identity(tmp_path, monkeypatch):
+    """The channel case exercises the review pass and identity accounting."""
+    monkeypatch.chdir(tmp_path)
+    run_case("channel", tmp_path)
+    aggregates = json.loads((tmp_path / "out" / "aggregates.json").read_text())
+    antifragile = aggregates["protocols"]["antifragile"]
+    assert antifragile["mutations"]
+    assert antifragile["aggregates"]["identity_violations"] > 0
+    assert json.loads((tmp_path / "lessons.json").read_text())["entries"]

@@ -1,0 +1,340 @@
+"""Equivalence of the linear hot loops with the original quadratic code.
+
+The oracles below are the earlier implementations, kept verbatim in
+substance: the antifragile run with its prefix-rescanning review pass and
+per-epoch rescanning identity accounting, and the canary pool that keeps
+one flag per canary. The current code must agree with them exactly,
+including the random draws consumed.
+"""
+
+import copy
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import resilsim.sentinel as sentinel
+from resilsim.channel import (
+    AntifragileEvolving,
+    BurstyChannel,
+    EwmaPlusSlope,
+    FileTransfer,
+    KnowledgeStore,
+    ProtocolRun,
+    StepRecord,
+    Teleconferencing,
+    WindowMax,
+    _jitter,
+    _predict_yields,
+    _signature,
+    as_trace,
+    burstiness,
+    compare_runs,
+    generate_trace,
+    run_antifragile,
+)
+from resilsim.fitness import shooting
+from resilsim.organs import FeedbackKind
+from resilsim.sentinel import (
+    Canary,
+    CanaryPool,
+    CoalMine,
+    EvacuationPolicy,
+    Miner,
+    Scenario,
+    simulate,
+    survival_rate,
+)
+
+
+def oracle_run_antifragile(trace, config, store):
+    """The original run_antifragile, with its quadratic review and accounting."""
+    trace = as_trace(trace)
+    ys = trace.y
+    n = len(ys)
+    review_every = config.epochs_per_review
+    predictor = copy.deepcopy(config.predictor)
+    yields, predictions, warns = _predict_yields(ys, predictor, config.epsilon)
+
+    algorithm = "repetition"
+    depth = 0
+    mutation_step = None
+    mutations = []
+    for k in range(1, n // review_every + 1):
+        review_at = k * review_every
+        window = range(review_at - review_every, review_at)
+        estimate = burstiness(ys, window, min(ys[:review_at]))
+        if algorithm == "repetition" and estimate > config.burstiness_threshold:
+            signature = _signature(estimate)
+            entry = store.get(signature)
+            if entry is None:
+                entry = {
+                    "signature": signature,
+                    "algorithm": "interleaved",
+                    "depth": config.interleave_depth,
+                    "epoch_learned": k,
+                }
+                store.put(entry)
+            if entry["algorithm"] != "interleaved":
+                continue
+            algorithm = "interleaved"
+            depth = entry.get("depth", config.interleave_depth)
+            if depth < 2:
+                depth = config.interleave_depth
+            mutation_step = review_at
+            mutations.append({
+                "step": review_at,
+                "epoch": k,
+                "algorithm": "interleaved",
+                "depth": depth,
+                "signature": signature,
+                "burstiness": estimate,
+                "feedback": FeedbackKind.GENOTYPICAL.value,
+            })
+
+    delivered = [False] * n
+    delivered_at = [None] * n
+    step_cost = [0] * n
+    step_algorithm = ["repetition"] * n
+    repetition_until = n if mutation_step is None else mutation_step
+    for t in range(repetition_until):
+        step_cost[t] += yields[t]
+        if yields[t] > ys[t]:
+            delivered[t] = True
+            delivered_at[t] = t
+    if mutation_step is not None:
+        for block_start in range(mutation_step, n, depth):
+            block = list(range(block_start, min(block_start + depth, n)))
+            length = len(block)
+            offset = max(1, length // 2)
+            for i, t in enumerate(block):
+                step_algorithm[t] = "interleaved"
+                copies = [t]
+                if length >= 2:
+                    copies.append(block[(i + offset) % length])
+                for s in copies:
+                    step_cost[s] += 1
+                if trace.burst_correlated:
+                    ok = any(yields[s] > ys[s] for s in copies)
+                else:
+                    ok = yields[t] > ys[t]
+                if ok:
+                    delivered[t] = True
+                    delivered_at[t] = block[-1]
+
+    records = [
+        StepRecord(
+            t=t, y=y, yield_point=yields[t], delivered=delivered[t],
+            shoot=shooting(y, yields[t], t), cost=step_cost[t],
+            algorithm=step_algorithm[t], prediction=predictions[t],
+            margin_warning=warns[t], delivered_at=delivered_at[t],
+        )
+        for t, y in enumerate(ys)
+    ]
+
+    violations = 0
+    if isinstance(config.identity_profile, Teleconferencing):
+        bound = config.identity_profile.jitter_bound
+        epoch_count = math.ceil(n / review_every)
+        times = [dt for dt in delivered_at if dt is not None]
+        for k in range(epoch_count):
+            start = k * review_every
+            end = min((k + 1) * review_every, n)
+            epoch_times = sorted(dt for dt in times if start <= dt < end)
+            if _jitter(epoch_times) > bound:
+                violations += 1
+    return records, violations, mutations
+
+
+class OraclePool:
+    """The original canary pool: one alive flag per canary."""
+
+    def __init__(self, size):
+        self.alive = [True] * size
+
+    @property
+    def alive_count(self):
+        return sum(1 for a in self.alive if a)
+
+    def step_threatened(self, rng, hazard):
+        for i, is_alive in enumerate(self.alive):
+            if is_alive and rng.random() < hazard:
+                self.alive[i] = False
+
+
+# ---------------------------------------------------------------------------
+# run_antifragile
+
+
+plain_traces = st.lists(st.integers(1, 6), min_size=1, max_size=300)
+bursty_traces = st.builds(
+    lambda p_enter, p_exit, y_burst, correlated, seed, steps: generate_trace(
+        BurstyChannel(p_enter=p_enter, p_exit=p_exit, y_calm=1, y_burst=y_burst,
+                      burst_correlated=correlated, seed=seed),
+        steps,
+    ),
+    st.floats(0.0, 0.5), st.floats(0.05, 1.0), st.integers(1, 6), st.booleans(),
+    st.integers(0, 10_000), st.integers(1, 600),
+)
+predictors = st.one_of(
+    st.integers(1, 10).map(WindowMax),
+    st.builds(EwmaPlusSlope, st.floats(0.05, 1.0), st.integers(1, 3)),
+)
+profiles = st.one_of(
+    st.just(FileTransfer()),
+    st.floats(-0.5, 3.0).map(lambda bound: Teleconferencing(jitter_bound=bound)),
+)
+stored_lessons = st.lists(
+    st.fixed_dictionaries({
+        "signature": st.sampled_from(["calm", "bursty-low", "bursty-high"]),
+        "algorithm": st.sampled_from(["interleaved", "repetition"]),
+        "depth": st.integers(0, 6),
+    }),
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    trace=st.one_of(plain_traces, bursty_traces),
+    predictor=predictors,
+    epsilon=st.floats(0.1, 3.0),
+    review_every=st.integers(1, 60),
+    profile=profiles,
+    threshold=st.floats(0.0, 1.0),
+    depth=st.integers(2, 6),
+    lessons=stored_lessons,
+)
+def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
+                                        profile, threshold, depth, lessons):
+    config = AntifragileEvolving(
+        predictor=predictor, epsilon=epsilon, epochs_per_review=review_every,
+        identity_profile=profile, burstiness_threshold=threshold,
+        interleave_depth=depth,
+    )
+    store, oracle_store = KnowledgeStore(lessons), KnowledgeStore(lessons)
+    run, _ = run_antifragile(trace, config, store)
+    records, violations, mutations = oracle_run_antifragile(trace, config, oracle_store)
+    assert run.identity_violations == violations
+    assert run.mutations == mutations
+    assert run.steps == records
+    assert store.to_dict() == oracle_store.to_dict()
+
+
+def test_bursty_readme_trace_matches_oracle():
+    """A long README-style trace that mutates and violates identity."""
+    trace = generate_trace(
+        BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=17), 5_000
+    )
+    config = AntifragileEvolving(
+        predictor=WindowMax(8), epsilon=1.5, epochs_per_review=50,
+        identity_profile=Teleconferencing(jitter_bound=0.5),
+    )
+    run, _ = run_antifragile(trace, config, KnowledgeStore())
+    records, violations, mutations = oracle_run_antifragile(
+        trace, config, KnowledgeStore())
+    assert mutations and violations > 0
+    assert (run.steps, run.identity_violations, run.mutations) == \
+        (records, violations, mutations)
+
+
+def test_cached_aggregates_match_fresh_computation():
+    trace = generate_trace(
+        BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=3), 800
+    )
+    config = AntifragileEvolving(predictor=WindowMax(8), epsilon=1.5)
+    run, _ = run_antifragile(trace, config, KnowledgeStore())
+    first = run.aggregates()
+    assert compare_runs({"a": run})[0] == {
+        key: first[key] for key in
+        ("undershoot_count", "cumulative_overshoot", "total_cost",
+         "delivered_fraction", "jitter")
+    } | {"protocol": "a"}
+    fresh = ProtocolRun(run.protocol, run.header, run.steps, run.trace_y,
+                        run.identity_violations, run.mutations)
+    assert fresh.aggregates() == first == run.aggregates()
+
+
+# ---------------------------------------------------------------------------
+# CanaryPool
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+    hazards=st.lists(st.floats(0.0, 1.0), max_size=40),
+)
+def test_pool_matches_oracle_count_and_rng_state(size, seed, hazards):
+    pool, oracle = CanaryPool(size), OraclePool(size)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for hazard in hazards:
+        pool.step_threatened(rng, hazard)
+        oracle.step_threatened(oracle_rng, hazard)
+        assert pool.alive_count == oracle.alive_count
+        assert pool.failed == size - oracle.alive_count
+        assert pool.size == size
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+# ---------------------------------------------------------------------------
+# Early-stopped survival_rate
+
+
+SCENARIOS = {
+    "default": Scenario(),
+    "no-canaries": Scenario(pool_size=0),
+    "hazardous": Scenario(mine=CoalMine(p_enter_ts=0.05, p_exit_ts=0.05),
+                          miner=Miner(hazard_ts=0.1), pool_size=30),
+    "fit-policy": Scenario(miner=Miner(evacuation_threshold=-1000.0),
+                           canary=Canary(hazard_ts=0.5),
+                           policy=EvacuationPolicy(fit_threshold=1e-20)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_survival_rate_equals_full_length_tally(name):
+    scenario, steps, runs, base_seed = SCENARIOS[name], 300, 220, 40
+    survived = evacuated = 0
+    for seed in range(base_seed, base_seed + runs):
+        run = simulate(scenario, steps, seed)
+        assert len(run.steps) == steps
+        survived += run.survived
+        evacuated += run.evacuation_step is not None
+    assert survival_rate(scenario, steps, runs, base_seed) == {
+        "runs": runs,
+        "survived": survived,
+        "survival_rate": survived / runs,
+        "evacuated": evacuated,
+        "base_seed": base_seed,
+        "steps": steps,
+        "pool_size": scenario.pool_size,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_until_decided_is_a_prefix_of_the_full_run(name):
+    scenario = SCENARIOS[name]
+    for seed in range(60):
+        full = simulate(scenario, 300, seed)
+        short = simulate(scenario, 300, seed, until_decided=True)
+        decided = [s for s in (full.evacuation_step, full.miner_failed_step)
+                   if s is not None]
+        assert len(short.steps) == (min(decided) + 1 if decided else 300)
+        assert short.steps == full.steps[:len(short.steps)]
+        assert (short.survived, short.evacuation_step, short.miner_failed_step) == \
+            (full.survived, full.evacuation_step, full.miner_failed_step)
+
+
+def test_survival_rate_calls_simulate_through_module_global(monkeypatch):
+    calls = []
+
+    def recording_simulate(*args, **kwargs):
+        calls.append(kwargs)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(sentinel, "simulate", recording_simulate)
+    survival_rate(Scenario(), 50, 3)
+    assert calls == [{"until_decided": True}] * 3

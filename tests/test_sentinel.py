@@ -24,8 +24,8 @@ from resilsim.sentinel import (
 
 def pool_with_failures(size, failed):
     pool = CanaryPool(size)
-    for i in range(failed):
-        pool.alive[i] = False
+    pool.alive_count -= failed
+    assert (pool.size, pool.failed, pool.alive_count) == (size, failed, size - failed)
     return pool
 
 
