@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
 import os
 import random
 import statistics
@@ -30,7 +31,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import InvalidBounds, NoObservations, StoreCorrupt, TraceMismatch
-from .fitness import ShootingRecord, ShootKind, shooting
+from .fitness import BASELINE, ShootKind, fit
 from .organs import FeedbackKind
 
 DEFAULT_EPOCHS_PER_REVIEW = 50
@@ -338,59 +339,59 @@ class AntifragileEvolving:
             raise ValueError("interleave depth must be at least 2")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One simulated step of a protocol run."""
-
-    t: int
-    y: int
-    yield_point: int
-    delivered: bool
-    shoot: ShootingRecord
-    cost: int
-    algorithm: str
-    prediction: float | None = None
-    margin_warning: bool = False
-    delivered_at: int | None = None
-
-
 @dataclass
 class ProtocolRun:
-    """Per-step records plus derived aggregates for one protocol run.
+    """One protocol run as parallel per-step columns, plus its aggregates.
 
-    Each aggregate is computed on first use and cached, so ``aggregates``
-    and ``compare_runs`` share one pass; the steps must not change after.
+    Entry t of each column describes step t:
+
+    * ``y``: the channel demand, the trace's own tuple (shared, not copied);
+    * ``yields``: the provisioned yielding point Y;
+    * ``cost``: the copies sent (redundancy paid) at that step;
+    * ``delivered_at``: the step at which the packet became available, or
+      None when it was lost;
+    * ``algorithm``: "repetition" or "interleaved";
+    * ``prediction`` and ``margin_warning``: the predictor's output and the
+      epsilon-margin flag of ``choose_yield`` (None and False for elastic).
+
+    Over- and undershoot are not stored: they follow from ``y`` and
+    ``yields``. Each aggregate is computed in one pass on first use and
+    cached, so ``aggregates`` and ``compare_runs`` share it; the columns
+    must not change after the run is built.
     """
 
     protocol: str
     header: dict
-    steps: list[StepRecord]
-    trace_y: tuple[int, ...]
+    y: tuple[int, ...]
+    yields: Sequence[int]
+    cost: Sequence[int]
+    delivered_at: Sequence[int | None]
+    algorithm: Sequence[str]
+    prediction: Sequence[float | None]
+    margin_warning: Sequence[bool]
     identity_violations: int = 0
     mutations: list[dict] = field(default_factory=list)
 
     @cached_property
     def undershoot_count(self) -> int:
-        return sum(1 for s in self.steps if s.shoot.kind is ShootKind.UNDERSHOOT)
+        return sum(map(operator.gt, self.y, self.yields))
 
     @cached_property
     def cumulative_overshoot(self) -> float:
-        return float(
-            sum(s.shoot.magnitude for s in self.steps
-                if s.shoot.kind is ShootKind.OVERSHOOT)
-        )
+        return float(sum(Y - y for y, Y in zip(self.y, self.yields) if Y > y))
 
     @cached_property
     def total_cost(self) -> int:
-        return sum(s.cost for s in self.steps)
+        return sum(self.cost)
 
     @cached_property
     def delivered_fraction(self) -> float:
-        return sum(1 for s in self.steps if s.delivered) / len(self.steps)
+        n = len(self.delivered_at)
+        return (n - self.delivered_at.count(None)) / n
 
     @property
     def delivery_times(self) -> list[int]:
-        return sorted(s.delivered_at for s in self.steps if s.delivered_at is not None)
+        return sorted(dt for dt in self.delivered_at if dt is not None)
 
     @cached_property
     def jitter(self) -> float:
@@ -407,51 +408,34 @@ class ProtocolRun:
             "identity_violations": self.identity_violations,
         }
 
-    def to_dict(self) -> dict:
-        """Full serialization; byte-stable via json.dumps(sort_keys=True)."""
-        return {
-            "protocol": self.protocol,
-            "header": self.header,
-            "identity_violations": self.identity_violations,
-            "mutations": self.mutations,
-            "aggregates": self.aggregates(),
-            "steps": [
-                {
-                    "t": s.t,
-                    "y": s.y,
-                    "Y": s.yield_point,
-                    "delivered": s.delivered,
-                    "shoot_kind": s.shoot.kind.value,
-                    "shoot_magnitude": s.shoot.magnitude,
-                    "cost": s.cost,
-                    "algorithm": s.algorithm,
-                    "prediction": s.prediction,
-                    "margin_warning": s.margin_warning,
-                    "delivered_at": s.delivered_at,
-                }
-                for s in self.steps
-            ],
-        }
-
 
 STEP_CSV_HEADER = (
     "t", "y", "Y", "delivered", "shoot_kind", "shoot_magnitude", "cost", "algorithm",
 )
 
 
+def _csv_tail(y: int, Y: int, delivered: bool, cost: int, algorithm: str) -> tuple[str, ...]:
+    """Every step CSV cell after ``t``; the shoot fields are derived from y and Y."""
+    if y > Y:
+        kind, magnitude = ShootKind.UNDERSHOOT, y - Y
+    else:
+        kind, magnitude = (ShootKind.OVERSHOOT if Y > y else ShootKind.EXACT), Y - y
+    return (str(y), str(Y), "true" if delivered else "false", kind.value,
+            str(magnitude), str(cost), algorithm)
+
+
 def step_csv_rows(run: ProtocolRun) -> list[tuple[str, ...]]:
+    """One row per step. The cells after ``t`` depend only on (y, Y,
+    delivered, cost, algorithm), so each distinct tail is built once."""
+    tails: dict[tuple, tuple[str, ...]] = {}
     rows = []
-    for s in run.steps:
-        rows.append((
-            str(s.t),
-            str(s.y),
-            str(s.yield_point),
-            "true" if s.delivered else "false",
-            s.shoot.kind.value,
-            str(s.shoot.magnitude),
-            str(s.cost),
-            s.algorithm,
-        ))
+    columns = zip(run.y, run.yields, run.delivered_at, run.cost, run.algorithm)
+    for t, (y, Y, dt, cost, algorithm) in enumerate(columns):
+        key = (y, Y, dt is not None, cost, algorithm)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _csv_tail(*key)
+        rows.append((str(t),) + tail)
     return rows
 
 
@@ -467,6 +451,14 @@ def _jitter(delivery_times: Sequence[int]) -> float:
 # Protocol runs
 
 
+def _deliver_by_repetition(
+    ys: Sequence[int], yields: Sequence[int], steps: int
+) -> list[int | None]:
+    """Repetition rule over steps [0, steps): Y copies are sent at once, so
+    the step-t packet is delivered at t iff Y(t) strictly exceeds y(t)."""
+    return [t if Y > y else None for t, y, Y in zip(range(steps), ys, yields)]
+
+
 def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> ProtocolRun:
     """Fixed yielding point for the whole run.
 
@@ -477,21 +469,14 @@ def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> Protoc
     trace = as_trace(trace)
     if yield_point < 1:
         raise ValueError("yield point must be a positive integer")
-    records = []
-    for t, y in enumerate(trace.y):
-        delivered = yield_point > y
-        records.append(StepRecord(
-            t=t,
-            y=y,
-            yield_point=yield_point,
-            delivered=delivered,
-            shoot=shooting(y, yield_point, t),
-            cost=yield_point,
-            algorithm="repetition",
-            delivered_at=t if delivered else None,
-        ))
+    n = len(trace.y)
+    yields = (yield_point,) * n
     header = {"protocol": "elastic", "yield_point": yield_point}
-    return ProtocolRun("elastic", header, records, trace.y)
+    return ProtocolRun(
+        "elastic", header, trace.y, yields, yields,
+        _deliver_by_repetition(trace.y, yields, n),
+        ("repetition",) * n, (None,) * n, (False,) * n,
+    )
 
 
 def _predict_yields(
@@ -529,28 +514,18 @@ def run_entelechial(
     predictor_config = predictor.config_dict()
     predictor = copy.deepcopy(predictor)
     yields, predictions, warns = _predict_yields(trace.y, predictor, epsilon)
-    records = []
-    for t, y in enumerate(trace.y):
-        delivered = yields[t] > y
-        records.append(StepRecord(
-            t=t,
-            y=y,
-            yield_point=yields[t],
-            delivered=delivered,
-            shoot=shooting(y, yields[t], t),
-            cost=yields[t],
-            algorithm="repetition",
-            prediction=predictions[t],
-            margin_warning=warns[t],
-            delivered_at=t if delivered else None,
-        ))
     header = {
         "protocol": "entelechial",
         "predictor": predictor_config,
         "epsilon": epsilon,
         "bootstrap_yield": trace.y[0] + 1,
     }
-    return ProtocolRun("entelechial", header, records, trace.y)
+    n = len(trace.y)
+    return ProtocolRun(
+        "entelechial", header, trace.y, yields, yields,
+        _deliver_by_repetition(trace.y, yields, n),
+        ("repetition",) * n, predictions, warns,
+    )
 
 
 def burstiness(ys: Sequence[int], window: range, baseline: int) -> float:
@@ -655,24 +630,22 @@ def run_antifragile(
                 "feedback": FeedbackKind.GENOTYPICAL.value,
             })
 
-    # Delivery pass.
-    delivered = [False] * n
-    delivered_at: list[int | None] = [None] * n
-    step_cost = [0] * n
-    step_algorithm = ["repetition"] * n
+    # Delivery pass: repetition up to the mutation, interleaving after it.
     repetition_until = n if mutation_step is None else mutation_step
-    for t in range(repetition_until):
-        step_cost[t] += yields[t]
-        if yields[t] > ys[t]:
-            delivered[t] = True
-            delivered_at[t] = t
-    if mutation_step is not None:
+    delivered_at = _deliver_by_repetition(ys, yields, repetition_until)
+    if mutation_step is None:
+        step_cost: list[int] = yields
+        step_algorithm: Sequence[str] = ("repetition",) * n
+    else:
+        interleaved = n - mutation_step
+        delivered_at += [None] * interleaved
+        step_cost = yields[:mutation_step] + [0] * interleaved
+        step_algorithm = ("repetition",) * mutation_step + ("interleaved",) * interleaved
         for block_start in range(mutation_step, n, depth):
             block = list(range(block_start, min(block_start + depth, n)))
             length = len(block)
             offset = max(1, length // 2)
             for i, t in enumerate(block):
-                step_algorithm[t] = "interleaved"
                 copies = [t]
                 if length >= 2:
                     copies.append(block[(i + offset) % length])
@@ -683,23 +656,7 @@ def run_antifragile(
                 else:
                     ok = yields[t] > ys[t]
                 if ok:
-                    delivered[t] = True
                     delivered_at[t] = block[-1]
-
-    records = []
-    for t, y in enumerate(ys):
-        records.append(StepRecord(
-            t=t,
-            y=y,
-            yield_point=yields[t],
-            delivered=delivered[t],
-            shoot=shooting(y, yields[t], t),
-            cost=step_cost[t],
-            algorithm=step_algorithm[t],
-            prediction=predictions[t],
-            margin_warning=warns[t],
-            delivered_at=delivered_at[t],
-        ))
 
     # Identity accounting: jitter per review epoch, delivery times bucketed
     # by epoch in one pass (every delivery time lies in [0, n)).
@@ -725,8 +682,8 @@ def run_antifragile(
         "bootstrap_yield": ys[0] + 1,
     }
     run = ProtocolRun(
-        "antifragile", header, records, ys,
-        identity_violations=violations, mutations=mutations,
+        "antifragile", header, ys, yields, step_cost, delivered_at, step_algorithm,
+        predictions, warns, identity_violations=violations, mutations=mutations,
     )
     return run, store
 
@@ -737,14 +694,16 @@ def mean_step_fit(run: ProtocolRun, variant=None) -> float:
     Identity-loss steps contribute 0.0 so the mean stays bounded; the
     overall value summarizes how tightly the protocol tracked the demand.
     """
-    from .fitness import BASELINE, fit
-
     variant = variant or BASELINE
+    fits: dict[int, float] = {}  # fit depends on the supply alone
     total = 0.0
-    for step in run.steps:
-        outcome = fit(step.yield_point - step.y, variant)
-        total += 0.0 if outcome.lost_identity else outcome.value
-    return total / len(run.steps)
+    for supply in map(operator.sub, run.yields, run.y):
+        value = fits.get(supply)
+        if value is None:
+            outcome = fit(supply, variant)
+            value = fits[supply] = 0.0 if outcome.lost_identity else outcome.value
+        total += value
+    return total / len(run.y)
 
 
 COMPARE_CSV_HEADER = (
@@ -757,7 +716,7 @@ def compare_runs(runs: Mapping[str, ProtocolRun]) -> list[dict]:
     """Aggregate comparison rows for runs that share one channel trace."""
     if not runs:
         raise ValueError("no runs to compare")
-    traces = {run.trace_y for run in runs.values()}
+    traces = {run.y for run in runs.values()}
     if len(traces) > 1:
         raise TraceMismatch("runs were driven by different channel traces")
     rows = []

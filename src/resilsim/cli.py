@@ -108,26 +108,37 @@ def _section(config, context: str) -> dict:
     return config
 
 
+def _int(config: dict, key: str, context: str, default: int | None = None) -> int:
+    """``config[key]`` as an integer (not a bool); required unless defaulted."""
+    if default is None:
+        value = _require(config, key, context)
+    else:
+        value = config.get(key, default)
+    if not _is_int(value):
+        raise ConfigError(f"{context}: {key} must be an integer, got {value!r}")
+    return value
+
+
 def _build_channel(config: dict, seed: int):
     config = _section(config, "channel")
     kind = _require(config, "kind", "channel")
     try:
         if kind == "constant":
-            return ConstantChannel(y=_require(config, "y", "channel"), seed=seed)
+            return ConstantChannel(y=_int(config, "y", "channel"), seed=seed)
         if kind == "random_walk":
             return RandomWalkChannel(
-                y0=_require(config, "y0", "channel"),
+                y0=_int(config, "y0", "channel"),
                 step_prob=_require(config, "step_prob", "channel"),
-                y_min=config.get("min", 1),
-                y_max=_require(config, "max", "channel"),
+                y_min=_int(config, "min", "channel", 1),
+                y_max=_int(config, "max", "channel"),
                 seed=seed,
             )
         if kind == "bursty":
             return BurstyChannel(
                 p_enter=_require(config, "p_enter", "channel"),
                 p_exit=_require(config, "p_exit", "channel"),
-                y_calm=_require(config, "y_calm", "channel"),
-                y_burst=_require(config, "y_burst", "channel"),
+                y_calm=_int(config, "y_calm", "channel"),
+                y_burst=_int(config, "y_burst", "channel"),
                 burst_correlated=config.get("burst_correlated", True),
                 seed=seed,
             )
@@ -141,10 +152,11 @@ def _build_predictor(config: dict):
     kind = _require(config, "kind", "predictor")
     try:
         if kind == "window_max":
-            return WindowMax(window=config.get("window", 8))
+            return WindowMax(window=_int(config, "window", "predictor", 8))
         if kind == "ewma_slope":
             return EwmaPlusSlope(
-                alpha=config.get("alpha", 0.3), horizon=config.get("horizon", 1)
+                alpha=config.get("alpha", 0.3),
+                horizon=_int(config, "horizon", "predictor", 1),
             )
     except ValueError as exc:
         raise ConfigError(f"predictor: {exc}") from exc
@@ -163,7 +175,8 @@ def _build_identity_profile(config: dict):
     raise ConfigError(f"identity_profile: unknown kind {kind!r}")
 
 
-def _protocol_name(config: dict, index: int) -> str:
+def _protocol_name(config, index: int) -> str:
+    config = _section(config, f"protocol #{index}")
     name = config.get("name", config.get("kind"))
     if not isinstance(name, str) or not name:
         raise ConfigError(f"protocol #{index}: missing kind/name")
@@ -175,7 +188,7 @@ def _run_protocol(config: dict, trace, store: KnowledgeStore):
     kind = _require(config, "kind", "protocol")
     try:
         if kind == "elastic":
-            return run_elastic(trace, _require(config, "yield_point", "protocol"))
+            return run_elastic(trace, _int(config, "yield_point", "protocol"))
         if kind == "entelechial":
             return run_entelechial(
                 trace,
@@ -189,10 +202,10 @@ def _run_protocol(config: dict, trace, store: KnowledgeStore):
             antifragile = AntifragileEvolving(
                 predictor=_build_predictor(_require(config, "predictor", "protocol")),
                 epsilon=_require(config, "epsilon", "protocol"),
-                epochs_per_review=config.get("epochs_per_review", 50),
+                epochs_per_review=_int(config, "epochs_per_review", "protocol", 50),
                 identity_profile=profile,
                 burstiness_threshold=config.get("burstiness_threshold", 0.5),
-                interleave_depth=config.get("interleave_depth", 4),
+                interleave_depth=_int(config, "interleave_depth", "protocol", 4),
             )
             run, _ = run_antifragile(trace, antifragile, store)
             return run
@@ -241,7 +254,7 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
     steps = _require(config, "steps", "config")
     if not _is_int(steps) or steps < 1:
         raise ConfigError("config: steps must be a positive integer")
-    seed = seed_override if seed_override is not None else _require(config, "seed", "config")
+    seed = seed_override if seed_override is not None else _int(config, "seed", "config")
     if "protocols" in config:
         protocol_configs = config["protocols"]
     else:
@@ -354,7 +367,7 @@ def _build_scenario(config: dict) -> tuple[Scenario, int, int]:
     steps = config.get("steps", 500)
     if not _is_int(steps) or steps < 1:
         raise ConfigError("config: steps must be a positive integer")
-    seed = config.get("seed", 0)
+    seed = _int(config, "seed", "config", 0)
     return scenario, steps, seed
 
 

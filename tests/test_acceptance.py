@@ -202,9 +202,11 @@ def test_criterion_07_margin_compliance():
     for seed in range(100):
         trace = generate_trace(RandomWalkChannel(seed=seed, **WALK), 1000)
         run = run_entelechial(trace, WindowMax(8), epsilon)
-        for step in run.steps:
-            gap = step.yield_point - step.prediction
-            if step.margin_warning:
+        assert len(run.yields) == len(run.prediction) == len(run.margin_warning) == 1000
+        for yield_point, prediction, margin_warning in zip(
+                run.yields, run.prediction, run.margin_warning):
+            gap = yield_point - prediction
+            if margin_warning:
                 assert gap >= epsilon
             else:
                 non_warning += 1
@@ -296,8 +298,8 @@ def _epoch_average_fits(run, start, end):
     steps contribute 0.0 so the average stays bounded.
     """
     values = []
-    for step in run.steps:
-        outcome = fit(step.yield_point - step.y, BASELINE)
+    for y, yield_point in zip(run.y, run.yields, strict=True):
+        outcome = fit(yield_point - y, BASELINE)
         values.append(0.0 if outcome.lost_identity else outcome.value)
     averages = []
     epoch = (start + REVIEW - 1) // REVIEW

@@ -28,7 +28,6 @@ from resilsim.errors import (
     StoreCorrupt,
     TraceMismatch,
 )
-from resilsim.fitness import ShootKind
 
 BURSTY = BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=3)
 
@@ -167,8 +166,9 @@ class TestRunElastic:
     def test_spike_undershoots(self):
         run = run_elastic([2, 5, 2], 3)
         assert run.undershoot_count == 1
-        assert run.steps[1].shoot.kind is ShootKind.UNDERSHOOT
-        assert not run.steps[1].delivered
+        assert run.y[1] > run.yields[1]  # undershoot
+        assert run.delivered_at[1] is None
+        assert step_csv_rows(run)[1][3:5] == ("false", "undershoot")
 
     def test_above_supremum_never_undershoots(self):
         trace = generate_trace(BURSTY, 300)
@@ -179,36 +179,38 @@ class TestRunElastic:
 
     def test_yield_constant_across_run(self):
         run = run_elastic([1, 2, 3], 4)
-        assert {s.yield_point for s in run.steps} == {4}
+        assert set(run.yields) == {4}
+        assert run.cost == run.yields
 
 
 class TestRunEntelechial:
     def test_constant_trace_tracks_one_above(self):
         run = run_entelechial(generate_trace(ConstantChannel(2), 6), WindowMax(4), 1.5)
-        assert [s.yield_point for s in run.steps] == [3] * 6
-        assert all(s.shoot.kind is ShootKind.OVERSHOOT and s.shoot.magnitude == 1
-                   for s in run.steps)
+        assert list(run.yields) == [3] * 6
+        assert [Y - y for y, Y in zip(run.y, run.yields)] == [1] * 6  # overshoot 1
+        assert [row[4:6] for row in step_csv_rows(run)] == [("overshoot", "1")] * 6
         assert run.cumulative_overshoot == 6  # one per step, bootstrap included
 
     def test_lagging_window_fails_on_rising_steps(self):
         run = run_entelechial([1, 2, 3, 4], WindowMax(1), 2.0)
-        assert [s.yield_point for s in run.steps] == [2, 2, 3, 4]
+        assert list(run.yields) == [2, 2, 3, 4]
         # The yield lags one step behind the demand: after the bootstrap
         # step, the chosen yield exactly meets the new demand and strict
         # delivery fails.
-        assert [s.delivered for s in run.steps] == [True, False, False, False]
-        assert all(s.shoot.kind is ShootKind.EXACT for s in run.steps[1:])
+        assert list(run.delivered_at) == [0, None, None, None]
+        assert list(run.yields[1:]) == list(run.y[1:])  # exact
+        assert [row[4:6] for row in step_csv_rows(run)[1:]] == [("exact", "0")] * 3
 
     def test_bootstrap_uses_first_sample(self):
         run = run_entelechial([4, 1, 1], WindowMax(8), 1.5)
-        assert run.steps[0].yield_point == 5
+        assert run.yields[0] == 5
         assert run.header["bootstrap_yield"] == 5
-        assert run.steps[0].prediction == 4.0
+        assert run.prediction[0] == 4.0
 
     def test_margin_compliance_flags(self):
         run = run_entelechial([2] * 10, WindowMax(4), 0.5)
         # Integer demand makes the gap exactly 1.0 >= 0.5 at every step.
-        assert all(s.margin_warning for s in run.steps)
+        assert len(run.margin_warning) == 10 and all(run.margin_warning)
 
 
 def antifragile_config(**overrides):
@@ -223,10 +225,10 @@ class TestRunAntifragile:
         antifragile, _ = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         entelechial = run_entelechial(trace, WindowMax(8), 1.5)
         assert antifragile.mutations == []
-        assert [s.algorithm for s in antifragile.steps] == ["repetition"] * 300
-        same = [(s.t, s.y, s.yield_point, s.delivered, s.cost) for s in antifragile.steps]
-        assert same == [(s.t, s.y, s.yield_point, s.delivered, s.cost)
-                        for s in entelechial.steps]
+        assert list(antifragile.algorithm) == ["repetition"] * 300
+        for column in ("y", "yields", "delivered_at", "cost"):
+            assert list(getattr(antifragile, column)) == \
+                list(getattr(entelechial, column)), column
 
     def test_bursty_channel_mutates_and_learns(self):
         trace = generate_trace(BURSTY, 1000)
@@ -272,7 +274,8 @@ class TestRunAntifragile:
         }])
         run, _ = run_antifragile(trace, antifragile_config(), store)
         assert run.mutations == []
-        assert all(s.algorithm == "repetition" for s in run.steps)
+        assert len(run.algorithm) == 1000
+        assert all(a == "repetition" for a in run.algorithm)
 
     def test_uncorrelated_bursts_defeat_interleaving(self):
         model = BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5,
@@ -287,8 +290,17 @@ class TestRunAntifragile:
         trace = generate_trace(BURSTY, 500)
         first, _ = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         second, _ = run_antifragile(trace, antifragile_config(), KnowledgeStore())
-        assert json.dumps(first.to_dict(), sort_keys=True) == \
-            json.dumps(second.to_dict(), sort_keys=True)
+        assert first.y is second.y is trace.y
+        for column in ("yields", "cost", "delivered_at", "algorithm", "prediction",
+                       "margin_warning"):
+            assert list(getattr(first, column)) == list(getattr(second, column)), column
+            assert len(getattr(first, column)) == 500
+        for part in ("header", "mutations"):
+            assert json.dumps(getattr(first, part), sort_keys=True) == \
+                json.dumps(getattr(second, part), sort_keys=True)
+        assert json.dumps(first.aggregates(), sort_keys=True) == \
+            json.dumps(second.aggregates(), sort_keys=True)
+        assert step_csv_rows(first) == step_csv_rows(second)
 
     def test_csv_rows_shape(self):
         trace = generate_trace(BURSTY, 120)

@@ -148,6 +148,26 @@ class TestChannelCommand:
         assert main(["channel", "-c", config, "-o", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("change, key", [
+        ({"seed": [1]}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"protocols": [{"kind": "elastic", "yield_point": "4"}]}, "yield_point"),
+        ({"protocols": [{"kind": "elastic", "yield_point": 4.0}]}, "yield_point"),
+        ({"protocols": [3]}, "protocol #0"),
+        ({"channel": {"kind": "constant", "y": "3"}}, "y"),
+        ({"channel": {"kind": "constant", "y": False}}, "y"),
+        ({"protocols": [{"kind": "entelechial", "epsilon": 1.5,
+                         "predictor": {"kind": "window_max", "window": 2.5}}]},
+         "window"),
+    ])
+    def test_wrong_typed_value_exits_2(self, tmp_path, capsys, change, key):
+        config = write_json(tmp_path / "config.json", {**CHANNEL_CONFIG, **change})
+        assert main(["channel", "-c", config, "-o", str(tmp_path / "out")]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("config error: ")
+        assert key in message
+        assert "Traceback" not in message
+
     @pytest.mark.parametrize("content", [
         "{not json",
         '{"entries": {}}',
@@ -221,6 +241,14 @@ class TestSentinelCommand:
         config = write_json(tmp_path / "config.json",
                             {"miner": {"figures": ["t", "gas_level"]}})
         assert main(["sentinel", "-c", config, "-o", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("args", [[], ["--runs", "3"]])
+    def test_wrong_typed_seed_exits_2(self, tmp_path, capsys, args):
+        config = write_json(tmp_path / "config.json", {**SENTINEL_CONFIG, "seed": [1]})
+        out = tmp_path / "out"
+        assert main(["sentinel", "-c", config, "-o", str(out), *args]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["steps", "pool_size"])
     @pytest.mark.parametrize("args", [[], ["--runs", "3"]])

@@ -1,18 +1,21 @@
-"""Equivalence of the linear hot loops with the original quadratic code.
+"""Equivalence of the linear, columnar hot loops with the original code.
 
 The oracles below are the earlier implementations, kept verbatim in
-substance: the antifragile run with its prefix-rescanning review pass and
-per-epoch rescanning identity accounting, and the canary pool that keeps
-one flag per canary. The current code must agree with them exactly,
-including the random draws consumed.
+substance: the per-step ``StepRecord``/``shooting`` builders of the three
+protocol runs (the antifragile one with its prefix-rescanning review pass
+and per-epoch rescanning identity accounting), the step CSV rows and mean
+step fit read from those records, and the canary pool that keeps one flag
+per canary. The current code must agree with them exactly, including the
+random draws consumed and the float sums.
 """
 
 import copy
 import math
 import random
+from dataclasses import dataclass, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resilsim.sentinel as sentinel
@@ -22,8 +25,7 @@ from resilsim.channel import (
     EwmaPlusSlope,
     FileTransfer,
     KnowledgeStore,
-    ProtocolRun,
-    StepRecord,
+    RandomWalkChannel,
     Teleconferencing,
     WindowMax,
     _jitter,
@@ -33,9 +35,13 @@ from resilsim.channel import (
     burstiness,
     compare_runs,
     generate_trace,
+    mean_step_fit,
     run_antifragile,
+    run_elastic,
+    run_entelechial,
+    step_csv_rows,
 )
-from resilsim.fitness import shooting
+from resilsim.fitness import BASELINE, QUADRATIC, FitVariant, ShootKind, fit, shooting
 from resilsim.organs import FeedbackKind
 from resilsim.sentinel import (
     Canary,
@@ -47,6 +53,88 @@ from resilsim.sentinel import (
     simulate,
     survival_rate,
 )
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """The original per-step record of a protocol run."""
+
+    t: int
+    y: int
+    yield_point: int
+    delivered: bool
+    shoot: object
+    cost: int
+    algorithm: str
+    prediction: float | None = None
+    margin_warning: bool = False
+    delivered_at: int | None = None
+
+
+def oracle_run_elastic(trace, yield_point):
+    """The original run_elastic's step records."""
+    records = []
+    for t, y in enumerate(as_trace(trace).y):
+        delivered = yield_point > y
+        records.append(StepRecord(
+            t=t, y=y, yield_point=yield_point, delivered=delivered,
+            shoot=shooting(y, yield_point, t), cost=yield_point,
+            algorithm="repetition", delivered_at=t if delivered else None,
+        ))
+    return records
+
+
+def oracle_run_entelechial(trace, predictor, epsilon):
+    """The original run_entelechial's step records."""
+    ys = as_trace(trace).y
+    yields, predictions, warns = _predict_yields(ys, copy.deepcopy(predictor), epsilon)
+    records = []
+    for t, y in enumerate(ys):
+        delivered = yields[t] > y
+        records.append(StepRecord(
+            t=t, y=y, yield_point=yields[t], delivered=delivered,
+            shoot=shooting(y, yields[t], t), cost=yields[t], algorithm="repetition",
+            prediction=predictions[t], margin_warning=warns[t],
+            delivered_at=t if delivered else None,
+        ))
+    return records
+
+
+def oracle_step_csv_rows(records):
+    return [
+        (str(s.t), str(s.y), str(s.yield_point), "true" if s.delivered else "false",
+         s.shoot.kind.value, str(s.shoot.magnitude), str(s.cost), s.algorithm)
+        for s in records
+    ]
+
+
+def oracle_mean_step_fit(records, variant):
+    total = 0.0
+    for step in records:
+        outcome = fit(step.yield_point - step.y, variant)
+        total += 0.0 if outcome.lost_identity else outcome.value
+    return total / len(records)
+
+
+def assert_run_matches_records(run, records):
+    """Every column, aggregate and CSV row equals the one read from the records."""
+    assert run.y == tuple(s.y for s in records)
+    assert list(run.yields) == [s.yield_point for s in records]
+    assert list(run.cost) == [s.cost for s in records]
+    assert list(run.delivered_at) == [s.delivered_at for s in records]
+    assert [dt is not None for dt in run.delivered_at] == [s.delivered for s in records]
+    assert list(run.algorithm) == [s.algorithm for s in records]
+    assert list(run.prediction) == [s.prediction for s in records]
+    assert list(run.margin_warning) == [s.margin_warning for s in records]
+    assert run.undershoot_count == sum(
+        1 for s in records if s.shoot.kind is ShootKind.UNDERSHOOT)
+    assert run.cumulative_overshoot == float(sum(
+        s.shoot.magnitude for s in records if s.shoot.kind is ShootKind.OVERSHOOT))
+    assert run.total_cost == sum(s.cost for s in records)
+    assert run.delivered_fraction == sum(1 for s in records if s.delivered) / len(records)
+    assert run.jitter == _jitter(
+        sorted(s.delivered_at for s in records if s.delivered_at is not None))
+    assert step_csv_rows(run) == oracle_step_csv_rows(records)
 
 
 def oracle_run_antifragile(trace, config, store):
@@ -219,7 +307,7 @@ def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
     records, violations, mutations = oracle_run_antifragile(trace, config, oracle_store)
     assert run.identity_violations == violations
     assert run.mutations == mutations
-    assert run.steps == records
+    assert_run_matches_records(run, records)
     assert store.to_dict() == oracle_store.to_dict()
 
 
@@ -236,8 +324,10 @@ def test_bursty_readme_trace_matches_oracle():
     records, violations, mutations = oracle_run_antifragile(
         trace, config, KnowledgeStore())
     assert mutations and violations > 0
-    assert (run.steps, run.identity_violations, run.mutations) == \
-        (records, violations, mutations)
+    assert (run.identity_violations, run.mutations) == (violations, mutations)
+    assert_run_matches_records(run, records)
+    for variant in FIT_VARIANTS:
+        assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
 
 
 def test_cached_aggregates_match_fresh_computation():
@@ -252,9 +342,65 @@ def test_cached_aggregates_match_fresh_computation():
         ("undershoot_count", "cumulative_overshoot", "total_cost",
          "delivered_fraction", "jitter")
     } | {"protocol": "a"}
-    fresh = ProtocolRun(run.protocol, run.header, run.steps, run.trace_y,
-                        run.identity_violations, run.mutations)
+    fresh = replace(run)  # same columns, nothing cached yet
+    assert "jitter" not in vars(fresh)
     assert fresh.aggregates() == first == run.aggregates()
+
+
+# ---------------------------------------------------------------------------
+# run_elastic and run_entelechial
+
+
+FIT_VARIANTS = (BASELINE, QUADRATIC, FitVariant.parse("plateau:2"))
+
+walk_traces = st.builds(
+    lambda y0, step_prob, seed, steps: generate_trace(
+        RandomWalkChannel(y0=y0, step_prob=step_prob, y_min=1, y_max=6, seed=seed),
+        steps,
+    ),
+    st.integers(1, 6), st.floats(0.0, 1.0), st.integers(0, 10_000),
+    st.integers(1, 600),
+)
+channel_traces = st.one_of(plain_traces, walk_traces, bursty_traces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=channel_traces, yield_point=st.integers(1, 8),
+       variant=st.sampled_from(FIT_VARIANTS))
+@example(trace=[2, 5, 2, 6], yield_point=3, variant=BASELINE)  # undershoots
+def test_run_elastic_matches_oracle(trace, yield_point, variant):
+    run = run_elastic(trace, yield_point)
+    records = oracle_run_elastic(trace, yield_point)
+    assert_run_matches_records(run, records)
+    assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=channel_traces, predictor=predictors, epsilon=st.floats(0.1, 3.0),
+       variant=st.sampled_from(FIT_VARIANTS))
+@example(trace=[1, 2, 3, 6, 1], predictor=WindowMax(1), epsilon=2.0,
+         variant=QUADRATIC)  # undershoots
+def test_run_entelechial_matches_oracle(trace, predictor, epsilon, variant):
+    run = run_entelechial(trace, predictor, epsilon)
+    records = oracle_run_entelechial(trace, predictor, epsilon)
+    assert_run_matches_records(run, records)
+    assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
+
+
+def test_oracle_examples_undershoot_and_lose_identity():
+    """The strategies reach identity loss; the float sums are not trivial."""
+    trace = generate_trace(
+        RandomWalkChannel(y0=3, step_prob=0.2, y_min=1, y_max=6, seed=5), 20_000)
+    for run, records in (
+        (run_elastic(trace, 4), oracle_run_elastic(trace, 4)),
+        (run_entelechial(trace, EwmaPlusSlope(), 1.5),
+         oracle_run_entelechial(trace, EwmaPlusSlope(), 1.5)),
+    ):
+        assert run.undershoot_count > 0
+        assert any(fit(s.yield_point - s.y).lost_identity for s in records)
+        assert_run_matches_records(run, records)
+        for variant in FIT_VARIANTS:
+            assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
 
 
 # ---------------------------------------------------------------------------
