@@ -93,9 +93,20 @@ class FigureSpec:
         if "named" in data and "cardinality" in data:
             raise ValueError("figures must have exactly one of 'named' or 'cardinality'")
         if "named" in data:
-            return cls.named(data["named"])
+            names = data["named"]
+            if not isinstance(names, list) \
+                    or not all(isinstance(name, str) for name in names):
+                raise ValueError(
+                    f"figures.named must be a list of strings, got {names!r}"
+                )
+            return cls.named(names)
         if "cardinality" in data:
-            return cls.of_order(data["cardinality"])
+            count = data["cardinality"]
+            if isinstance(count, bool) or not isinstance(count, int) \
+                    or not 0 <= count < MAX_CARDINALITY:
+                raise ValueError(f"figures.cardinality must be an integer in "
+                                 f"[0, {MAX_CARDINALITY}), got {count!r}")
+            return cls.of_order(count)
         raise ValueError("figures must have one of 'named' or 'cardinality'")
 
 

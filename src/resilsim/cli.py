@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
+import math
 import os
 import sys
+from dataclasses import is_dataclass
 from typing import Sequence
 
 from . import __version__
@@ -53,12 +56,8 @@ from .fitness import FitVariant, fit, supply
 from .organs import CyberneticClass, compare_classes
 from .sentinel import (
     SCENARIO_CSV_HEADER,
-    Canary,
-    CoalMine,
-    EvacuationPolicy,
     FLOAT_MIN,
     FLOAT_MIN_LABEL,
-    Miner,
     Scenario,
     scenario_csv_rows,
     simulate,
@@ -79,22 +78,36 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # Config parsing
 
+# Kind tables of the nested config sections. Each names the constructor of a
+# kind by its global in this module, looked up when called, so that a wrapper
+# installed on a module attribute (as a tracer does) is the one that runs.
+_KINDS = {
+    "channel": {"constant": "ConstantChannel", "random_walk": "RandomWalkChannel",
+                "bursty": "BurstyChannel"},
+    "predictor": {"window_max": "WindowMax", "ewma_slope": "EwmaPlusSlope"},
+    "identity_profile": {"file_transfer": "FileTransfer",
+                         "teleconferencing": "Teleconferencing"},
+    "protocol": {"elastic": "run_elastic", "entelechial": "run_entelechial",
+                 "antifragile": "AntifragileEvolving"},
+}
 
-def _load_json(path: str) -> dict:
+# Config keys that differ from the parameter they set.
+_KEYS = {"y_min": "min", "y_max": "max"}
+
+_CHANNEL_KEYS = ("channel", "steps", "seed", "protocols", "protocol", "knowledge_store")
+
+
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from exc
-
-
-def _require(config: dict, key: str, context: str):
-    if key not in config:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return config[key]
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+            ) from exc
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, an integer past the digit limit, or nested too deep
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _is_int(value) -> bool:
@@ -102,116 +115,118 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _section(config, context: str) -> dict:
+def _is_number(value) -> bool:
+    """True for a finite int or float that is not a bool."""
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+# What a value of each annotated parameter type must be, and its check.
+_TYPES = {
+    int: ("an integer", _is_int),
+    float: ("a finite number", _is_number),
+    float | None: ("a finite number or null", lambda v: v is None or _is_number(v)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    frozenset[str]: ("a list of strings", lambda v: isinstance(v, list)
+                     and all(isinstance(s, str) for s in v)),
+}
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _section(config, path: str, allowed=None) -> dict:
+    """``config`` as a JSON object, with keys only from ``allowed`` if given."""
     if not isinstance(config, dict):
-        raise ConfigError(f"{context}: expected an object, got {type(config).__name__}")
+        raise ConfigError(
+            f"{path or 'config'}: expected an object, got {type(config).__name__}"
+        )
+    for key in config:
+        if allowed is not None and key not in allowed:
+            raise ConfigError(
+                f"{_join(path, key)}: unknown key, expected one of {', '.join(allowed)}"
+            )
     return config
 
 
-def _int(config: dict, key: str, context: str, default: int | None = None) -> int:
-    """``config[key]`` as an integer (not a bool); required unless defaulted."""
-    if default is None:
-        value = _require(config, key, context)
-    else:
-        value = config.get(key, default)
-    if not _is_int(value):
-        raise ConfigError(f"{context}: {key} must be an integer, got {value!r}")
+def _value(name: str, annotation, value, path: str):
+    """``value`` checked against the annotation of parameter ``name``."""
+    if name in _KINDS:
+        return _build_kind(name, value, path)
+    if is_dataclass(annotation):
+        return _build(annotation, value, path)
+    expected, check = _TYPES[annotation]
+    if not check(value):
+        raise ConfigError(f"{path} must be {expected}, got {value!r}")
     return value
 
 
-def _build_channel(config: dict, seed: int):
-    config = _section(config, "channel")
-    kind = _require(config, "kind", "channel")
+def _build(target, config, path: str, extra=(), **fixed):
+    """Call ``target`` with the values of the JSON object ``config``.
+
+    The signature of ``target`` decides which keys are required and gives
+    every default (a key left out is not passed); each annotation decides
+    the type check. ``fixed`` supplies the parameters of those names, where
+    ``target`` has them, from the caller instead of the config; ``extra``
+    keys are allowed and left to the caller. Values pass through unchanged.
+    """
+    parameters = inspect.signature(target, eval_str=True).parameters
+    keys = {_KEYS.get(name, name): name for name in parameters if name not in fixed}
+    _section(config, path, [*keys, *extra])
+    arguments = {name: value for name, value in fixed.items() if name in parameters}
+    for key, name in keys.items():
+        if key in config:
+            arguments[name] = _value(name, parameters[name].annotation, config[key],
+                                     _join(path, key))
+        elif parameters[name].default is inspect.Parameter.empty:
+            raise ConfigError(f"{_join(path, key)}: missing required key")
     try:
-        if kind == "constant":
-            return ConstantChannel(y=_int(config, "y", "channel"), seed=seed)
-        if kind == "random_walk":
-            return RandomWalkChannel(
-                y0=_int(config, "y0", "channel"),
-                step_prob=_require(config, "step_prob", "channel"),
-                y_min=_int(config, "min", "channel", 1),
-                y_max=_int(config, "max", "channel"),
-                seed=seed,
-            )
-        if kind == "bursty":
-            return BurstyChannel(
-                p_enter=_require(config, "p_enter", "channel"),
-                p_exit=_require(config, "p_exit", "channel"),
-                y_calm=_int(config, "y_calm", "channel"),
-                y_burst=_int(config, "y_burst", "channel"),
-                burst_correlated=config.get("burst_correlated", True),
-                seed=seed,
-            )
-    except InvalidBounds as exc:
-        raise ConfigError(f"channel: {exc}") from exc
-    raise ConfigError(f"channel: unknown kind {kind!r}")
+        return target(**arguments)
+    except (ValueError, InvalidBounds) as exc:
+        raise ConfigError(f"{path or 'config'}: {exc}") from exc
 
 
-def _build_predictor(config: dict):
-    config = _section(config, "predictor")
-    kind = _require(config, "kind", "predictor")
-    try:
-        if kind == "window_max":
-            return WindowMax(window=_int(config, "window", "predictor", 8))
-        if kind == "ewma_slope":
-            return EwmaPlusSlope(
-                alpha=config.get("alpha", 0.3),
-                horizon=_int(config, "horizon", "predictor", 1),
-            )
-    except ValueError as exc:
-        raise ConfigError(f"predictor: {exc}") from exc
-    raise ConfigError(f"predictor: unknown kind {kind!r}")
-
-
-def _build_identity_profile(config: dict):
-    config = _section(config, "identity_profile")
-    kind = _require(config, "kind", "identity_profile")
-    if kind == "file_transfer":
-        return FileTransfer()
-    if kind == "teleconferencing":
-        return Teleconferencing(
-            jitter_bound=_require(config, "jitter_bound", "identity_profile")
+def _build_kind(section: str, config, path: str, extra=(), **fixed):
+    """:func:`_build` with the constructor that the ``kind`` key names."""
+    kinds = _KINDS[section]
+    kind = _section(config, path).get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(
+            f"{_join(path, 'kind')} must be one of {', '.join(kinds)}, got {kind!r}"
         )
-    raise ConfigError(f"identity_profile: unknown kind {kind!r}")
+    return _build(globals()[kinds[kind]], config, path, ("kind", *extra), **fixed)
 
 
-def _protocol_name(config, index: int) -> str:
-    config = _section(config, f"protocol #{index}")
+def _integer(config: dict, key: str, default: int | None = None) -> int:
+    """Top-level integer ``config[key]``; required when there is no default."""
+    if key not in config and default is None:
+        raise ConfigError(f"{key}: missing required key")
+    return _value(key, int, config.get(key, default), key)
+
+
+def _steps_and_seed(config: dict, seed_override: int | None,
+                    default_steps: int | None = None,
+                    default_seed: int | None = None) -> tuple[int, int]:
+    """Top-level ``steps`` (positive) and ``seed``, unless ``seed_override``."""
+    steps = _integer(config, "steps", default_steps)
+    if steps < 1:
+        raise ConfigError(f"steps must be a positive integer, got {steps}")
+    if seed_override is not None:
+        _integer(config, "seed", seed_override)  # type-checked all the same
+        return steps, seed_override
+    return steps, _integer(config, "seed", default_seed)
+
+
+def _protocol_name(config, path: str) -> str:
+    """The entry's ``name``, else its ``kind``; it names the step CSV file."""
+    config = _section(config, path)
     name = config.get("name", config.get("kind"))
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"protocol #{index}: missing kind/name")
+    if not isinstance(name, str) or not name or any(c in name for c in "/\\\0"):
+        raise ConfigError(
+            f"{path}: name (or kind) must be a non-empty string without '/', '\\' "
+            f"or NUL, got {name!r}"
+        )
     return name
-
-
-def _run_protocol(config: dict, trace, store: KnowledgeStore):
-    config = _section(config, "protocol")
-    kind = _require(config, "kind", "protocol")
-    try:
-        if kind == "elastic":
-            return run_elastic(trace, _int(config, "yield_point", "protocol"))
-        if kind == "entelechial":
-            return run_entelechial(
-                trace,
-                _build_predictor(_require(config, "predictor", "protocol")),
-                _require(config, "epsilon", "protocol"),
-            )
-        if kind == "antifragile":
-            profile = _build_identity_profile(
-                config.get("identity_profile", {"kind": "file_transfer"})
-            )
-            antifragile = AntifragileEvolving(
-                predictor=_build_predictor(_require(config, "predictor", "protocol")),
-                epsilon=_require(config, "epsilon", "protocol"),
-                epochs_per_review=_int(config, "epochs_per_review", "protocol", 50),
-                identity_profile=profile,
-                burstiness_threshold=config.get("burstiness_threshold", 0.5),
-                interleave_depth=_int(config, "interleave_depth", "protocol", 4),
-            )
-            run, _ = run_antifragile(trace, antifragile, store)
-            return run
-    except ValueError as exc:
-        raise ConfigError(f"protocol: {exc}") from exc
-    raise ConfigError(f"protocol: unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,28 +265,30 @@ def _write_manifest(out_dir: str, command: str, config_path: str, seed,
 
 def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None,
                 fit_variant: FitVariant | None = None) -> int:
-    config = _section(_load_json(config_path), "config")
-    steps = _require(config, "steps", "config")
-    if not _is_int(steps) or steps < 1:
-        raise ConfigError("config: steps must be a positive integer")
-    seed = seed_override if seed_override is not None else _int(config, "seed", "config")
-    if "protocols" in config:
+    config = _section(_load_json(config_path), "", _CHANNEL_KEYS)
+    steps, seed = _steps_and_seed(config, seed_override)
+    if "protocol" in config:
+        if "protocols" in config:
+            raise ConfigError("protocol: not allowed beside protocols")
+        protocol_configs = [config["protocol"]]
+    elif "protocols" in config:
         protocol_configs = config["protocols"]
     else:
-        protocol_configs = [_require(config, "protocol", "config")]
+        raise ConfigError("protocols: missing required key (or a single protocol)")
     if not isinstance(protocol_configs, list) or not protocol_configs:
-        raise ConfigError("config: protocols must be a non-empty list")
-
-    try:
-        model = _build_channel(_require(config, "channel", "config"), seed)
-        trace = generate_trace(model, steps)
-    except InvalidBounds as exc:
-        raise ConfigError(f"channel: {exc}") from exc
+        raise ConfigError("protocols must be a non-empty list")
+    store_path = config.get("knowledge_store",
+                            os.path.join(out_dir, "knowledge_store.json"))
+    if not isinstance(store_path, str) or not store_path:
+        raise ConfigError(
+            f"knowledge_store must be a non-empty string, got {store_path!r}"
+        )
+    if "channel" not in config:
+        raise ConfigError("channel: missing required key")
+    model = _build_kind("channel", config["channel"], "channel", seed=seed)
+    trace = generate_trace(model, steps)
 
     os.makedirs(out_dir, exist_ok=True)
-    store_path = config.get("knowledge_store")
-    if store_path is None:
-        store_path = os.path.join(out_dir, "knowledge_store.json")
     store = KnowledgeStore.load(store_path)
 
     variant = fit_variant or FitVariant()
@@ -279,10 +296,13 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
     runs = {}
     aggregates = {}
     for index, protocol_config in enumerate(protocol_configs):
-        name = _protocol_name(protocol_config, index)
+        path = f"protocol #{index}"
+        name = _protocol_name(protocol_config, path)
         if name in runs:
             name = f"{name}_{index}"
-        run = _run_protocol(protocol_config, trace, store)
+        run = _build_kind("protocol", protocol_config, path, ("name",), trace=trace)
+        if isinstance(run, AntifragileEvolving):
+            run, _ = run_antifragile(trace, run, store)
         runs[name] = run
         summary = run.aggregates()
         summary["mean_step_fit"] = mean_step_fit(run, variant)
@@ -332,51 +352,11 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _build_scenario(config: dict) -> tuple[Scenario, int, int]:
-    mine_config = _section(config.get("mine", {}), "mine")
-    miner_config = _section(config.get("miner", {}), "miner")
-    canary_config = _section(config.get("canary", {}), "canary")
-    policy_config = _section(config.get("policy", {}), "policy")
-    pool_size = config.get("pool_size", 100)
-    if not _is_int(pool_size):
-        raise ConfigError("config: pool_size must be an integer")
-    try:
-        mine = CoalMine(
-            figures=frozenset(mine_config.get("figures", CoalMine().figures)),
-            p_enter_ts=mine_config.get("p_enter_ts", 0.01),
-            p_exit_ts=mine_config.get("p_exit_ts", 0.1),
-        )
-        miner = Miner(
-            figures=frozenset(miner_config.get("figures", Miner().figures)),
-            hazard_ts=miner_config.get("hazard_ts", 0.02),
-            evacuation_threshold=miner_config.get("evacuation_threshold", 25.0),
-        )
-        canary = Canary(
-            figures=frozenset(canary_config.get("figures", Canary().figures)),
-            hazard_ts=canary_config.get("hazard_ts", 0.3),
-        )
-        scenario = Scenario(
-            mine=mine,
-            miner=miner,
-            canary=canary,
-            pool_size=pool_size,
-            policy=EvacuationPolicy(fit_threshold=policy_config.get("fit_threshold")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
-    steps = config.get("steps", 500)
-    if not _is_int(steps) or steps < 1:
-        raise ConfigError("config: steps must be a positive integer")
-    seed = _int(config, "seed", "config", 0)
-    return scenario, steps, seed
-
-
 def cmd_sentinel(config_path: str, out_dir: str, curve: int | None = None,
                  runs: int | None = None, seed_override: int | None = None) -> int:
-    config = _section(_load_json(config_path), "config")
-    scenario, steps, seed = _build_scenario(config)
-    if seed_override is not None:
-        seed = seed_override
+    config = _load_json(config_path)
+    scenario = _build(Scenario, config, "", ("steps", "seed"))
+    steps, seed = _steps_and_seed(config, seed_override, 500, 0)
 
     os.makedirs(out_dir, exist_ok=True)
     files = []

@@ -1,8 +1,19 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from resilsim.behavior import MAX_CARDINALITY
 from resilsim.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CHANNEL_CONFIG = {
     "channel": {"kind": "bursty", "p_enter": 0.05, "p_exit": 0.3,
@@ -32,6 +43,26 @@ MINE_DESCRIPTOR = {
     "figures": {"named": ["t", "gas_level", "humidity", "temperature"]},
     "social": False,
 }
+
+
+WALK_CONFIG = {
+    "channel": {"kind": "random_walk", "y0": 3, "step_prob": 0.2, "min": 1, "max": 6},
+    "steps": 100,
+    "seed": 5,
+    "protocols": [
+        {"kind": "entelechial", "predictor": {"kind": "ewma_slope"}, "epsilon": 1.5},
+    ],
+}
+
+
+def edited(base, path, value):
+    """A deep copy of ``base`` with ``value`` set at the key path ``path``."""
+    config = copy.deepcopy(base)
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return config
 
 
 def write_json(path, payload):
@@ -168,6 +199,68 @@ class TestChannelCommand:
         assert key in message
         assert "Traceback" not in message
 
+    @pytest.mark.parametrize("base, path, value, where", [
+        (CHANNEL_CONFIG, ("protocols", 1, "epsilon"), "x", "protocol #1.epsilon"),
+        (CHANNEL_CONFIG, ("protocols", 1, "epsilon"), float("nan"),
+         "protocol #1.epsilon"),
+        (CHANNEL_CONFIG, ("protocols", 2, "identity_profile", "jitter_bound"), "x",
+         "protocol #2.identity_profile.jitter_bound"),
+        (CHANNEL_CONFIG, ("protocols", 2, "burstiness_threshold"), "x",
+         "protocol #2.burstiness_threshold"),
+        (CHANNEL_CONFIG, ("channel", "burst_correlated"), "no",
+         "channel.burst_correlated"),
+        (CHANNEL_CONFIG, ("channel", "p_enter"), [0.1], "channel.p_enter"),
+        (WALK_CONFIG, ("channel", "step_prob"), "x", "channel.step_prob"),
+        (WALK_CONFIG, ("channel", "step_prob"), True, "channel.step_prob"),
+        (WALK_CONFIG, ("protocols", 0, "predictor", "alpha"), "x",
+         "protocol #0.predictor.alpha"),
+        (WALK_CONFIG, ("channel", "maxx"), 6, "channel.maxx"),
+        (WALK_CONFIG, ("channel", "seed"), 6, "channel.seed"),
+        (WALK_CONFIG, ("protocols", 0, "predictor", "windows"), 3,
+         "protocol #0.predictor.windows"),
+        (WALK_CONFIG, ("protocols", 0, "kind"), "elastc", "protocol #0.kind"),
+        (WALK_CONFIG, ("protocols", 0, "kind"), ["elastic"], "protocol #0"),
+        (WALK_CONFIG, ("protocols", 0, "name"), "../escape", "protocol #0"),
+        (WALK_CONFIG, ("stpes",), 100, "stpes"),
+        (WALK_CONFIG, ("protocol",), {"kind": "elastic", "yield_point": 7}, "protocol"),
+    ])
+    def test_malformed_value_exits_2_naming_key_path(self, tmp_path, capsys, base,
+                                                     path, value, where):
+        config = write_json(tmp_path / "config.json", edited(base, path, value))
+        out = tmp_path / "out"
+        assert main(["channel", "-c", config, "-o", str(out)]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith(f"config error: {where}")
+        assert "Traceback" not in message
+        assert not (tmp_path / "escape_steps.csv").exists()
+
+    @pytest.mark.parametrize("store", [0, 5, ["a"], True])
+    def test_non_string_knowledge_store_exits_2(self, tmp_path, capsys, store):
+        config = write_json(tmp_path / "config.json",
+                            {**CHANNEL_CONFIG, "knowledge_store": store})
+        out = tmp_path / "out"
+        assert main(["channel", "-c", config, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: knowledge_store ")
+        assert not out.exists()
+
+    def test_protocol_name_names_its_step_csv(self, tmp_path):
+        payload = edited(WALK_CONFIG, ("protocols", 0, "name"), "tracker")
+        config = write_json(tmp_path / "config.json", payload)
+        out = tmp_path / "out"
+        assert main(["channel", "-c", config, "-o", str(out)]) == 0
+        assert (out / "tracker_steps.csv").exists()
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        b"[" + b"7" * 5000 + b"]",
+        b"[" * 100_000 + b"]" * 100_000,
+    ])
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["channel", "-c", str(bad), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     @pytest.mark.parametrize("content", [
         "{not json",
         '{"entries": {}}',
@@ -259,6 +352,38 @@ class TestSentinelCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("path, value, where", [
+        (("miner", "hazard_ts"), "0.3", "miner.hazard_ts"),
+        (("miner", "evacuation_threshold"), "x", "miner.evacuation_threshold"),
+        (("policy", "fit_threshold"), "x", "policy.fit_threshold"),
+        (("mine", "p_enter_ts"), [1], "mine.p_enter_ts"),
+        (("mine", "figures"), "tgas", "mine.figures"),
+        (("canary", "hazard_ts"), float("inf"), "canary.hazard_ts"),
+        (("miners",), {"hazard_ts": 0.02}, "miners"),
+        (("miner", "hazard"), 0.02, "miner.hazard"),
+    ])
+    def test_malformed_value_exits_2_naming_key_path(self, tmp_path, capsys, path,
+                                                     value, where):
+        config = write_json(tmp_path / "config.json",
+                            edited({**SENTINEL_CONFIG, "mine": {}, "miner": {},
+                                    "canary": {}, "policy": {}}, path, value))
+        out = tmp_path / "out"
+        assert main(["sentinel", "-c", config, "-o", str(out)]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith(f"config error: {where}")
+        assert not out.exists()
+
+    def test_null_fit_threshold_is_the_default(self, tmp_path):
+        outputs = []
+        for policy in ({}, {"fit_threshold": None}):
+            config = write_json(tmp_path / "config.json",
+                                {**SENTINEL_CONFIG, "policy": policy})
+            out = tmp_path / f"out{len(outputs)}"
+            assert main(["sentinel", "-c", config, "-o", str(out)]) == 0
+            outputs.append(read_tree(out))
+        assert outputs[0] == outputs[1]
+
+
 class TestCompareCommand:
     def test_incommensurable_pair(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", MINER_DESCRIPTOR)
@@ -313,6 +438,105 @@ class TestCompareCommand:
         c = write_json(tmp_path / "c.json", {"class": "nope", "figures": {}})
         assert main(["compare", c, b]) == 2
 
+    @pytest.mark.parametrize("figures", [
+        {"named": 5},
+        {"named": "abc"},
+        {"named": ["a", 1]},
+        {"cardinality": True},
+        {"cardinality": 2.0},
+        {"cardinality": -1},
+        {"cardinality": MAX_CARDINALITY},
+        {"cardinality": 10**40},
+    ])
+    def test_malformed_figures_exit_2(self, tmp_path, capsys, figures):
+        a = write_json(tmp_path / "a.json", {**MINER_DESCRIPTOR, "figures": figures})
+        b = write_json(tmp_path / "b.json", MINE_DESCRIPTOR)
+        assert main(["compare", a, b]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith(f"config error: {a}: figures.")
+
 
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def readme_config(command):
+    """The JSON example under the README's heading for ``command``."""
+    section = README.read_text().split(f"### `resilsim {command}", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+@pytest.mark.parametrize("command", ["channel", "sentinel"])
+def test_readme_example_config_runs(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)  # the channel example names a relative store
+    write_json(tmp_path / "config.json", readme_config(command))
+    assert main([command, "-c", "config.json", "-o", "out"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# Exit-code contract: one arbitrary JSON value put anywhere in a known-good
+# input gives 0, 2 or 3, never a traceback. Integers stay small so that no
+# edit (steps, pool_size, window, ...) makes a run expensive.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 300) | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+CONFIG_KEYS = st.sampled_from(sorted({
+    "kind", "name", "steps", "seed", "channel", "protocol", "protocols", "y", "y0",
+    "step_prob", "min", "max", "y_min", "p_enter", "p_exit", "y_calm", "y_burst",
+    "burst_correlated", "yield_point", "predictor", "window", "alpha", "horizon",
+    "epsilon", "epochs_per_review", "identity_profile", "jitter_bound",
+    "burstiness_threshold", "interleave_depth", "mine", "miner", "canary",
+    "policy", "pool_size", "figures", "p_enter_ts", "p_exit_ts", "hazard_ts",
+    "evacuation_threshold", "fit_threshold", "class", "social", "named",
+    "cardinality",
+})) | st.text(max_size=6)
+KNOWN_GOOD = [
+    ("channel", CHANNEL_CONFIG),
+    ("sentinel", SENTINEL_CONFIG),
+    ("sentinel", {}),
+    ("compare", MINER_DESCRIPTOR),
+    ("compare", MINE_DESCRIPTOR),
+]
+
+
+def containers(value):
+    """Every object and list in ``value``, itself included."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from containers(child)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_arbitrary_edit_keeps_the_exit_code_contract(data):
+    command, base = data.draw(st.sampled_from(KNOWN_GOOD))
+    config = copy.deepcopy(base)
+    value = data.draw(JSON_VALUES, label="value")
+    target = data.draw(st.sampled_from([None, *containers(config)]), label="target")
+    if target is None:
+        config = value
+    elif isinstance(target, dict):
+        keys = st.sampled_from(sorted(target)) | CONFIG_KEYS if target else CONFIG_KEYS
+        target[data.draw(keys, label="key")] = value
+    else:
+        index = data.draw(st.integers(0, len(target)), label="index")
+        target[index:index + 1] = [value]
+    # A store path string would let the run write outside its directory.
+    if isinstance(config, dict) and isinstance(config.get("knowledge_store"), str):
+        return
+    with tempfile.TemporaryDirectory() as work:
+        config_path = write_json(Path(work) / "config.json", config)
+        if command == "compare":
+            other = write_json(Path(work) / "other.json", MINE_DESCRIPTOR)
+            argv = ["compare", config_path, other]
+        else:
+            argv = [command, "-c", config_path, "-o", os.path.join(work, "out")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 2, 3), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
