@@ -28,7 +28,7 @@ import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidBounds, NoObservations, StoreCorrupt, TraceMismatch
 from .fitness import BASELINE, ShootKind, fit
@@ -414,29 +414,29 @@ STEP_CSV_HEADER = (
 )
 
 
-def _csv_tail(y: int, Y: int, delivered: bool, cost: int, algorithm: str) -> tuple[str, ...]:
-    """Every step CSV cell after ``t``; the shoot fields are derived from y and Y."""
+def _csv_tail(y: int, Y: int, delivered: bool, cost: int, algorithm: str) -> str:
+    """Every step CSV cell after ``t``, with the leading comma and the line
+    end; the shoot fields are derived from y and Y."""
     if y > Y:
         kind, magnitude = ShootKind.UNDERSHOOT, y - Y
     else:
         kind, magnitude = (ShootKind.OVERSHOOT if Y > y else ShootKind.EXACT), Y - y
-    return (str(y), str(Y), "true" if delivered else "false", kind.value,
-            str(magnitude), str(cost), algorithm)
+    return (f",{y},{Y},{'true' if delivered else 'false'},{kind.value},"
+            f"{magnitude},{cost},{algorithm}\n")
 
 
-def step_csv_rows(run: ProtocolRun) -> list[tuple[str, ...]]:
-    """One row per step. The cells after ``t`` depend only on (y, Y,
-    delivered, cost, algorithm), so each distinct tail is built once."""
-    tails: dict[tuple, tuple[str, ...]] = {}
-    rows = []
+def step_csv_rows(run: ProtocolRun) -> Iterator[str]:
+    """The step CSV's lines after the header, one per step, made as they are
+    read. The text after ``t`` depends only on (y, Y, delivered, cost,
+    algorithm), so each distinct tail is built once."""
+    tails: dict[tuple, str] = {}
     columns = zip(run.y, run.yields, run.delivered_at, run.cost, run.algorithm)
     for t, (y, Y, dt, cost, algorithm) in enumerate(columns):
         key = (y, Y, dt is not None, cost, algorithm)
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = _csv_tail(*key)
-        rows.append((str(t),) + tail)
-    return rows
+        yield f"{t}{tail}"
 
 
 def _jitter(delivery_times: Sequence[int]) -> float:

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from dataclasses import is_dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .behavior import BehaviorDescriptor, commensurable, distance, precedes
@@ -233,11 +233,11 @@ def _protocol_name(config, path: str) -> str:
 # Output writers
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
+def _write_csv(path: str, header: Sequence[str], lines: Iterable[str]) -> None:
+    """The header, then ``lines``: finished CSV lines, written as they come."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\n")
+        handle.writelines(lines)
 
 
 def _write_json(path: str, payload) -> None:
@@ -292,9 +292,7 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
     store = KnowledgeStore.load(store_path)
 
     variant = fit_variant or FitVariant()
-    files = []
     runs = {}
-    aggregates = {}
     for index, protocol_config in enumerate(protocol_configs):
         path = f"protocol #{index}"
         name = _protocol_name(protocol_config, path)
@@ -304,6 +302,10 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
         if isinstance(run, AntifragileEvolving):
             run, _ = run_antifragile(trace, run, store)
         runs[name] = run
+
+    files = []
+    aggregates = {}
+    for name, run in runs.items():
         summary = run.aggregates()
         summary["mean_step_fit"] = mean_step_fit(run, variant)
         aggregates[name] = {
@@ -326,13 +328,13 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
     files.append("aggregates.json")
 
     if len(runs) > 1:
-        rows = compare_runs(runs)
-        _write_csv(
-            os.path.join(out_dir, "compare.csv"),
-            COMPARE_CSV_HEADER,
-            [[_csv_cell(row[column]) for column in COMPARE_CSV_HEADER]
-             for row in rows],
-        )
+        # few rows, but a protocol name may need quoting: csv.writer does that
+        with open(os.path.join(out_dir, "compare.csv"), "w", encoding="utf-8",
+                  newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(COMPARE_CSV_HEADER)
+            writer.writerows([_csv_cell(row[column]) for column in COMPARE_CSV_HEADER]
+                             for row in compare_runs(runs))
         files.append("compare.csv")
 
     if os.path.exists(store_path):
@@ -358,30 +360,24 @@ def cmd_sentinel(config_path: str, out_dir: str, curve: int | None = None,
     scenario = _build(Scenario, config, "", ("steps", "seed"))
     steps, seed = _steps_and_seed(config, seed_override, 500, 0)
 
+    if curve is not None and curve < 1:
+        raise ConfigError("--curve needs a positive pool size")
+    if runs is not None and runs < 1:
+        raise ConfigError("--runs needs a positive run count")
+
     os.makedirs(out_dir, exist_ok=True)
     files = []
 
     if curve is not None:
-        if curve < 1:
-            raise ConfigError("--curve needs a positive pool size")
-        rows = supply_fit_curve(curve)
         _write_csv(
             os.path.join(out_dir, "curve.csv"),
             ("f", "supply", "fit"),
-            [
-                (
-                    str(row["f"]),
-                    repr(row["supply"]),
-                    FLOAT_MIN_LABEL if row["fit"] == FLOAT_MIN else repr(row["fit"]),
-                )
-                for row in rows
-            ],
+            (f"{f},{s!r},{FLOAT_MIN_LABEL if value == FLOAT_MIN else repr(value)}\n"
+             for f, s, value in supply_fit_curve(curve)),
         )
         files.append("curve.csv")
 
     if runs is not None:
-        if runs < 1:
-            raise ConfigError("--runs needs a positive run count")
         batch = survival_rate(scenario, steps, runs, base_seed=seed)
         baseline_scenario = Scenario(
             mine=scenario.mine, miner=scenario.miner, canary=scenario.canary,

@@ -19,6 +19,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator
 
 from .behavior import BehaviorClass, BehaviorDescriptor, FigureSpec, commensurable
 from .errors import EmptyPool
@@ -241,16 +242,13 @@ def estimate_fit(pool: CanaryPool) -> float:
     return FLOAT_MIN
 
 
-def supply_fit_curve(pool_size: int) -> list[dict]:
-    """The (failed, supply, fit) table over every possible failure count."""
+def supply_fit_curve(pool_size: int) -> Iterator[tuple[int, float, float]]:
+    """The (failed, supply, fit) values over every possible failure count,
+    made as they are read; an empty pool raises at the call."""
     if pool_size < 1:
         raise EmptyPool("the curve needs at least one canary")
-    rows = []
-    for f in range(pool_size + 1):
-        s = pool_size / 2.0 - f
-        fit_value = 1.0 / (1.0 + s) if s >= 0 else FLOAT_MIN
-        rows.append({"f": f, "supply": s, "fit": fit_value})
-    return rows
+    return ((f, s, 1.0 / (1.0 + s) if s >= 0 else FLOAT_MIN)
+            for f in range(pool_size + 1) for s in (pool_size / 2.0 - f,))
 
 
 @dataclass(frozen=True)
@@ -300,25 +298,27 @@ SCENARIO_CSV_HEADER = (
 )
 
 
-def scenario_csv_rows(run: ScenarioRun) -> list[tuple[str, ...]]:
-    rows = []
+def scenario_csv_rows(run: ScenarioRun) -> Iterator[str]:
+    """The scenario CSV's lines after the header, one per step, made as they
+    are read; each distinct text after ``t`` is built once."""
+    tails: dict[tuple, str] = {}
     for s in run.steps:
-        if s.supply is None:
-            supply_text = ""
-            fit_text = ""
-        else:
-            supply_text = repr(s.supply)
-            fit_text = FLOAT_MIN_LABEL if s.fit == FLOAT_MIN else repr(s.fit)
-        rows.append((
-            str(s.t),
-            s.mine_state,
-            str(s.canaries_alive),
-            supply_text,
-            fit_text,
-            "true" if s.miner_alive else "false",
-            "true" if s.evacuated else "false",
-        ))
-    return rows
+        key = (s.mine_state, s.canaries_alive, s.supply, s.fit, s.miner_alive,
+               s.evacuated)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _scenario_csv_tail(*key)
+        yield f"{s.t}{tail}"
+
+
+def _scenario_csv_tail(mine_state: str, canaries_alive: int, supply: float | None,
+                       fit: float | None, miner_alive: bool, evacuated: bool) -> str:
+    if supply is None:
+        estimates = ","
+    else:
+        estimates = f"{supply!r},{FLOAT_MIN_LABEL if fit == FLOAT_MIN else repr(fit)}"
+    flags = ",".join("true" if flag else "false" for flag in (miner_alive, evacuated))
+    return f",{mine_state},{canaries_alive},{estimates},{flags}\n"
 
 
 def simulate(

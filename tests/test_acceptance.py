@@ -163,15 +163,15 @@ def test_criterion_04_fit_timeline_reconstruction():
 
 
 def test_criterion_05_supply_fit_curve():
-    rows = supply_fit_curve(100)
+    rows = list(supply_fit_curve(100))
     ok = len(rows) == 101
-    for f, row in enumerate(rows):
-        assert row["f"] == f
-        assert row["supply"] == 50.0 - f
+    for f, (failed, s, value) in enumerate(rows):
+        assert failed == f
+        assert s == 50.0 - f
         if f <= 50:
-            assert row["fit"] == 1.0 / (51.0 - f)
+            assert value == 1.0 / (51.0 - f)
         else:
-            assert row["fit"] == FLOAT_MIN
+            assert value == FLOAT_MIN
     report(5, ok, "101 rows match the estimation formulas exactly")
 
 

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 
@@ -30,6 +31,11 @@ from resilsim.errors import (
 )
 
 BURSTY = BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=3)
+
+
+def csv_rows(run):
+    """The run's step CSV lines, parsed back into cell tuples."""
+    return [tuple(row) for row in csv.reader(step_csv_rows(run))]
 
 
 class TestGenerateTrace:
@@ -168,7 +174,7 @@ class TestRunElastic:
         assert run.undershoot_count == 1
         assert run.y[1] > run.yields[1]  # undershoot
         assert run.delivered_at[1] is None
-        assert step_csv_rows(run)[1][3:5] == ("false", "undershoot")
+        assert csv_rows(run)[1][3:5] == ("false", "undershoot")
 
     def test_above_supremum_never_undershoots(self):
         trace = generate_trace(BURSTY, 300)
@@ -188,7 +194,7 @@ class TestRunEntelechial:
         run = run_entelechial(generate_trace(ConstantChannel(2), 6), WindowMax(4), 1.5)
         assert list(run.yields) == [3] * 6
         assert [Y - y for y, Y in zip(run.y, run.yields)] == [1] * 6  # overshoot 1
-        assert [row[4:6] for row in step_csv_rows(run)] == [("overshoot", "1")] * 6
+        assert [row[4:6] for row in csv_rows(run)] == [("overshoot", "1")] * 6
         assert run.cumulative_overshoot == 6  # one per step, bootstrap included
 
     def test_lagging_window_fails_on_rising_steps(self):
@@ -199,7 +205,7 @@ class TestRunEntelechial:
         # delivery fails.
         assert list(run.delivered_at) == [0, None, None, None]
         assert list(run.yields[1:]) == list(run.y[1:])  # exact
-        assert [row[4:6] for row in step_csv_rows(run)[1:]] == [("exact", "0")] * 3
+        assert [row[4:6] for row in csv_rows(run)[1:]] == [("exact", "0")] * 3
 
     def test_bootstrap_uses_first_sample(self):
         run = run_entelechial([4, 1, 1], WindowMax(8), 1.5)
@@ -300,12 +306,12 @@ class TestRunAntifragile:
                 json.dumps(getattr(second, part), sort_keys=True)
         assert json.dumps(first.aggregates(), sort_keys=True) == \
             json.dumps(second.aggregates(), sort_keys=True)
-        assert step_csv_rows(first) == step_csv_rows(second)
+        assert list(step_csv_rows(first)) == list(step_csv_rows(second))
 
     def test_csv_rows_shape(self):
         trace = generate_trace(BURSTY, 120)
         run, _ = run_antifragile(trace, antifragile_config(), KnowledgeStore())
-        rows = step_csv_rows(run)
+        rows = csv_rows(run)
         assert len(rows) == 120
         assert rows[0][0] == "0"
         assert rows[-1][7] in ("repetition", "interleaved")

@@ -243,6 +243,18 @@ class TestChannelCommand:
         assert capsys.readouterr().err.startswith("config error: knowledge_store ")
         assert not out.exists()
 
+    def test_malformed_later_protocol_writes_no_step_csv(self, tmp_path, capsys):
+        payload = edited(WALK_CONFIG, ("protocols",), [
+            {"kind": "elastic", "yield_point": 7},
+            {"kind": "elastic", "yield_point": "x"},
+        ])
+        config = write_json(tmp_path / "config.json", payload)
+        out = tmp_path / "out"
+        assert main(["channel", "-c", config, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: protocol #1.yield_point must be an integer")
+        assert not list(out.glob("*_steps.csv"))
+
     def test_protocol_name_names_its_step_csv(self, tmp_path):
         payload = edited(WALK_CONFIG, ("protocols", 0, "name"), "tracker")
         config = write_json(tmp_path / "config.json", payload)
@@ -329,6 +341,19 @@ class TestSentinelCommand:
         main(["sentinel", "-c", config, "-o", str(out1), "--curve", "50"])
         main(["sentinel", "-c", config, "-o", str(out2), "--curve", "50"])
         assert read_tree(out1) == read_tree(out2)
+
+    @pytest.mark.parametrize("args", [
+        ["--curve", "10", "--runs", "0"],
+        ["--curve", "0"],
+        ["--curve", "-3", "--runs", "5"],
+        ["--runs", "0"],
+    ])
+    def test_bad_curve_or_runs_exits_2_writing_nothing(self, tmp_path, capsys, args):
+        config = write_json(tmp_path / "config.json", SENTINEL_CONFIG)
+        out = tmp_path / "out"
+        assert main(["sentinel", "-c", config, "-o", str(out), *args]) == 2
+        assert capsys.readouterr().err.startswith("config error: --")
+        assert not out.exists()
 
     def test_invalid_scenario_exits_2(self, tmp_path):
         config = write_json(tmp_path / "config.json",

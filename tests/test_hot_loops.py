@@ -6,10 +6,15 @@ protocol runs (the antifragile one with its prefix-rescanning review pass
 and per-epoch rescanning identity accounting), the step CSV rows and mean
 step fit read from those records, and the canary pool that keeps one flag
 per canary. The current code must agree with them exactly, including the
-random draws consumed and the float sums.
+random draws consumed and the float sums. The CSV producers stream finished
+lines; their oracles are the earlier tuple and dict row builders, written
+through ``csv.writer`` as the command line used to write them.
 """
 
 import copy
+import csv
+import io
+import json
 import math
 import random
 from dataclasses import dataclass, replace
@@ -20,6 +25,7 @@ from hypothesis import strategies as st
 
 import resilsim.sentinel as sentinel
 from resilsim.channel import (
+    COMPARE_CSV_HEADER,
     AntifragileEvolving,
     BurstyChannel,
     EwmaPlusSlope,
@@ -41,18 +47,30 @@ from resilsim.channel import (
     run_entelechial,
     step_csv_rows,
 )
+from resilsim.cli import _csv_cell, main
 from resilsim.fitness import BASELINE, QUADRATIC, FitVariant, ShootKind, fit, shooting
 from resilsim.organs import FeedbackKind
 from resilsim.sentinel import (
+    FLOAT_MIN,
+    FLOAT_MIN_LABEL,
     Canary,
     CanaryPool,
     CoalMine,
     EvacuationPolicy,
     Miner,
     Scenario,
+    scenario_csv_rows,
     simulate,
+    supply_fit_curve,
     survival_rate,
 )
+
+
+def csv_text(rows):
+    """``rows`` as the command line wrote them before lines were streamed."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 @dataclass(frozen=True)
@@ -134,7 +152,7 @@ def assert_run_matches_records(run, records):
     assert run.delivered_fraction == sum(1 for s in records if s.delivered) / len(records)
     assert run.jitter == _jitter(
         sorted(s.delivered_at for s in records if s.delivered_at is not None))
-    assert step_csv_rows(run) == oracle_step_csv_rows(records)
+    assert "".join(step_csv_rows(run)) == csv_text(oracle_step_csv_rows(records))
 
 
 def oracle_run_antifragile(trace, config, store):
@@ -484,3 +502,138 @@ def test_survival_rate_calls_simulate_through_module_global(monkeypatch):
     monkeypatch.setattr(sentinel, "simulate", recording_simulate)
     survival_rate(Scenario(), 50, 3)
     assert calls == [{"until_decided": True}] * 3
+
+
+# ---------------------------------------------------------------------------
+# Streamed CSV lines
+
+
+def oracle_scenario_csv_rows(run):
+    """The earlier scenario_csv_rows: one tuple of cells per step."""
+    rows = []
+    for s in run.steps:
+        if s.supply is None:
+            supply_text = ""
+            fit_text = ""
+        else:
+            supply_text = repr(s.supply)
+            fit_text = FLOAT_MIN_LABEL if s.fit == FLOAT_MIN else repr(s.fit)
+        rows.append((
+            str(s.t),
+            s.mine_state,
+            str(s.canaries_alive),
+            supply_text,
+            fit_text,
+            "true" if s.miner_alive else "false",
+            "true" if s.evacuated else "false",
+        ))
+    return rows
+
+
+def oracle_supply_fit_curve(pool_size):
+    """The earlier supply_fit_curve: a list of dicts."""
+    rows = []
+    for f in range(pool_size + 1):
+        s = pool_size / 2.0 - f
+        fit_value = 1.0 / (1.0 + s) if s >= 0 else FLOAT_MIN
+        rows.append({"f": f, "supply": s, "fit": fit_value})
+    return rows
+
+
+def oracle_curve_csv(pool_size):
+    """curve.csv as the command line wrote it from the list of dicts."""
+    return csv_text([("f", "supply", "fit")] + [
+        (
+            str(row["f"]),
+            repr(row["supply"]),
+            FLOAT_MIN_LABEL if row["fit"] == FLOAT_MIN else repr(row["fit"]),
+        )
+        for row in oracle_supply_fit_curve(pool_size)
+    ])
+
+
+scenarios = st.builds(
+    lambda p_enter, p_exit, miner_hazard, threshold, canary_hazard, pool,
+    fit_threshold: Scenario(
+        mine=CoalMine(p_enter_ts=p_enter, p_exit_ts=p_exit),
+        miner=Miner(hazard_ts=miner_hazard, evacuation_threshold=threshold),
+        canary=Canary(hazard_ts=canary_hazard),
+        pool_size=pool,
+        policy=EvacuationPolicy(fit_threshold=fit_threshold),
+    ),
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.5),
+    st.floats(-60.0, 40.0), st.floats(0.0, 1.0), st.integers(0, 61),
+    st.one_of(st.none(), st.just(1e-20), st.floats(0.0, 1.0)),
+)
+
+
+# An odd pool under constant threat with a fit policy: x.5 supplies, then
+# the FLOAT_MIN sentinel of undersupply.
+ODD_POOL_FIT_POLICY = Scenario(
+    mine=CoalMine(p_enter_ts=1.0, p_exit_ts=0.0),
+    miner=Miner(hazard_ts=0.0, evacuation_threshold=-1000.0),
+    canary=Canary(hazard_ts=0.5), pool_size=7,
+    policy=EvacuationPolicy(fit_threshold=1e-20),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=scenarios, steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       until_decided=st.booleans())
+@example(scenario=Scenario(pool_size=0), steps=20, seed=0, until_decided=False)
+@example(scenario=ODD_POOL_FIT_POLICY, steps=30, seed=1, until_decided=False)
+def test_scenario_csv_lines_match_oracle(scenario, steps, seed, until_decided):
+    run = simulate(scenario, steps, seed, until_decided=until_decided)
+    assert "".join(scenario_csv_rows(run)) == csv_text(oracle_scenario_csv_rows(run))
+
+
+def test_odd_pool_example_writes_half_supplies_and_float_min():
+    text = "".join(scenario_csv_rows(simulate(ODD_POOL_FIT_POLICY, 30, seed=1)))
+    assert ",0.5," in text and ",-1.5,float_min," in text
+
+
+def test_supply_fit_curve_and_curve_csv_match_oracle(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"steps": 1}')
+    out = tmp_path / "out"
+    for pool in range(1, 301):
+        assert list(supply_fit_curve(pool)) == [
+            (row["f"], row["supply"], row["fit"]) for row in oracle_supply_fit_curve(pool)
+        ]
+        assert main(["sentinel", "-c", str(config), "-o", str(out),
+                     "--curve", str(pool)]) == 0
+        assert (out / "curve.csv").read_text(encoding="utf-8") == oracle_curve_csv(pool)
+
+
+def test_compare_csv_quotes_protocol_names(tmp_path):
+    names = ('a,b', 'say "hi"', 'plain')
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "channel": {"kind": "random_walk", "y0": 3, "step_prob": 0.2,
+                    "min": 1, "max": 6},
+        "steps": 200,
+        "seed": 5,
+        "protocols": [{"kind": "elastic", "yield_point": 3 + i, "name": name}
+                      for i, name in enumerate(names)],
+    }))
+    out = tmp_path / "out"
+    assert main(["channel", "-c", str(config), "-o", str(out)]) == 0
+    trace = generate_trace(
+        RandomWalkChannel(y0=3, step_prob=0.2, y_min=1, y_max=6, seed=5), 200)
+    runs = {name: run_elastic(trace, 3 + i) for i, name in enumerate(names)}
+    text = (out / "compare.csv").read_text(encoding="utf-8")
+    assert text == csv_text([COMPARE_CSV_HEADER] + [
+        [_csv_cell(row[column]) for column in COMPARE_CSV_HEADER]
+        for row in compare_runs(runs)
+    ])
+    assert [row[0] for row in csv.reader(io.StringIO(text))] == \
+        ["protocol", *sorted(names)]
+
+
+def test_csv_producers_stream():
+    run = run_elastic([2, 5, 2], 3)
+    scenario_run = simulate(Scenario(pool_size=3), 5, seed=0)
+    for produced in (step_csv_rows(run), scenario_csv_rows(scenario_run),
+                     supply_fit_curve(4)):
+        assert not isinstance(produced, list)
+        assert iter(produced) is produced

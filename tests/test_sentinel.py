@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -27,6 +28,11 @@ def pool_with_failures(size, failed):
     pool.alive_count -= failed
     assert (pool.size, pool.failed, pool.alive_count) == (size, failed, size - failed)
     return pool
+
+
+def csv_rows(run):
+    """The run's scenario CSV lines, parsed back into cell tuples."""
+    return [tuple(row) for row in csv.reader(scenario_csv_rows(run))]
 
 
 class TestStructuralAssertions:
@@ -111,21 +117,21 @@ class TestEstimates:
 
 class TestSupplyFitCurve:
     def test_full_sweep(self):
-        rows = supply_fit_curve(100)
+        rows = list(supply_fit_curve(100))
         assert len(rows) == 101
-        assert rows[49] == {"f": 49, "supply": 1.0, "fit": 0.5}
-        assert rows[50] == {"f": 50, "supply": 0.0, "fit": 1.0}
-        assert rows[51]["supply"] == -1.0
-        assert rows[51]["fit"] == FLOAT_MIN
+        assert rows[49] == (49, 1.0, 0.5)
+        assert rows[50] == (50, 0.0, 1.0)
+        assert rows[51][1] == -1.0
+        assert rows[51][2] == FLOAT_MIN
 
     def test_formulas_everywhere(self):
         pool = 100
-        for row in supply_fit_curve(pool):
-            assert row["supply"] == pool / 2.0 - row["f"]
-            if row["supply"] >= 0:
-                assert row["fit"] == 1.0 / (1.0 + row["supply"])
+        for f, s, value in supply_fit_curve(pool):
+            assert s == pool / 2.0 - f
+            if s >= 0:
+                assert value == 1.0 / (1.0 + s)
             else:
-                assert row["fit"] == FLOAT_MIN
+                assert value == FLOAT_MIN
 
     def test_needs_a_canary(self):
         with pytest.raises(EmptyPool):
@@ -177,9 +183,9 @@ class TestSimulate:
         b = simulate(scenario, 200, seed=7)
         assert json.dumps(a.to_dict(), sort_keys=True) == \
             json.dumps(b.to_dict(), sort_keys=True)
-        assert scenario_csv_rows(a) == scenario_csv_rows(b)
+        assert list(scenario_csv_rows(a)) == list(scenario_csv_rows(b))
         c = simulate(scenario, 200, seed=8)
-        assert scenario_csv_rows(a) != scenario_csv_rows(c)
+        assert list(scenario_csv_rows(a)) != list(scenario_csv_rows(c))
 
     def test_fit_threshold_policy_triggers_on_sentinel(self):
         # A fit threshold below any attainable fit value only fires on the
@@ -196,12 +202,12 @@ class TestSimulate:
 
     def test_csv_rows(self):
         run = simulate(Scenario(mine=CoalMine(p_enter_ts=0.0)), 2, seed=0)
-        rows = scenario_csv_rows(run)
+        rows = csv_rows(run)
         assert rows[0] == ("0", "NS", "100", "50.0", repr(1.0 / 51.0), "true", "false")
 
     def test_csv_rows_without_pool(self):
         run = simulate(Scenario(pool_size=0, mine=CoalMine(p_enter_ts=0.0)), 2, seed=0)
-        rows = scenario_csv_rows(run)
+        rows = csv_rows(run)
         assert rows[0] == ("0", "NS", "0", "", "", "true", "false")
 
     def test_float_min_serialized_label(self):
@@ -210,7 +216,7 @@ class TestSimulate:
             miner=Miner(hazard_ts=0.0),
             canary=Canary(hazard_ts=1.0),
         )
-        rows = scenario_csv_rows(simulate(scenario, 2, seed=0))
+        rows = csv_rows(simulate(scenario, 2, seed=0))
         assert rows[0][4] == "float_min"
 
 
