@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import is_dataclass
+from dataclasses import is_dataclass, replace
 from typing import Iterable, Sequence
 
 from . import __version__
@@ -56,9 +56,8 @@ from .fitness import FitVariant, fit, supply
 from .organs import CyberneticClass, compare_classes
 from .sentinel import (
     SCENARIO_CSV_HEADER,
-    FLOAT_MIN,
-    FLOAT_MIN_LABEL,
     Scenario,
+    fit_cell,
     scenario_csv_rows,
     simulate,
     supply_fit_curve,
@@ -298,6 +297,8 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
         name = _protocol_name(protocol_config, path)
         if name in runs:
             name = f"{name}_{index}"
+            if name in runs:
+                raise ConfigError(f"{path}: renamed to {name!r}, a name already taken")
         run = _build_kind("protocol", protocol_config, path, ("name",), trace=trace)
         if isinstance(run, AntifragileEvolving):
             run, _ = run_antifragile(trace, run, store)
@@ -372,18 +373,14 @@ def cmd_sentinel(config_path: str, out_dir: str, curve: int | None = None,
         _write_csv(
             os.path.join(out_dir, "curve.csv"),
             ("f", "supply", "fit"),
-            (f"{f},{s!r},{FLOAT_MIN_LABEL if value == FLOAT_MIN else repr(value)}\n"
-             for f, s, value in supply_fit_curve(curve)),
+            (f"{f},{s!r},{fit_cell(value)}\n" for f, s, value in supply_fit_curve(curve)),
         )
         files.append("curve.csv")
 
     if runs is not None:
         batch = survival_rate(scenario, steps, runs, base_seed=seed)
-        baseline_scenario = Scenario(
-            mine=scenario.mine, miner=scenario.miner, canary=scenario.canary,
-            pool_size=0, policy=scenario.policy,
-        )
-        baseline = survival_rate(baseline_scenario, steps, runs, base_seed=seed)
+        baseline = survival_rate(replace(scenario, pool_size=0), steps, runs,
+                                 base_seed=seed)
         _write_json(os.path.join(out_dir, "batch.json"), {
             "with_canaries": batch,
             "baseline": baseline,

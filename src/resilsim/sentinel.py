@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterator
 
 from .behavior import BehaviorClass, BehaviorDescriptor, FigureSpec, commensurable
@@ -37,11 +36,6 @@ DEFAULT_MINER_FIGURES = frozenset(
     {"gas_level", "humidity", "temperature", "vibration"}
 )
 DEFAULT_CANARY_FIGURES = frozenset({"t", "gas_level", "noise"})
-
-
-class MineState(Enum):
-    NEUTRAL = "NS"
-    THREATENING = "TS"
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -236,10 +230,17 @@ def estimate_supply(pool: CanaryPool) -> float:
 
 def estimate_fit(pool: CanaryPool) -> float:
     """Fit estimate from the supply estimate; FLOAT_MIN on undersupply."""
-    s = estimate_supply(pool)
-    if s >= 0:
-        return 1.0 / (1.0 + s)
-    return FLOAT_MIN
+    return fit_of_supply(estimate_supply(pool))
+
+
+def fit_of_supply(s: float) -> float:
+    """The fit 1/(1+s) of supply ``s``; FLOAT_MIN on undersupply (s < 0)."""
+    return 1.0 / (1.0 + s) if s >= 0 else FLOAT_MIN
+
+
+def fit_cell(value: float) -> str:
+    """A fit value as CSV text, with ``float_min`` for the undersupply sentinel."""
+    return FLOAT_MIN_LABEL if value == FLOAT_MIN else repr(value)
 
 
 def supply_fit_curve(pool_size: int) -> Iterator[tuple[int, float, float]]:
@@ -247,49 +248,45 @@ def supply_fit_curve(pool_size: int) -> Iterator[tuple[int, float, float]]:
     made as they are read; an empty pool raises at the call."""
     if pool_size < 1:
         raise EmptyPool("the curve needs at least one canary")
-    return ((f, s, 1.0 / (1.0 + s) if s >= 0 else FLOAT_MIN)
+    return ((f, s, fit_of_supply(s))
             for f in range(pool_size + 1) for s in (pool_size / 2.0 - f,))
-
-
-@dataclass(frozen=True)
-class ScenarioStep:
-    t: int
-    mine_state: str
-    canaries_alive: int
-    supply: float | None
-    fit: float | None
-    miner_alive: bool
-    evacuated: bool
 
 
 @dataclass
 class ScenarioRun:
-    """Per-step trace plus the survival outcome of one scenario run."""
+    """One scenario run: parallel per-step columns plus the survival outcome.
 
-    steps: list[ScenarioStep]
+    Entry ``t`` of each column belongs to step ``t``: ``mine_state`` ("NS"
+    neutral or "TS" threatening), ``canaries_alive``, the pool's ``supply``
+    and ``fit`` estimates (None without canaries), and whether the miner is
+    alive and has evacuated after that step. ``steps`` is ``range(n)``, the
+    step numbers, so ``len(run.steps)`` is the count of simulated steps.
+    ``header`` holds the scenario's parameters, ``steps`` and ``seed``.
+    """
+
+    steps: range
+    mine_state: list[str]
+    canaries_alive: list[int]
+    supply: list[float | None]
+    fit: list[float | None]
+    miner_alive: list[bool]
+    evacuated: list[bool]
     survived: bool
     evacuation_step: int | None
     miner_failed_step: int | None
-    pool_size: int
-    seed: int
     header: dict
 
-    @property
-    def ts_steps(self) -> int:
-        return sum(1 for s in self.steps if s.mine_state == MineState.THREATENING.value)
-
     def to_dict(self) -> dict:
+        pool_size = self.header["pool_size"]
         return {
             "header": self.header,
             "survived": self.survived,
             "evacuation_step": self.evacuation_step,
             "miner_failed_step": self.miner_failed_step,
-            "pool_size": self.pool_size,
-            "seed": self.seed,
-            "ts_steps": self.ts_steps,
-            "final_failed_canaries": (
-                self.pool_size - self.steps[-1].canaries_alive if self.steps else 0
-            ),
+            "pool_size": pool_size,
+            "seed": self.header["seed"],
+            "ts_steps": self.mine_state.count("TS"),
+            "final_failed_canaries": pool_size - self.canaries_alive[-1],
         }
 
 
@@ -302,21 +299,17 @@ def scenario_csv_rows(run: ScenarioRun) -> Iterator[str]:
     """The scenario CSV's lines after the header, one per step, made as they
     are read; each distinct text after ``t`` is built once."""
     tails: dict[tuple, str] = {}
-    for s in run.steps:
-        key = (s.mine_state, s.canaries_alive, s.supply, s.fit, s.miner_alive,
-               s.evacuated)
+    for t, key in enumerate(zip(run.mine_state, run.canaries_alive, run.supply,
+                                run.fit, run.miner_alive, run.evacuated)):
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = _scenario_csv_tail(*key)
-        yield f"{s.t}{tail}"
+        yield f"{t}{tail}"
 
 
 def _scenario_csv_tail(mine_state: str, canaries_alive: int, supply: float | None,
                        fit: float | None, miner_alive: bool, evacuated: bool) -> str:
-    if supply is None:
-        estimates = ","
-    else:
-        estimates = f"{supply!r},{FLOAT_MIN_LABEL if fit == FLOAT_MIN else repr(fit)}"
+    estimates = "," if supply is None else f"{supply!r},{fit_cell(fit)}"
     flags = ",".join("true" if flag else "false" for flag in (miner_alive, evacuated))
     return f",{mine_state},{canaries_alive},{estimates},{flags}\n"
 
@@ -333,81 +326,87 @@ def simulate(
     estimates exist and the miner never evacuates.
 
     A step costs one random draw per live canary while the mine threatens,
-    plus O(1); the pool estimates are O(1). With ``until_decided`` the run
-    ends after the step where the miner evacuates or dies: its survival
-    outcome cannot change after that step, so ``survived``,
-    ``evacuation_step`` and ``miner_failed_step`` equal those of the full
-    run, while ``steps`` holds only the records up to that step.
+    plus O(1); the pool estimates are O(1). Each step appends one entry to
+    every column of the returned run; no per-step object is made. With
+    ``until_decided`` the run ends after the step where the miner evacuates
+    or dies: its survival outcome cannot change after that step, so
+    ``survived``, ``evacuation_step`` and ``miner_failed_step`` equal those
+    of the full run, while the columns end at that step.
     """
     if steps < 1:
         raise ValueError("steps must be a positive integer")
     rng = random.Random(seed)
+    draw = rng.random
     pool = CanaryPool(scenario.pool_size)
-    state = MineState.NEUTRAL
+    p_enter, p_exit = scenario.mine.p_enter_ts, scenario.mine.p_exit_ts
+    canary_hazard = scenario.canary.hazard_ts
+    miner_hazard = scenario.miner.hazard_ts
+    threshold = scenario.miner.evacuation_threshold
+    fit_threshold = scenario.policy.fit_threshold
+    threatening = False
     miner_alive = True
     evacuated = False
     evacuation_step: int | None = None
     miner_failed_step: int | None = None
-    records = []
+    mine_states: list[str] = []
+    alive_counts: list[int] = []
+    supplies: list[float | None] = []
+    fits: list[float | None] = []
+    miner_alives: list[bool] = []
+    evacuations: list[bool] = []
     for t in range(steps):
-        if state is MineState.NEUTRAL:
-            if rng.random() < scenario.mine.p_enter_ts:
-                state = MineState.THREATENING
-        else:
-            if rng.random() < scenario.mine.p_exit_ts:
-                state = MineState.NEUTRAL
-
-        if state is MineState.THREATENING:
-            pool.step_threatened(rng, scenario.canary.hazard_ts)
+        if draw() < (p_exit if threatening else p_enter):
+            threatening = not threatening
+        if threatening:
+            pool.step_threatened(rng, canary_hazard)
 
         supply_est: float | None = None
         fit_est: float | None = None
         if pool.size >= 1:
             supply_est = estimate_supply(pool)
             fit_est = estimate_fit(pool)
-            if miner_alive and not evacuated:
-                trigger = supply_est < scenario.miner.evacuation_threshold
-                if scenario.policy.fit_threshold is not None:
-                    trigger = trigger or fit_est < scenario.policy.fit_threshold
-                if trigger:
-                    evacuated = True
-                    evacuation_step = t
+            if miner_alive and not evacuated and (
+                supply_est < threshold
+                or fit_threshold is not None and fit_est < fit_threshold
+            ):
+                evacuated = True
+                evacuation_step = t
 
-        if state is MineState.THREATENING and miner_alive and not evacuated:
-            if rng.random() < scenario.miner.hazard_ts:
-                miner_alive = False
-                miner_failed_step = t
+        if threatening and miner_alive and not evacuated and draw() < miner_hazard:
+            miner_alive = False
+            miner_failed_step = t
 
-        records.append(ScenarioStep(
-            t=t,
-            mine_state=state.value,
-            canaries_alive=pool.alive_count,
-            supply=supply_est,
-            fit=fit_est,
-            miner_alive=miner_alive,
-            evacuated=evacuated,
-        ))
+        mine_states.append("TS" if threatening else "NS")
+        alive_counts.append(pool.alive_count)
+        supplies.append(supply_est)
+        fits.append(fit_est)
+        miner_alives.append(miner_alive)
+        evacuations.append(evacuated)
         if until_decided and (evacuated or not miner_alive):
             break
 
     header = {
         "pool_size": scenario.pool_size,
-        "p_enter_ts": scenario.mine.p_enter_ts,
-        "p_exit_ts": scenario.mine.p_exit_ts,
-        "canary_hazard_ts": scenario.canary.hazard_ts,
-        "miner_hazard_ts": scenario.miner.hazard_ts,
-        "evacuation_threshold": scenario.miner.evacuation_threshold,
-        "fit_threshold": scenario.policy.fit_threshold,
+        "p_enter_ts": p_enter,
+        "p_exit_ts": p_exit,
+        "canary_hazard_ts": canary_hazard,
+        "miner_hazard_ts": miner_hazard,
+        "evacuation_threshold": threshold,
+        "fit_threshold": fit_threshold,
         "steps": steps,
         "seed": seed,
     }
     return ScenarioRun(
-        steps=records,
+        steps=range(len(mine_states)),
+        mine_state=mine_states,
+        canaries_alive=alive_counts,
+        supply=supplies,
+        fit=fits,
+        miner_alive=miner_alives,
+        evacuated=evacuations,
         survived=miner_alive,
         evacuation_step=evacuation_step,
         miner_failed_step=miner_failed_step,
-        pool_size=scenario.pool_size,
-        seed=seed,
         header=header,
     )
 

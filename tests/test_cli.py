@@ -262,6 +262,18 @@ class TestChannelCommand:
         assert main(["channel", "-c", config, "-o", str(out)]) == 0
         assert (out / "tracker_steps.csv").exists()
 
+    def test_renamed_protocol_may_not_take_a_used_name(self, tmp_path, capsys):
+        # The third entry would be renamed a_2, which the first one holds.
+        payload = edited(WALK_CONFIG, ("protocols",), [
+            {"kind": "elastic", "yield_point": 5 + i, "name": name}
+            for i, name in enumerate(("a_2", "a", "a"))
+        ])
+        config = write_json(tmp_path / "config.json", payload)
+        out = tmp_path / "out"
+        assert main(["channel", "-c", config, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: protocol #2: ")
+        assert not list(out.glob("*_steps.csv"))
+
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{}",
         b"[" + b"7" * 5000 + b"]",

@@ -4,8 +4,10 @@ Each case runs one small CLI invocation in a fresh directory, with the
 config at the relative path ``config.json`` and outputs under ``out/``
 (the manifest records the config path as given), and compares the sha256
 of every file the invocation wrote with the digests below. The digests
-were recorded from the code before the hot loops were made linear; a
-change that alters any output byte fails here, unlike a rerun check.
+were recorded from the code before the hot loops were made linear, those
+of the two single sentinel runs without canaries and with a fit policy
+from the code before sentinel runs were stored as columns; a change that
+alters any output byte fails here, unlike a rerun check.
 """
 
 import hashlib
@@ -45,6 +47,14 @@ CASES = {
     "channel": (README_CHANNEL, ["channel"]),
     "sentinel-curve": (README_SENTINEL, ["sentinel", "--curve", "200"]),
     "sentinel-runs": ({"steps": 300, "seed": 4}, ["sentinel", "--runs", "60"]),
+    # No canaries: blank estimate cells, and the miner dies at step 199.
+    "sentinel-no-pool": ({"pool_size": 0, "steps": 500, "seed": 0}, ["sentinel"]),
+    # Evacuation through the fit threshold, at step 41.
+    "sentinel-fit-policy": (
+        {"miner": {"evacuation_threshold": -1000.0}, "canary": {"hazard_ts": 0.5},
+         "policy": {"fit_threshold": 1e-20}, "pool_size": 20, "steps": 500, "seed": 0},
+        ["sentinel"],
+    ),
 }
 
 GOLDEN = {
@@ -66,6 +76,16 @@ GOLDEN = {
     "sentinel-runs": {
         "out/batch.json": "b2fc4da7675d6d8222111eab60c5f29d996b32cbd7d7ee72953a8ed265d6ab6a",
         "out/manifest.json": "74416d64d3282d765416954f6296dff66363ebe068128871b09b265c5329eff8",
+    },
+    "sentinel-no-pool": {
+        "out/manifest.json": "fd19b2f90f7eb88aa6fcc8e3a9b9d59a9cee8f79ad394ad72c5d01d388f0d5f8",
+        "out/summary.json": "4f4695d5f4e0eecffb0d25fb1bb1345f4af51bc5e1202c36cbe87c7407fa964f",
+        "out/trace.csv": "7a8b06963108f6d832ba0deec970ca110ce07cc573ef22c2c91d067c801de25e",
+    },
+    "sentinel-fit-policy": {
+        "out/manifest.json": "fd19b2f90f7eb88aa6fcc8e3a9b9d59a9cee8f79ad394ad72c5d01d388f0d5f8",
+        "out/summary.json": "f6e9d8c09f2190f6a0c633ecaca913a41eb3a34f62d8e0fd093396fc13355855",
+        "out/trace.csv": "6335b84e70604c76415c5a96bcc3cd06c0a4854378bf1c6d74ff8ad87fe1e72d",
     },
 }
 

@@ -5,7 +5,8 @@ substance: the per-step ``StepRecord``/``shooting`` builders of the three
 protocol runs (the antifragile one with its prefix-rescanning review pass
 and per-epoch rescanning identity accounting), the step CSV rows and mean
 step fit read from those records, and the canary pool that keeps one flag
-per canary. The current code must agree with them exactly, including the
+per canary, and the sentinel simulation that built one ``ScenarioStep``
+per step. The current code must agree with them exactly, including the
 random draws consumed and the float sums. The CSV producers stream finished
 lines; their oracles are the earlier tuple and dict row builders, written
 through ``csv.writer`` as the command line used to write them.
@@ -18,6 +19,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
+from enum import Enum
 
 import pytest
 from hypothesis import example, given, settings
@@ -444,6 +446,180 @@ def test_pool_matches_oracle_count_and_rng_state(size, seed, hazards):
 
 
 # ---------------------------------------------------------------------------
+# simulate
+
+
+class MineState(Enum):
+    NEUTRAL = "NS"
+    THREATENING = "TS"
+
+
+@dataclass(frozen=True)
+class ScenarioStep:
+    """The original per-step record of a scenario run."""
+
+    t: int
+    mine_state: str
+    canaries_alive: int
+    supply: float | None
+    fit: float | None
+    miner_alive: bool
+    evacuated: bool
+
+
+@dataclass
+class OracleScenarioRun:
+    """The original scenario run: a list of step records plus the outcome."""
+
+    steps: list[ScenarioStep]
+    survived: bool
+    evacuation_step: int | None
+    miner_failed_step: int | None
+    pool_size: int
+    seed: int
+    header: dict
+
+    @property
+    def ts_steps(self):
+        return sum(1 for s in self.steps if s.mine_state == MineState.THREATENING.value)
+
+    def to_dict(self):
+        return {
+            "header": self.header,
+            "survived": self.survived,
+            "evacuation_step": self.evacuation_step,
+            "miner_failed_step": self.miner_failed_step,
+            "pool_size": self.pool_size,
+            "seed": self.seed,
+            "ts_steps": self.ts_steps,
+            "final_failed_canaries": (
+                self.pool_size - self.steps[-1].canaries_alive if self.steps else 0
+            ),
+        }
+
+
+def oracle_simulate(scenario, steps, seed, until_decided=False):
+    """The original simulate, which built one ScenarioStep per step."""
+    rng = random.Random(seed)
+    pool = CanaryPool(scenario.pool_size)
+    state = MineState.NEUTRAL
+    miner_alive = True
+    evacuated = False
+    evacuation_step = None
+    miner_failed_step = None
+    records = []
+    for t in range(steps):
+        if state is MineState.NEUTRAL:
+            if rng.random() < scenario.mine.p_enter_ts:
+                state = MineState.THREATENING
+        else:
+            if rng.random() < scenario.mine.p_exit_ts:
+                state = MineState.NEUTRAL
+
+        if state is MineState.THREATENING:
+            pool.step_threatened(rng, scenario.canary.hazard_ts)
+
+        supply_est = None
+        fit_est = None
+        if pool.size >= 1:
+            supply_est = pool.size / 2.0 - pool.failed
+            fit_est = 1.0 / (1.0 + supply_est) if supply_est >= 0 else FLOAT_MIN
+            if miner_alive and not evacuated:
+                trigger = supply_est < scenario.miner.evacuation_threshold
+                if scenario.policy.fit_threshold is not None:
+                    trigger = trigger or fit_est < scenario.policy.fit_threshold
+                if trigger:
+                    evacuated = True
+                    evacuation_step = t
+
+        if state is MineState.THREATENING and miner_alive and not evacuated:
+            if rng.random() < scenario.miner.hazard_ts:
+                miner_alive = False
+                miner_failed_step = t
+
+        records.append(ScenarioStep(
+            t=t,
+            mine_state=state.value,
+            canaries_alive=pool.alive_count,
+            supply=supply_est,
+            fit=fit_est,
+            miner_alive=miner_alive,
+            evacuated=evacuated,
+        ))
+        if until_decided and (evacuated or not miner_alive):
+            break
+
+    header = {
+        "pool_size": scenario.pool_size,
+        "p_enter_ts": scenario.mine.p_enter_ts,
+        "p_exit_ts": scenario.mine.p_exit_ts,
+        "canary_hazard_ts": scenario.canary.hazard_ts,
+        "miner_hazard_ts": scenario.miner.hazard_ts,
+        "evacuation_threshold": scenario.miner.evacuation_threshold,
+        "fit_threshold": scenario.policy.fit_threshold,
+        "steps": steps,
+        "seed": seed,
+    }
+    return OracleScenarioRun(
+        steps=records,
+        survived=miner_alive,
+        evacuation_step=evacuation_step,
+        miner_failed_step=miner_failed_step,
+        pool_size=scenario.pool_size,
+        seed=seed,
+        header=header,
+    )
+
+
+SCENARIO_COLUMNS = ("mine_state", "canaries_alive", "supply", "fit", "miner_alive",
+                    "evacuated")
+
+
+scenarios = st.builds(
+    lambda p_enter, p_exit, miner_hazard, threshold, canary_hazard, pool,
+    fit_threshold: Scenario(
+        mine=CoalMine(p_enter_ts=p_enter, p_exit_ts=p_exit),
+        miner=Miner(hazard_ts=miner_hazard, evacuation_threshold=threshold),
+        canary=Canary(hazard_ts=canary_hazard),
+        pool_size=pool,
+        policy=EvacuationPolicy(fit_threshold=fit_threshold),
+    ),
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.5),
+    st.floats(-60.0, 40.0), st.floats(0.0, 1.0), st.integers(0, 61),
+    st.one_of(st.none(), st.just(1e-20), st.floats(0.0, 1.0)),
+)
+
+
+
+# An odd pool under constant threat with a fit policy: x.5 supplies, then
+# the FLOAT_MIN sentinel of undersupply.
+ODD_POOL_FIT_POLICY = Scenario(
+    mine=CoalMine(p_enter_ts=1.0, p_exit_ts=0.0),
+    miner=Miner(hazard_ts=0.0, evacuation_threshold=-1000.0),
+    canary=Canary(hazard_ts=0.5), pool_size=7,
+    policy=EvacuationPolicy(fit_threshold=1e-20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=scenarios, steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       until_decided=st.booleans())
+@example(scenario=Scenario(pool_size=0), steps=20, seed=0, until_decided=False)
+@example(scenario=ODD_POOL_FIT_POLICY, steps=30, seed=1, until_decided=True)
+def test_simulate_matches_oracle(scenario, steps, seed, until_decided):
+    run = simulate(scenario, steps, seed, until_decided=until_decided)
+    oracle = oracle_simulate(scenario, steps, seed, until_decided)
+    assert run.steps == range(len(oracle.steps))
+    for column in SCENARIO_COLUMNS:
+        assert getattr(run, column) == [getattr(s, column) for s in oracle.steps]
+    assert (run.survived, run.evacuation_step, run.miner_failed_step) == \
+        (oracle.survived, oracle.evacuation_step, oracle.miner_failed_step)
+    assert run.header == oracle.header
+    assert json.dumps(run.to_dict(), sort_keys=True) == \
+        json.dumps(oracle.to_dict(), sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
 # Early-stopped survival_rate
 
 
@@ -486,8 +662,11 @@ def test_until_decided_is_a_prefix_of_the_full_run(name):
         short = simulate(scenario, 300, seed, until_decided=True)
         decided = [s for s in (full.evacuation_step, full.miner_failed_step)
                    if s is not None]
-        assert len(short.steps) == (min(decided) + 1 if decided else 300)
-        assert short.steps == full.steps[:len(short.steps)]
+        k = len(short.steps)
+        assert k == (min(decided) + 1 if decided else 300)
+        assert short.steps == range(k)
+        for column in SCENARIO_COLUMNS:
+            assert getattr(short, column) == getattr(full, column)[:k]
         assert (short.survived, short.evacuation_step, short.miner_failed_step) == \
             (full.survived, full.evacuation_step, full.miner_failed_step)
 
@@ -511,21 +690,23 @@ def test_survival_rate_calls_simulate_through_module_global(monkeypatch):
 def oracle_scenario_csv_rows(run):
     """The earlier scenario_csv_rows: one tuple of cells per step."""
     rows = []
-    for s in run.steps:
-        if s.supply is None:
+    for t, mine_state, canaries_alive, supply, fit_value, miner_alive, evacuated in zip(
+            run.steps, *(getattr(run, column) for column in SCENARIO_COLUMNS),
+            strict=True):
+        if supply is None:
             supply_text = ""
             fit_text = ""
         else:
-            supply_text = repr(s.supply)
-            fit_text = FLOAT_MIN_LABEL if s.fit == FLOAT_MIN else repr(s.fit)
+            supply_text = repr(supply)
+            fit_text = FLOAT_MIN_LABEL if fit_value == FLOAT_MIN else repr(fit_value)
         rows.append((
-            str(s.t),
-            s.mine_state,
-            str(s.canaries_alive),
+            str(t),
+            mine_state,
+            str(canaries_alive),
             supply_text,
             fit_text,
-            "true" if s.miner_alive else "false",
-            "true" if s.evacuated else "false",
+            "true" if miner_alive else "false",
+            "true" if evacuated else "false",
         ))
     return rows
 
@@ -550,31 +731,6 @@ def oracle_curve_csv(pool_size):
         )
         for row in oracle_supply_fit_curve(pool_size)
     ])
-
-
-scenarios = st.builds(
-    lambda p_enter, p_exit, miner_hazard, threshold, canary_hazard, pool,
-    fit_threshold: Scenario(
-        mine=CoalMine(p_enter_ts=p_enter, p_exit_ts=p_exit),
-        miner=Miner(hazard_ts=miner_hazard, evacuation_threshold=threshold),
-        canary=Canary(hazard_ts=canary_hazard),
-        pool_size=pool,
-        policy=EvacuationPolicy(fit_threshold=fit_threshold),
-    ),
-    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.5),
-    st.floats(-60.0, 40.0), st.floats(0.0, 1.0), st.integers(0, 61),
-    st.one_of(st.none(), st.just(1e-20), st.floats(0.0, 1.0)),
-)
-
-
-# An odd pool under constant threat with a fit policy: x.5 supplies, then
-# the FLOAT_MIN sentinel of undersupply.
-ODD_POOL_FIT_POLICY = Scenario(
-    mine=CoalMine(p_enter_ts=1.0, p_exit_ts=0.0),
-    miner=Miner(hazard_ts=0.0, evacuation_threshold=-1000.0),
-    canary=Canary(hazard_ts=0.5), pool_size=7,
-    policy=EvacuationPolicy(fit_threshold=1e-20),
-)
 
 
 @settings(max_examples=200, deadline=None)

@@ -155,7 +155,8 @@ class TestSimulate:
         run = simulate(scenario, 50, seed=1)
         assert run.survived
         assert run.evacuation_step is None
-        assert all(s.supply == 50.0 and s.fit == 1.0 / 51.0 for s in run.steps)
+        assert run.supply == [50.0] * 50
+        assert run.fit == [1.0 / 51.0] * 50
 
     def test_canaries_trigger_evacuation_before_miner_dies(self):
         scenario = Scenario(
@@ -165,14 +166,14 @@ class TestSimulate:
         )
         run = simulate(scenario, 5, seed=0)
         # All 100 canaries die on the first threatened step; supply -50.
-        assert run.steps[0].canaries_alive == 0
+        assert run.canaries_alive[0] == 0
         assert run.evacuation_step == 0
         assert run.survived
 
     def test_evacuation_is_irreversible(self):
         scenario = Scenario(mine=CoalMine(p_enter_ts=0.2, p_exit_ts=0.5))
         run = simulate(scenario, 300, seed=11)
-        evacuated = [s.evacuated for s in run.steps]
+        evacuated = run.evacuated
         if any(evacuated):
             first = evacuated.index(True)
             assert all(evacuated[first:])
@@ -198,7 +199,7 @@ class TestSimulate:
         )
         run = simulate(scenario, 3, seed=0)
         assert run.evacuation_step == 0
-        assert run.steps[0].fit == FLOAT_MIN
+        assert run.fit[0] == FLOAT_MIN
 
     def test_csv_rows(self):
         run = simulate(Scenario(mine=CoalMine(p_enter_ts=0.0)), 2, seed=0)
