@@ -8,11 +8,12 @@ to get through. Three protocol strategies are simulated:
 * entelechial: an adaptive yielding point chosen each step from a
   predictor, kept as close above the prediction as a safety margin allows;
 * antifragile: starts out entelechial, and on detecting a bursty channel
-  mutates its transmission algorithm to interleaving, persisting the
+  mutates its transmission algorithm to interleaving, recording the
   lesson in a knowledge store shared across runs.
 
 Everything is deterministic given the model seed; no wall-clock or OS
-entropy is consumed anywhere.
+entropy reaches a run or an output. Only :meth:`KnowledgeStore.load` and
+:meth:`KnowledgeStore.save` touch files; the runs themselves are pure.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import math
 import operator
 import os
 import random
+import shutil
 import statistics
-import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -162,7 +163,6 @@ class ChannelTrace:
     y: tuple[int, ...]
     regimes: tuple[str, ...]
     burst_correlated: bool = True
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.y) != len(self.regimes):
@@ -203,7 +203,6 @@ def generate_trace(model: ChannelModel, steps: int) -> ChannelTrace:
         y=tuple(ys),
         regimes=tuple(regimes),
         burst_correlated=getattr(model, "burst_correlated", True),
-        seed=model.seed,
     )
 
 
@@ -563,15 +562,16 @@ def run_antifragile(
     trace: ChannelTrace | Sequence[int],
     config: AntifragileEvolving,
     store: "KnowledgeStore",
-) -> tuple[ProtocolRun, "KnowledgeStore"]:
+) -> ProtocolRun:
     """Evolving protocol: repetition first, interleaving once bursts are learned.
 
     Every ``epochs_per_review`` steps the analysis organ estimates channel
     burstiness over the last epoch. When it exceeds the configured
     threshold the protocol mutates its algorithm to block interleaving
-    (a genotypical change: it is persisted to the knowledge store and
-    carried across runs). Parameters of an already stored lesson are
-    adopted instead of being relearned.
+    (a genotypical change: the lesson is put into ``store``, updated in
+    place, and carried across runs once the caller saves it). Parameters
+    of an already stored lesson are adopted instead of being relearned.
+    No file is read or written.
 
     Interleaving groups packets into blocks of ``depth`` consecutive due
     steps and sends two copies of each packet on distinct steps of the
@@ -681,11 +681,10 @@ def run_antifragile(
         "burstiness_threshold": config.burstiness_threshold,
         "bootstrap_yield": ys[0] + 1,
     }
-    run = ProtocolRun(
+    return ProtocolRun(
         "antifragile", header, ys, yields, step_cost, delivered_at, step_algorithm,
         predictions, warns, identity_violations=violations, mutations=mutations,
     )
-    return run, store
 
 
 def mean_step_fit(run: ProtocolRun, variant=None) -> float:
@@ -738,16 +737,15 @@ def compare_runs(runs: Mapping[str, ProtocolRun]) -> list[dict]:
 
 
 class KnowledgeStore:
-    """Lessons learned across runs, keyed by channel signature.
+    """Lessons learned across runs, keyed by channel signature, in memory.
 
-    Entries only accumulate within a run (the store never shrinks), and a
-    saved store reloads byte-identically. Writes are atomic
-    (write-temp-then-rename); concurrent runs must use separate files.
+    Entries only accumulate. Only :meth:`load` and :meth:`save` touch a file;
+    a saved store reloads byte-identically. Saves are atomic (temp file, then
+    rename); concurrent runs must use separate files.
     """
 
-    def __init__(self, entries: list[dict] | None = None, path: str | None = None):
+    def __init__(self, entries: list[dict] | None = None):
         self._entries: dict[str, dict] = {}
-        self.path = path
         for entry in entries or []:
             self._validate(entry)
             self._entries[entry["signature"]] = dict(entry)
@@ -763,8 +761,9 @@ class KnowledgeStore:
 
     @classmethod
     def load(cls, path: str) -> "KnowledgeStore":
+        """The store saved at ``path``; an empty one if there is no file."""
         if not os.path.exists(path):
-            return cls(path=path)
+            return cls()
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -773,7 +772,7 @@ class KnowledgeStore:
         if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
             raise StoreCorrupt(f"knowledge store {path} has no entry list")
         try:
-            return cls(entries=data["entries"], path=path)
+            return cls(data["entries"])
         except StoreCorrupt as exc:
             raise StoreCorrupt(f"knowledge store {path}: {exc}") from exc
 
@@ -782,32 +781,26 @@ class KnowledgeStore:
         return dict(entry) if entry is not None else None
 
     def put(self, entry: dict) -> None:
-        """Add or update a lesson and persist if the store is file-backed."""
+        """Add or update a lesson, in memory only."""
         self._validate(entry)
         self._entries[entry["signature"]] = dict(entry)
-        if self.path is not None:
-            self.save()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def signatures(self) -> list[str]:
-        return sorted(self._entries)
-
     def to_dict(self) -> dict:
         return {"entries": [self._entries[s] for s in sorted(self._entries)]}
 
-    def save(self, path: str | None = None) -> None:
-        target = path or self.path
-        if target is None:
-            raise ValueError("no path to save the knowledge store to")
+    def save(self, path: str) -> None:
+        """Write to ``path`` with the mode ``open(path, "w")`` would give it."""
         payload = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        directory = os.path.dirname(os.path.abspath(target))
-        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        temp_path = f"{path}.{os.urandom(8).hex()}.tmp"
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            with open(temp_path, "x", encoding="utf-8") as handle:
                 handle.write(payload)
-            os.replace(temp_path, target)
+            if os.path.exists(path):
+                shutil.copymode(path, temp_path)
+            os.replace(temp_path, path)
         except BaseException:
             if os.path.exists(temp_path):
                 os.unlink(temp_path)

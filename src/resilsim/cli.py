@@ -6,7 +6,8 @@ curve and Monte Carlo batches), and ``compare`` relates two behavior
 descriptors or two organ tuples. Time series go to CSV, aggregates and
 manifests to JSON. Reruns with identical inputs produce byte-identical
 outputs; the only file touched outside the output directory is an
-explicitly named knowledge store.
+explicitly named knowledge store. Nothing is written before every input is
+checked and every simulation has run, so a config error leaves no file.
 
 Exit codes: 0 success, 2 config error (a corrupt knowledge store included),
 3 I/O error, 4 internal error.
@@ -245,17 +246,14 @@ def _write_json(path: str, payload) -> None:
 
 
 def _write_manifest(out_dir: str, command: str, config_path: str, seed,
-                    files: list[str], extra: dict | None = None) -> None:
-    manifest = {
+                    files: list[str]) -> None:
+    _write_json(os.path.join(out_dir, "manifest.json"), {
         "command": command,
         "config": config_path,
         "seed": seed,
         "files": sorted(files),
         "version": __version__,
-    }
-    if extra:
-        manifest.update(extra)
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +284,8 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
         raise ConfigError("channel: missing required key")
     model = _build_kind("channel", config["channel"], "channel", seed=seed)
     trace = generate_trace(model, steps)
-
-    os.makedirs(out_dir, exist_ok=True)
     store = KnowledgeStore.load(store_path)
+    lessons = len(store)
 
     variant = fit_variant or FitVariant()
     runs = {}
@@ -301,9 +298,14 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
                 raise ConfigError(f"{path}: renamed to {name!r}, a name already taken")
         run = _build_kind("protocol", protocol_config, path, ("name",), trace=trace)
         if isinstance(run, AntifragileEvolving):
-            run, _ = run_antifragile(trace, run, store)
+            run = run_antifragile(trace, run, store)
         runs[name] = run
 
+    # Every protocol has run; write now. The store goes first, so that an I/O
+    # error on -o cannot lose a lesson.
+    os.makedirs(out_dir, exist_ok=True)
+    if len(store) > lessons:
+        store.save(store_path)
     files = []
     aggregates = {}
     for name, run in runs.items():

@@ -364,7 +364,7 @@ def simulate(
         fit_est: float | None = None
         if pool.size >= 1:
             supply_est = estimate_supply(pool)
-            fit_est = estimate_fit(pool)
+            fit_est = fit_of_supply(supply_est)
             if miner_alive and not evacuated and (
                 supply_est < threshold
                 or fit_threshold is not None and fit_est < fit_threshold

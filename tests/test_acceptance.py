@@ -248,12 +248,12 @@ def bursty_experiment():
     for seed in range(100):
         trace = generate_trace(BurstyChannel(seed=seed, **BURSTY), 2000)
         entelechial = run_entelechial(trace, WindowMax(8), 1.5)
-        file_transfer, _ = run_antifragile(
+        file_transfer = run_antifragile(
             trace,
             AntifragileEvolving(WindowMax(8), 1.5, epochs_per_review=REVIEW),
             KnowledgeStore(),
         )
-        teleconf, _ = run_antifragile(
+        teleconf = run_antifragile(
             trace,
             AntifragileEvolving(
                 WindowMax(8), 1.5, epochs_per_review=REVIEW,
@@ -338,7 +338,7 @@ def test_criterion_10_monotone_improvement(bursty_experiment):
                           seed=seed),
             2000,
         )
-        run, _ = run_antifragile(
+        run = run_antifragile(
             trace,
             AntifragileEvolving(WindowMax(8), 1.5, epochs_per_review=REVIEW),
             KnowledgeStore(),

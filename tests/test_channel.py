@@ -1,6 +1,8 @@
 import csv
 import itertools
 import json
+import os
+import stat
 
 import pytest
 
@@ -228,7 +230,7 @@ def antifragile_config(**overrides):
 class TestRunAntifragile:
     def test_calm_channel_never_mutates(self):
         trace = generate_trace(ConstantChannel(2, seed=9), 300)
-        antifragile, _ = run_antifragile(trace, antifragile_config(), KnowledgeStore())
+        antifragile = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         entelechial = run_entelechial(trace, WindowMax(8), 1.5)
         assert antifragile.mutations == []
         assert list(antifragile.algorithm) == ["repetition"] * 300
@@ -239,7 +241,7 @@ class TestRunAntifragile:
     def test_bursty_channel_mutates_and_learns(self):
         trace = generate_trace(BURSTY, 1000)
         store = KnowledgeStore()
-        run, store = run_antifragile(trace, antifragile_config(), store)
+        run = run_antifragile(trace, antifragile_config(), store)
         assert len(run.mutations) == 1
         mutation = run.mutations[0]
         assert mutation["algorithm"] == "interleaved"
@@ -251,14 +253,14 @@ class TestRunAntifragile:
     def test_mutation_improves_delivery_at_lower_cost(self):
         trace = generate_trace(BURSTY, 2000)
         entelechial = run_entelechial(trace, WindowMax(8), 1.5)
-        antifragile, _ = run_antifragile(trace, antifragile_config(), KnowledgeStore())
+        antifragile = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         assert antifragile.delivered_fraction >= entelechial.delivered_fraction
         assert antifragile.total_cost <= entelechial.total_cost
 
     def test_teleconferencing_profile_violated_by_jitter(self):
         trace = generate_trace(BURSTY, 1000)
         config = antifragile_config(identity_profile=Teleconferencing(jitter_bound=0.5))
-        run, _ = run_antifragile(trace, config, KnowledgeStore())
+        run = run_antifragile(trace, config, KnowledgeStore())
         assert run.mutations
         assert run.jitter > 0.5
         assert run.identity_violations > 0
@@ -269,7 +271,7 @@ class TestRunAntifragile:
             "signature": "bursty-high", "algorithm": "interleaved",
             "depth": 6, "epoch_learned": 1,
         }])
-        run, store = run_antifragile(trace, antifragile_config(), store)
+        run = run_antifragile(trace, antifragile_config(), store)
         assert run.mutations[0]["depth"] == 6
         assert store.get("bursty-high")["depth"] == 6
 
@@ -278,7 +280,7 @@ class TestRunAntifragile:
         store = KnowledgeStore(entries=[{
             "signature": "bursty-high", "algorithm": "repetition",
         }])
-        run, _ = run_antifragile(trace, antifragile_config(), store)
+        run = run_antifragile(trace, antifragile_config(), store)
         assert run.mutations == []
         assert len(run.algorithm) == 1000
         assert all(a == "repetition" for a in run.algorithm)
@@ -288,14 +290,14 @@ class TestRunAntifragile:
                               burst_correlated=False, seed=3)
         trace = generate_trace(model, 2000)
         entelechial = run_entelechial(trace, WindowMax(8), 1.5)
-        antifragile, _ = run_antifragile(trace, antifragile_config(), KnowledgeStore())
+        antifragile = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         # Spreading copies buys nothing without burst correlation.
         assert antifragile.delivered_fraction == entelechial.delivered_fraction
 
     def test_serialization_deterministic(self):
         trace = generate_trace(BURSTY, 500)
-        first, _ = run_antifragile(trace, antifragile_config(), KnowledgeStore())
-        second, _ = run_antifragile(trace, antifragile_config(), KnowledgeStore())
+        first = run_antifragile(trace, antifragile_config(), KnowledgeStore())
+        second = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         assert first.y is second.y is trace.y
         for column in ("yields", "cost", "delivered_at", "algorithm", "prediction",
                        "margin_warning"):
@@ -310,7 +312,7 @@ class TestRunAntifragile:
 
     def test_csv_rows_shape(self):
         trace = generate_trace(BURSTY, 120)
-        run, _ = run_antifragile(trace, antifragile_config(), KnowledgeStore())
+        run = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         rows = csv_rows(run)
         assert len(rows) == 120
         assert rows[0][0] == "0"
@@ -362,13 +364,33 @@ class TestKnowledgeStore:
 
     def test_round_trip_byte_identical(self, tmp_path):
         path = tmp_path / "store.json"
-        store = KnowledgeStore(path=str(path))
+        store = KnowledgeStore()
         store.put({"signature": "bursty-high", "algorithm": "interleaved",
                    "depth": 4, "epoch_learned": 2})
+        store.save(str(path))
         first = path.read_bytes()
         reloaded = KnowledgeStore.load(str(path))
-        reloaded.save()
+        reloaded.save(str(path))
         assert path.read_bytes() == first
+        assert [p.name for p in tmp_path.iterdir()] == ["store.json"]  # no temp left
+
+    @pytest.mark.parametrize("existing_mode", [None, 0o640])
+    def test_save_gives_the_mode_of_a_plain_write(self, tmp_path, existing_mode):
+        path, sibling = tmp_path / "store.json", tmp_path / "sibling.json"
+        if existing_mode is not None:
+            for target in (path, sibling):
+                target.write_text("{}")
+                target.chmod(existing_mode)
+        store = KnowledgeStore([{"signature": "a", "algorithm": "interleaved"}])
+        umask = os.umask(0o022)
+        try:
+            store.save(str(path))
+            with open(sibling, "w", encoding="utf-8") as handle:
+                handle.write("{}")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(sibling.stat().st_mode)
+        assert stat.S_IMODE(path.stat().st_mode) == (existing_mode or 0o644)
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "store.json"
@@ -387,16 +409,17 @@ class TestKnowledgeStore:
         store.put({"signature": "a", "algorithm": "interleaved", "depth": 2})
         store.put({"signature": "b", "algorithm": "interleaved", "depth": 3})
         store.put({"signature": "a", "algorithm": "interleaved", "depth": 5})
-        assert store.signatures() == ["a", "b"]
+        assert [e["signature"] for e in store.to_dict()["entries"]] == ["a", "b"]
         assert store.get("a")["depth"] == 5
 
     def test_run_persists_through_file(self, tmp_path):
         path = tmp_path / "lessons.json"
         trace = generate_trace(BURSTY, 1000)
-        run, _ = run_antifragile(trace, antifragile_config(),
-                                 KnowledgeStore.load(str(path)))
+        store = KnowledgeStore.load(str(path))
+        run = run_antifragile(trace, antifragile_config(), store)
         assert run.mutations
-        assert path.exists()
+        assert list(tmp_path.iterdir()) == []  # the run itself writes no file
+        store.save(str(path))
         reloaded = KnowledgeStore.load(str(path))
         assert reloaded.get("bursty-high")["algorithm"] == "interleaved"
 

@@ -255,6 +255,44 @@ class TestChannelCommand:
             "config error: protocol #1.yield_point must be an integer")
         assert not list(out.glob("*_steps.csv"))
 
+    @pytest.mark.parametrize("prior", [
+        None,
+        b'{"entries": [{"signature": "calm", "algorithm": "repetition"}]}',
+    ])
+    def test_config_error_after_a_learning_run_writes_nothing(self, tmp_path,
+                                                              capsys, prior):
+        store = tmp_path / "lessons.json"
+        if prior is not None:
+            store.write_bytes(prior)
+        learner = CHANNEL_CONFIG["protocols"][2]
+        payload = {**CHANNEL_CONFIG, "knowledge_store": str(store), "protocols": [
+            learner, {"kind": "elastic", "yield_point": "x"}]}
+        config = write_json(tmp_path / "config.json", payload)
+        out = tmp_path / "out"
+        assert main(["channel", "-c", config, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: protocol #1.yield_point must be an integer")
+        assert not out.exists()
+        if prior is None:
+            assert not store.exists()
+        else:
+            assert store.read_bytes() == prior
+        # The same protocol alone learns, so the store is left alone on purpose.
+        payload["protocols"] = [learner]
+        write_json(tmp_path / "config.json", payload)
+        assert main(["channel", "-c", config, "-o", str(out)]) == 0
+        assert "bursty-high" in store.read_text()
+
+    def test_store_is_saved_before_the_outputs(self, tmp_path, capsys):
+        store = tmp_path / "lessons.json"
+        config = write_json(tmp_path / "config.json",
+                            {**CHANNEL_CONFIG, "knowledge_store": str(store)})
+        out = tmp_path / "out"
+        (out / "elastic_steps.csv").mkdir(parents=True)  # its write fails
+        assert main(["channel", "-c", config, "-o", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert "bursty-high" in store.read_text()
+
     def test_protocol_name_names_its_step_csv(self, tmp_path):
         payload = edited(WALK_CONFIG, ("protocols", 0, "name"), "tracker")
         config = write_json(tmp_path / "config.json", payload)
@@ -298,11 +336,13 @@ class TestChannelCommand:
         store.write_text(content)
         config = write_json(tmp_path / "config.json",
                             {**CHANNEL_CONFIG, "knowledge_store": str(store)})
-        assert main(["channel", "-c", config, "-o", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main(["channel", "-c", config, "-o", str(out)]) == 2
         message = capsys.readouterr().err
         assert message.startswith("config error: ")
         assert str(store) in message
         assert store.read_text() == content
+        assert not out.exists()
 
 
 class TestSentinelCommand:
@@ -575,5 +615,7 @@ def test_single_arbitrary_edit_keeps_the_exit_code_contract(data):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
+        # A config error writes nothing, not even the output directory.
+        assert code != 2 or not os.path.exists(os.path.join(work, "out"))
     assert code in (0, 2, 3), stderr.getvalue()
     assert "Traceback" not in stderr.getvalue()

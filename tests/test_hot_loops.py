@@ -61,6 +61,7 @@ from resilsim.sentinel import (
     EvacuationPolicy,
     Miner,
     Scenario,
+    estimate_supply,
     scenario_csv_rows,
     simulate,
     supply_fit_curve,
@@ -323,7 +324,7 @@ def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
         interleave_depth=depth,
     )
     store, oracle_store = KnowledgeStore(lessons), KnowledgeStore(lessons)
-    run, _ = run_antifragile(trace, config, store)
+    run = run_antifragile(trace, config, store)
     records, violations, mutations = oracle_run_antifragile(trace, config, oracle_store)
     assert run.identity_violations == violations
     assert run.mutations == mutations
@@ -340,7 +341,7 @@ def test_bursty_readme_trace_matches_oracle():
         predictor=WindowMax(8), epsilon=1.5, epochs_per_review=50,
         identity_profile=Teleconferencing(jitter_bound=0.5),
     )
-    run, _ = run_antifragile(trace, config, KnowledgeStore())
+    run = run_antifragile(trace, config, KnowledgeStore())
     records, violations, mutations = oracle_run_antifragile(
         trace, config, KnowledgeStore())
     assert mutations and violations > 0
@@ -355,7 +356,7 @@ def test_cached_aggregates_match_fresh_computation():
         BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=3), 800
     )
     config = AntifragileEvolving(predictor=WindowMax(8), epsilon=1.5)
-    run, _ = run_antifragile(trace, config, KnowledgeStore())
+    run = run_antifragile(trace, config, KnowledgeStore())
     first = run.aggregates()
     assert compare_runs({"a": run})[0] == {
         key: first[key] for key in
@@ -793,3 +794,15 @@ def test_csv_producers_stream():
                      supply_fit_curve(4)):
         assert not isinstance(produced, list)
         assert iter(produced) is produced
+
+
+def test_simulate_estimates_supply_once_per_step(monkeypatch):
+    calls = []
+
+    def recording_estimate_supply(pool):
+        calls.append(pool.size)
+        return estimate_supply(pool)
+
+    monkeypatch.setattr(sentinel, "estimate_supply", recording_estimate_supply)
+    run = simulate(Scenario(), 50, 3)
+    assert calls == [Scenario().pool_size] * len(run.steps)
