@@ -18,7 +18,9 @@ entropy reaches a run or an output. Only :meth:`KnowledgeStore.load` and
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import inspect
 import json
 import math
 import operator
@@ -32,7 +34,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidBounds, NoObservations, StoreCorrupt, TraceMismatch
-from .fitness import BASELINE, ShootKind, fit
+from .fitness import BASELINE, fit, shooting
 from .organs import FeedbackKind
 
 DEFAULT_EPOCHS_PER_REVIEW = 50
@@ -56,15 +58,14 @@ class ConstantChannel:
     y: int
     seed: int = 0
 
+    kind = "constant"
+
     def __post_init__(self) -> None:
         if self.y < 1:
             raise InvalidBounds(f"y must be a positive integer, got {self.y}")
 
     def _generate(self, steps: int, rng: random.Random) -> tuple[list[int], list[str]]:
         return [self.y] * steps, ["constant"] * steps
-
-    def config_dict(self) -> dict:
-        return {"kind": "constant", "y": self.y, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,8 @@ class RandomWalkChannel:
     y_min: int = 1
     y_max: int = 6
     seed: int = 0
+
+    kind = "random_walk"
 
     def __post_init__(self) -> None:
         if self.y_min > self.y_max:
@@ -96,16 +99,6 @@ class RandomWalkChannel:
             ys.append(y)
         return ys, ["walk"] * steps
 
-    def config_dict(self) -> dict:
-        return {
-            "kind": "random_walk",
-            "y0": self.y0,
-            "step_prob": self.step_prob,
-            "min": self.y_min,
-            "max": self.y_max,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class BurstyChannel:
@@ -117,6 +110,8 @@ class BurstyChannel:
     y_burst: int
     burst_correlated: bool = True
     seed: int = 0
+
+    kind = "bursty"
 
     def __post_init__(self) -> None:
         _check_probability("p_enter", self.p_enter)
@@ -140,17 +135,6 @@ class BurstyChannel:
             ys.append(self.y_burst if burst else self.y_calm)
             regimes.append("burst" if burst else "calm")
         return ys, regimes
-
-    def config_dict(self) -> dict:
-        return {
-            "kind": "bursty",
-            "p_enter": self.p_enter,
-            "p_exit": self.p_exit,
-            "y_calm": self.y_calm,
-            "y_burst": self.y_burst,
-            "burst_correlated": self.burst_correlated,
-            "seed": self.seed,
-        }
 
 
 ChannelModel = ConstantChannel | RandomWalkChannel | BurstyChannel
@@ -213,6 +197,8 @@ def generate_trace(model: ChannelModel, steps: int) -> ChannelTrace:
 class WindowMax:
     """Predicts the maximum of the most recent observations."""
 
+    kind = "window_max"
+
     def __init__(self, window: int = 8):
         if window < 1:
             raise ValueError("window must be a positive integer")
@@ -227,9 +213,6 @@ class WindowMax:
             raise NoObservations("predictor has no observations yet")
         return float(max(self._recent))
 
-    def config_dict(self) -> dict:
-        return {"kind": "window_max", "window": self.window}
-
 
 class EwmaPlusSlope:
     """Exponentially weighted level plus slope, extrapolated ahead.
@@ -237,6 +220,8 @@ class EwmaPlusSlope:
     Suited to drifting channels where the demand trends rather than
     jumping between regimes.
     """
+
+    kind = "ewma_slope"
 
     def __init__(self, alpha: float = 0.3, horizon: int = 1):
         if not 0.0 < alpha <= 1.0:
@@ -261,9 +246,6 @@ class EwmaPlusSlope:
         if self._level is None:
             raise NoObservations("predictor has no observations yet")
         return self._level + self.horizon * self._slope
-
-    def config_dict(self) -> dict:
-        return {"kind": "ewma_slope", "alpha": self.alpha, "horizon": self.horizon}
 
 
 def _yield_from_prediction(prediction: float, epsilon: float) -> tuple[int, bool]:
@@ -296,9 +278,6 @@ class Teleconferencing:
 
     kind = "teleconferencing"
 
-    def config_dict(self) -> dict:
-        return {"kind": self.kind, "jitter_bound": self.jitter_bound}
-
 
 @dataclass(frozen=True)
 class FileTransfer:
@@ -306,11 +285,27 @@ class FileTransfer:
 
     kind = "file_transfer"
 
-    def config_dict(self) -> dict:
-        return {"kind": self.kind}
-
 
 IdentityProfile = Teleconferencing | FileTransfer
+
+# Config keys that differ from the parameter they set. The CLI's loader reads
+# them and ``config_dict`` writes them.
+CONFIG_KEYS = {"y_min": "min", "y_max": "max"}
+
+
+def config_dict(obj) -> dict:
+    """The config section that builds ``obj``: a channel model, predictor or
+    identity profile.
+
+    That is ``{"kind": obj.kind}`` plus every constructor parameter of
+    ``obj``'s class under its config key, so a channel's section holds its
+    ``seed`` too. The CLI's loader reads the same keys from the same
+    signature, so the section builds an equal object again.
+    """
+    config = {"kind": obj.kind}
+    for name in inspect.signature(type(obj)).parameters:
+        config[CONFIG_KEYS.get(name, name)] = getattr(obj, name)
+    return config
 
 
 @dataclass(frozen=True)
@@ -415,13 +410,10 @@ STEP_CSV_HEADER = (
 
 def _csv_tail(y: int, Y: int, delivered: bool, cost: int, algorithm: str) -> str:
     """Every step CSV cell after ``t``, with the leading comma and the line
-    end; the shoot fields are derived from y and Y."""
-    if y > Y:
-        kind, magnitude = ShootKind.UNDERSHOOT, y - Y
-    else:
-        kind, magnitude = (ShootKind.OVERSHOOT if Y > y else ShootKind.EXACT), Y - y
-    return (f",{y},{Y},{'true' if delivered else 'false'},{kind.value},"
-            f"{magnitude},{cost},{algorithm}\n")
+    end; the shoot fields are those of :func:`~resilsim.fitness.shooting`."""
+    shoot = shooting(y, Y)
+    return (f",{y},{Y},{'true' if delivered else 'false'},{shoot.kind.value},"
+            f"{shoot.magnitude},{cost},{algorithm}\n")
 
 
 def step_csv_rows(run: ProtocolRun) -> Iterator[str]:
@@ -510,7 +502,7 @@ def run_entelechial(
     trace = as_trace(trace)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    predictor_config = predictor.config_dict()
+    predictor_config = config_dict(predictor)
     predictor = copy.deepcopy(predictor)
     yields, predictions, warns = _predict_yields(trace.y, predictor, epsilon)
     header = {
@@ -587,7 +579,7 @@ def run_antifragile(
     ys = trace.y
     n = len(ys)
     review_every = config.epochs_per_review
-    predictor_config = config.predictor.config_dict()
+    predictor_config = config_dict(config.predictor)
     predictor = copy.deepcopy(config.predictor)
     yields, predictions, warns = _predict_yields(ys, predictor, config.epsilon)
 
@@ -677,7 +669,7 @@ def run_antifragile(
         "predictor": predictor_config,
         "epsilon": config.epsilon,
         "epochs_per_review": review_every,
-        "identity_profile": config.identity_profile.config_dict(),
+        "identity_profile": config_dict(config.identity_profile),
         "burstiness_threshold": config.burstiness_threshold,
         "bootstrap_yield": ys[0] + 1,
     }
@@ -741,7 +733,8 @@ class KnowledgeStore:
 
     Entries only accumulate. Only :meth:`load` and :meth:`save` touch a file;
     a saved store reloads byte-identically. Saves are atomic (temp file, then
-    rename); concurrent runs must use separate files.
+    rename); concurrent runs must use separate files, and one process saves
+    one store at a time.
     """
 
     def __init__(self, entries: list[dict] | None = None):
@@ -792,9 +785,15 @@ class KnowledgeStore:
         return {"entries": [self._entries[s] for s in sorted(self._entries)]}
 
     def save(self, path: str) -> None:
-        """Write to ``path`` with the mode ``open(path, "w")`` would give it."""
+        """Write to ``path`` with the mode ``open(path, "w")`` would give it.
+
+        The temp file is named after the process id, not OS entropy; a
+        leftover of an earlier process with the same id is replaced.
+        """
         payload = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        temp_path = f"{path}.{os.urandom(8).hex()}.tmp"
+        temp_path = f"{path}.{os.getpid()}.tmp"
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp_path)
         try:
             with open(temp_path, "x", encoding="utf-8") as handle:
                 handle.write(payload)

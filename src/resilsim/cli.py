@@ -29,6 +29,7 @@ from . import __version__
 from .behavior import BehaviorDescriptor, commensurable, distance, precedes
 from .channel import (
     COMPARE_CSV_HEADER,
+    CONFIG_KEYS,
     STEP_CSV_HEADER,
     AntifragileEvolving,
     BurstyChannel,
@@ -40,6 +41,7 @@ from .channel import (
     Teleconferencing,
     WindowMax,
     compare_runs,
+    config_dict,
     generate_trace,
     mean_step_fit,
     run_antifragile,
@@ -78,21 +80,21 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # Config parsing
 
+def _by_kind(*classes) -> dict[str, str]:
+    """The names of ``classes`` by the ``kind`` each class declares."""
+    return {cls.kind: cls.__name__ for cls in classes}
+
+
 # Kind tables of the nested config sections. Each names the constructor of a
 # kind by its global in this module, looked up when called, so that a wrapper
 # installed on a module attribute (as a tracer does) is the one that runs.
 _KINDS = {
-    "channel": {"constant": "ConstantChannel", "random_walk": "RandomWalkChannel",
-                "bursty": "BurstyChannel"},
-    "predictor": {"window_max": "WindowMax", "ewma_slope": "EwmaPlusSlope"},
-    "identity_profile": {"file_transfer": "FileTransfer",
-                         "teleconferencing": "Teleconferencing"},
+    "channel": _by_kind(ConstantChannel, RandomWalkChannel, BurstyChannel),
+    "predictor": _by_kind(WindowMax, EwmaPlusSlope),
+    "identity_profile": _by_kind(FileTransfer, Teleconferencing),
     "protocol": {"elastic": "run_elastic", "entelechial": "run_entelechial",
                  "antifragile": "AntifragileEvolving"},
 }
-
-# Config keys that differ from the parameter they set.
-_KEYS = {"y_min": "min", "y_max": "max"}
 
 _CHANNEL_KEYS = ("channel", "steps", "seed", "protocols", "protocol", "knowledge_store")
 
@@ -171,7 +173,8 @@ def _build(target, config, path: str, extra=(), **fixed):
     keys are allowed and left to the caller. Values pass through unchanged.
     """
     parameters = inspect.signature(target, eval_str=True).parameters
-    keys = {_KEYS.get(name, name): name for name in parameters if name not in fixed}
+    keys = {CONFIG_KEYS.get(name, name): name for name in parameters
+            if name not in fixed}
     _section(config, path, [*keys, *extra])
     arguments = {name: value for name, value in fixed.items() if name in parameters}
     for key, name in keys.items():
@@ -301,12 +304,23 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
             run = run_antifragile(trace, run, store)
         runs[name] = run
 
+    # The files this run writes in -o; the store may not be one of them.
+    step_files = {name: f"{name}_steps.csv" for name in runs}
+    files = [*step_files.values(), "aggregates.json"]
+    if len(runs) > 1:
+        files.append("compare.csv")
+    store_file = os.path.realpath(store_path)
+    if any(os.path.realpath(os.path.join(out_dir, output)) == store_file
+           for output in [*files, "manifest.json"]):
+        raise ConfigError(
+            f"knowledge_store: {store_path!r} is an output file of this run"
+        )
+
     # Every protocol has run; write now. The store goes first, so that an I/O
     # error on -o cannot lose a lesson.
     os.makedirs(out_dir, exist_ok=True)
     if len(store) > lessons:
         store.save(store_path)
-    files = []
     aggregates = {}
     for name, run in runs.items():
         summary = run.aggregates()
@@ -316,19 +330,16 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
             "header": run.header,
             "mutations": run.mutations,
         }
-        trace_file = f"{name}_steps.csv"
-        _write_csv(os.path.join(out_dir, trace_file), STEP_CSV_HEADER,
+        _write_csv(os.path.join(out_dir, step_files[name]), STEP_CSV_HEADER,
                    step_csv_rows(run))
-        files.append(trace_file)
 
     _write_json(os.path.join(out_dir, "aggregates.json"), {
-        "channel": model.config_dict(),
+        "channel": config_dict(model),
         "steps": steps,
         "seed": seed,
         "fit_variant": variant.label(),
         "protocols": aggregates,
     })
-    files.append("aggregates.json")
 
     if len(runs) > 1:
         # few rows, but a protocol name may need quoting: csv.writer does that
@@ -338,7 +349,6 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
             writer.writerow(COMPARE_CSV_HEADER)
             writer.writerows([_csv_cell(row[column]) for column in COMPARE_CSV_HEADER]
                              for row in compare_runs(runs))
-        files.append("compare.csv")
 
     if os.path.exists(store_path):
         relative = os.path.relpath(store_path, out_dir)

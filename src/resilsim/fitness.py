@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .behavior import (
     BehaviorDescriptor,
@@ -290,17 +290,3 @@ def fit_timeline(
             continue
         points.append(TimelinePoint(t, s, fit(s, variant)))
     return points
-
-
-TIMELINE_CSV_HEADER = ("t", "supply", "fit", "marker")
-
-
-def timeline_csv_rows(points: Sequence[TimelinePoint]) -> list[tuple[str, str, str, str]]:
-    """Rows for the timeline CSV interface: t, supply, fit, marker."""
-    rows = []
-    for p in points:
-        if p.incommensurable:
-            rows.append((str(p.t), "", "", p.marker))
-        else:
-            rows.append((str(p.t), str(p.supply), p.fit.serialized(), ""))
-    return rows

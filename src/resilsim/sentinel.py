@@ -144,11 +144,14 @@ class EvacuationPolicy:
 class Scenario:
     """Mine, miner, canary template, pool size, and evacuation policy.
 
-    Construction checks the structural relations the scenario relies on:
-    the canary perceives the threat figure, the miner does not, the miner
-    covers the rest of the mine's context, miner and canary perceptions
-    are mutually non-nested, and their union strictly covers the mine's
-    context set.
+    Construction checks the structural relations the scenario relies on.
+    The canary perceives the threat figure and the miner does not (their
+    own checks), and the miner strictly covers the rest of the mine's
+    context. The paper's premise is checked with the calculus: the miner's
+    and the canary's monitor behaviors are incommensurable (their
+    perceptions are mutually non-nested), and the social miner-plus-canary
+    collective has no need for a further social relation toward the mine
+    (the joint perception strictly covers the mine's context set).
     """
 
     mine: CoalMine = field(default_factory=CoalMine)
@@ -158,18 +161,15 @@ class Scenario:
     policy: EvacuationPolicy = EvacuationPolicy()
 
     def __post_init__(self) -> None:
-        t_set = self.mine.figures
-        f_set = self.miner.figures
-        g_set = self.canary.figures
         if self.pool_size < 0:
             raise ValueError("pool_size must be non-negative")
-        if not (t_set - {THREAT_FIGURE}) < f_set:
+        if not (self.mine.figures - {THREAT_FIGURE}) < self.miner.figures:
             raise ValueError(
                 "miner must strictly cover the mine's context besides the threat figure"
             )
-        if f_set <= g_set or g_set <= f_set:
+        if commensurable(self.miner.monitor_behavior, self.canary.monitor_behavior):
             raise ValueError("miner and canary perceptions must be mutually non-nested")
-        if not t_set < (f_set | g_set):
+        if detect_need_for_social(self.collective().monitor_behavior, self.mine.behavior):
             raise ValueError(
                 "the joint perception must strictly cover the mine's context set"
             )

@@ -101,9 +101,6 @@ class _FixedPredictor:
     def predict(self):
         return self.value
 
-    def config_dict(self):
-        return {"kind": "fixed", "value": self.value}
-
 
 class TestChooseYield:
     def test_within_margin(self):
@@ -391,6 +388,21 @@ class TestKnowledgeStore:
             os.umask(umask)
         assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(sibling.stat().st_mode)
         assert stat.S_IMODE(path.stat().st_mode) == (existing_mode or 0o644)
+
+    def test_save_replaces_a_leftover_temp_file(self, tmp_path):
+        path = tmp_path / "store.json"
+        leftover = tmp_path / f"store.json.{os.getpid()}.tmp"
+        leftover.write_text("junk")
+        leftover.chmod(0o600)
+        store = KnowledgeStore([{"signature": "a", "algorithm": "interleaved"}])
+        umask = os.umask(0o022)
+        try:
+            store.save(str(path))
+        finally:
+            os.umask(umask)
+        assert KnowledgeStore.load(str(path)).to_dict() == store.to_dict()
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "store.json"

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import inspect
 import io
 import json
 import os
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilsim.behavior import MAX_CARDINALITY
-from resilsim.cli import main
+from resilsim.channel import config_dict
+from resilsim.cli import _KINDS, _build_kind, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -293,6 +295,28 @@ class TestChannelCommand:
         assert capsys.readouterr().err.startswith("i/o error: ")
         assert "bursty-high" in store.read_text()
 
+    @pytest.mark.parametrize("output", [
+        "aggregates.json", "manifest.json", "compare.csv", "elastic_steps.csv",
+        "sub/../aggregates.json",
+    ])
+    def test_store_naming_an_output_exits_2(self, tmp_path, capsys, output):
+        out = tmp_path / "out"
+        config = write_json(tmp_path / "config.json",
+                            {**CHANNEL_CONFIG, "knowledge_store": str(out / output)})
+        assert main(["channel", "-c", config, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: knowledge_store: ")
+        assert not out.exists()
+
+    def test_learning_run_reads_no_os_entropy(self, tmp_path, monkeypatch):
+        def no_entropy(size):
+            raise RuntimeError("os.urandom called")
+
+        config = write_json(tmp_path / "config.json", CHANNEL_CONFIG)
+        out = tmp_path / "out"
+        monkeypatch.setattr(os, "urandom", no_entropy)
+        assert main(["channel", "-c", config, "-o", str(out)]) == 0
+        assert "bursty-high" in (out / "knowledge_store.json").read_text()
+
     def test_protocol_name_names_its_step_csv(self, tmp_path):
         payload = edited(WALK_CONFIG, ("protocols", 0, "name"), "tracker")
         config = write_json(tmp_path / "config.json", payload)
@@ -411,6 +435,15 @@ class TestSentinelCommand:
         config = write_json(tmp_path / "config.json",
                             {"miner": {"figures": ["t", "gas_level"]}})
         assert main(["sentinel", "-c", config, "-o", str(tmp_path / "out")]) == 2
+
+    def test_empty_figure_name_exits_2(self, tmp_path, capsys):
+        # The calculus names no figure by the empty string.
+        config = write_json(tmp_path / "config.json", {"miner": {"figures": [
+            "", "gas_level", "humidity", "temperature"]}})
+        out = tmp_path / "out"
+        assert main(["sentinel", "-c", config, "-o", str(out)]) == 2
+        assert "figure names must be non-empty strings" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [[], ["--runs", "3"]])
     def test_wrong_typed_seed_exits_2(self, tmp_path, capsys, args):
@@ -531,6 +564,35 @@ class TestCompareCommand:
         assert main(["compare", a, b]) == 2
         message = capsys.readouterr().err
         assert message.startswith(f"config error: {a}: figures.")
+
+
+# One config section per kind, with every key away from its default.
+SECTIONS = [
+    ("channel", {"kind": "constant", "y": 3}),
+    ("channel", {"kind": "random_walk", "y0": 4, "step_prob": 0.35, "min": 2,
+                 "max": 9}),
+    ("channel", {"kind": "bursty", "p_enter": 0.2, "p_exit": 0.4, "y_calm": 2,
+                 "y_burst": 7, "burst_correlated": False}),
+    ("predictor", {"kind": "window_max", "window": 5}),
+    ("predictor", {"kind": "ewma_slope", "alpha": 0.6, "horizon": 3}),
+    ("identity_profile", {"kind": "teleconferencing", "jitter_bound": 0.25}),
+    ("identity_profile", {"kind": "file_transfer"}),
+]
+
+
+def test_sections_cover_every_kind():
+    assert sorted((section, config["kind"]) for section, config in SECTIONS) == \
+        sorted((section, kind) for section in ("channel", "predictor", "identity_profile")
+               for kind in _KINDS[section])
+
+
+@pytest.mark.parametrize("section, config", SECTIONS)
+def test_config_dict_writes_back_the_loaded_section(section, config):
+    fixed = {"seed": 23} if section == "channel" else {}
+    built = _build_kind(section, config, section, **fixed)
+    for name, parameter in inspect.signature(type(built)).parameters.items():
+        assert getattr(built, name) != parameter.default, name
+    assert config_dict(built) == {**config, **fixed}
 
 
 def test_unknown_command_exits_2(capsys):

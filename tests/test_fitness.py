@@ -22,7 +22,6 @@ from resilsim.fitness import (
     resolve_direction,
     shooting,
     supply,
-    timeline_csv_rows,
 )
 
 PUR = BehaviorClass.PURPOSEFUL
@@ -249,13 +248,6 @@ class TestFitTimeline:
         points = fit_timeline(system, environment, FitVariant("plateau", 2))
         assert points[0].supply == 2
         assert points[0].fit.value == 1.0
-
-    def test_csv_rows(self):
-        system = TurbulenceTrace.from_pairs([(0, MINER_M)])
-        environment = TurbulenceTrace.from_pairs([(0, CANARY_M), (1, MINER_M)])
-        rows = timeline_csv_rows(fit_timeline(system, environment))
-        assert rows[0] == ("0", "", "", "incommensurable")
-        assert rows[1] == ("1", "0", "1.0", "")
 
     def test_trace_requires_increasing_steps(self):
         with pytest.raises(ValueError):

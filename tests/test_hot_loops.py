@@ -4,12 +4,13 @@ The oracles below are the earlier implementations, kept verbatim in
 substance: the per-step ``StepRecord``/``shooting`` builders of the three
 protocol runs (the antifragile one with its prefix-rescanning review pass
 and per-epoch rescanning identity accounting), the step CSV rows and mean
-step fit read from those records, and the canary pool that keeps one flag
-per canary, and the sentinel simulation that built one ``ScenarioStep``
-per step. The current code must agree with them exactly, including the
-random draws consumed and the float sums. The CSV producers stream finished
-lines; their oracles are the earlier tuple and dict row builders, written
-through ``csv.writer`` as the command line used to write them.
+step fit read from those records, the canary pool that keeps one flag per
+canary, the sentinel simulation that built one ``ScenarioStep`` per step,
+and the set checks of the scenario premise. The current code must agree
+with them exactly, including the random draws consumed and the float sums.
+The CSV producers stream finished lines; their oracles are the earlier
+tuple and dict row builders, written through ``csv.writer`` as the command
+line used to write them.
 """
 
 import copy
@@ -806,3 +807,44 @@ def test_simulate_estimates_supply_once_per_step(monkeypatch):
     monkeypatch.setattr(sentinel, "estimate_supply", recording_estimate_supply)
     run = simulate(Scenario(), 50, 3)
     assert calls == [Scenario().pool_size] * len(run.steps)
+
+
+# ---------------------------------------------------------------------------
+# The scenario premise
+
+
+def oracle_premise_error(mine, miner, canary):
+    """The message of the set checks ``Scenario`` made on its figure sets
+    before it asked the calculus, or None when they accept. The last check
+    cannot reject once the first accepts: the miner then holds a figure
+    outside the mine, and the canary holds the threat figure."""
+    if not (mine - {"t"}) < miner:
+        return "miner must strictly cover the mine's context besides the threat figure"
+    if miner <= canary or canary <= miner:
+        return "miner and canary perceptions must be mutually non-nested"
+    if not mine < (miner | canary):
+        return "the joint perception must strictly cover the mine's context set"
+    return None
+
+
+figure_sets = st.frozensets(st.sampled_from(["gas_level", "humidity", "noise", "x"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(mine=figure_sets, miner=figure_sets, canary=figure_sets)
+@example(mine=frozenset({"gas_level"}), miner=frozenset({"gas_level", "x"}),
+         canary=frozenset({"noise"}))  # accepted
+@example(mine=frozenset({"gas_level"}), miner=frozenset({"x"}),
+         canary=frozenset())  # the miner does not cover the mine
+@example(mine=frozenset(), miner=frozenset({"x"}),
+         canary=frozenset({"x"}))  # nested perceptions
+def test_scenario_premise_matches_set_checks(mine, miner, canary):
+    mine, canary = mine | {"t"}, canary | {"t"}
+    expected = oracle_premise_error(mine, miner, canary)
+    parts = dict(mine=CoalMine(mine), miner=Miner(miner), canary=Canary(canary))
+    if expected is None:
+        Scenario(**parts)
+    else:
+        with pytest.raises(ValueError) as raised:
+            Scenario(**parts)
+        assert str(raised.value) == expected
