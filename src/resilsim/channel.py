@@ -37,10 +37,6 @@ from .errors import InvalidBounds, NoObservations, StoreCorrupt, TraceMismatch
 from .fitness import BASELINE, fit, shooting
 from .organs import FeedbackKind
 
-DEFAULT_EPOCHS_PER_REVIEW = 50
-DEFAULT_BURSTINESS_THRESHOLD = 0.5
-DEFAULT_INTERLEAVE_DEPTH = 4
-
 
 # ---------------------------------------------------------------------------
 # Channel models
@@ -319,10 +315,10 @@ class AntifragileEvolving:
 
     predictor: object
     epsilon: float
-    epochs_per_review: int = DEFAULT_EPOCHS_PER_REVIEW
+    epochs_per_review: int = 50
     identity_profile: IdentityProfile = FileTransfer()
-    burstiness_threshold: float = DEFAULT_BURSTINESS_THRESHOLD
-    interleave_depth: int = DEFAULT_INTERLEAVE_DEPTH
+    burstiness_threshold: float = 0.5
+    interleave_depth: int = 4
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -354,7 +350,6 @@ class ProtocolRun:
     must not change after the run is built.
     """
 
-    protocol: str
     header: dict
     y: tuple[int, ...]
     yields: Sequence[int]
@@ -393,7 +388,7 @@ class ProtocolRun:
 
     def aggregates(self) -> dict:
         return {
-            "protocol": self.protocol,
+            "protocol": self.header["protocol"],
             "undershoot_count": self.undershoot_count,
             "cumulative_overshoot": self.cumulative_overshoot,
             "total_cost": self.total_cost,
@@ -442,12 +437,59 @@ def _jitter(delivery_times: Sequence[int]) -> float:
 # Protocol runs
 
 
-def _deliver_by_repetition(
-    ys: Sequence[int], yields: Sequence[int], steps: int
-) -> list[int | None]:
-    """Repetition rule over steps [0, steps): Y copies are sent at once, so
-    the step-t packet is delivered at t iff Y(t) strictly exceeds y(t)."""
-    return [t if Y > y else None for t, y, Y in zip(range(steps), ys, yields)]
+def _protocol_run(
+    trace: ChannelTrace,
+    header: dict,
+    yields: Sequence[int],
+    predictions: Sequence[float | None],
+    warns: Sequence[bool],
+    mutation_step: int | None = None,
+    depth: int = 0,
+) -> ProtocolRun:
+    """The run of every protocol: its delivery, cost and algorithm columns
+    from the provisioned ``yields``.
+
+    Before ``mutation_step`` (at every step when it is None) the repetition
+    rule holds: Y copies are sent at once, so the step-t packet costs Y(t)
+    and is delivered at t iff Y(t) strictly exceeds y(t).
+
+    From ``mutation_step`` on, block interleaving groups packets into blocks
+    of ``depth`` consecutive steps and sends two copies of each packet on
+    distinct steps of the block, instead of Y copies all at once. Under
+    correlated bursts a packet is delivered if at least one copy lands on a
+    step whose current yield covers the demand, which rescues burst-onset
+    packets at a lower cost per step; under uncorrelated losses spreading
+    copies buys nothing and delivery degenerates to the repetition rule.
+    Deinterleaving makes the block's packets available together at the
+    block's last step, which is what introduces jitter.
+    """
+    ys = trace.y
+    n = len(ys)
+    until = n if mutation_step is None else mutation_step
+    delivered_at = [t if Y > y else None for t, y, Y in zip(range(until), ys, yields)]
+    if mutation_step is None:
+        return ProtocolRun(header, ys, yields, yields, delivered_at,
+                           ("repetition",) * n, predictions, warns)
+    interleaved = n - mutation_step
+    delivered_at += [None] * interleaved
+    cost = yields[:mutation_step] + [0] * interleaved
+    for start in range(mutation_step, n, depth):
+        end = min(start + depth, n)
+        last = end - 1  # one int shared by the block's deliveries
+        length = end - start
+        offset = max(1, length // 2)
+        for t in range(start, end):
+            cost[t] += 1
+            ok = yields[t] > ys[t]
+            if length > 1:  # the second copy, on another step of the block
+                second = start + (t - start + offset) % length
+                cost[second] += 1
+                ok = ok or trace.burst_correlated and yields[second] > ys[second]
+            if ok:
+                delivered_at[t] = last
+    algorithm = ("repetition",) * mutation_step + ("interleaved",) * interleaved
+    return ProtocolRun(header, ys, yields, cost, delivered_at, algorithm,
+                       predictions, warns)
 
 
 def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> ProtocolRun:
@@ -461,38 +503,42 @@ def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> Protoc
     if yield_point < 1:
         raise ValueError("yield point must be a positive integer")
     n = len(trace.y)
-    yields = (yield_point,) * n
     header = {"protocol": "elastic", "yield_point": yield_point}
-    return ProtocolRun(
-        "elastic", header, trace.y, yields, yields,
-        _deliver_by_repetition(trace.y, yields, n),
-        ("repetition",) * n, (None,) * n, (False,) * n,
-    )
+    return _protocol_run(trace, header, (yield_point,) * n, (None,) * n, (False,) * n)
 
 
-def _predict_yields(
-    ys: Sequence[int], predictor, epsilon: float
-) -> tuple[list[int], list[float], list[bool]]:
-    """Per-step yield choices from a predictor over the observed history.
+def _entelechial(
+    trace: ChannelTrace, predictor, epsilon: float
+) -> tuple[dict, list[int], list[float], list[bool]]:
+    """The entelechial header and its per-step yield, prediction and
+    margin-warning columns, from a copy of ``predictor``.
 
     Step 0 bootstraps from the first sample itself (the predictor is primed
     with y(0), so Y(0) = y(0) + 1); every later step only sees samples up
     to the previous one.
     """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    header = {
+        "protocol": "entelechial",
+        "predictor": config_dict(predictor),
+        "epsilon": epsilon,
+        "bootstrap_yield": trace.y[0] + 1,
+    }
+    predictor = copy.deepcopy(predictor)
     yields: list[int] = []
     predictions: list[float] = []
-    warnings_: list[bool] = []
-    for t, y in enumerate(ys):
-        if t == 0:
-            predictor.observe(y)
+    warns: list[bool] = []
+    predictor.observe(trace.y[0])
+    for t, y in enumerate(trace.y):
         prediction = predictor.predict()
         chosen, warn = _yield_from_prediction(prediction, epsilon)
         yields.append(chosen)
         predictions.append(prediction)
-        warnings_.append(warn)
+        warns.append(warn)
         if t > 0:
             predictor.observe(y)
-    return yields, predictions, warnings_
+    return header, yields, predictions, warns
 
 
 def run_entelechial(
@@ -500,23 +546,7 @@ def run_entelechial(
 ) -> ProtocolRun:
     """Adaptive yielding point chosen each step from the predictor."""
     trace = as_trace(trace)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    predictor_config = config_dict(predictor)
-    predictor = copy.deepcopy(predictor)
-    yields, predictions, warns = _predict_yields(trace.y, predictor, epsilon)
-    header = {
-        "protocol": "entelechial",
-        "predictor": predictor_config,
-        "epsilon": epsilon,
-        "bootstrap_yield": trace.y[0] + 1,
-    }
-    n = len(trace.y)
-    return ProtocolRun(
-        "entelechial", header, trace.y, yields, yields,
-        _deliver_by_repetition(trace.y, yields, n),
-        ("repetition",) * n, predictions, warns,
-    )
+    return _protocol_run(trace, *_entelechial(trace, predictor, epsilon))
 
 
 def burstiness(ys: Sequence[int], window: range, baseline: int) -> float:
@@ -555,36 +585,34 @@ def run_antifragile(
     config: AntifragileEvolving,
     store: "KnowledgeStore",
 ) -> ProtocolRun:
-    """Evolving protocol: repetition first, interleaving once bursts are learned.
+    """Evolving protocol: the entelechial run plus a mutation point.
 
-    Every ``epochs_per_review`` steps the analysis organ estimates channel
+    It starts entelechial: its yields, predictions and margin warnings are
+    those of :func:`run_entelechial` with the same predictor and epsilon,
+    and so is its delivery up to the mutation point. Every
+    ``epochs_per_review`` steps the analysis organ estimates channel
     burstiness over the last epoch. When it exceeds the configured
     threshold the protocol mutates its algorithm to block interleaving
-    (a genotypical change: the lesson is put into ``store``, updated in
-    place, and carried across runs once the caller saves it). Parameters
-    of an already stored lesson are adopted instead of being relearned.
-    No file is read or written.
-
-    Interleaving groups packets into blocks of ``depth`` consecutive due
-    steps and sends two copies of each packet on distinct steps of the
-    block, instead of Y copies all at once. Under correlated bursts a
-    packet is delivered if at least one copy lands on a step whose current
-    yield covers the demand, which rescues burst-onset packets at a lower
-    cost per step; under uncorrelated losses spreading copies buys nothing
-    and delivery degenerates to the repetition rule. Deinterleaving makes
-    the block's packets available together at the block's last step, which
-    is what introduces jitter.
+    from that step on (see :func:`_protocol_run`): a genotypical change,
+    whose lesson is put into ``store``, updated in place, and carried
+    across runs once the caller saves it. Parameters of an already stored
+    lesson are adopted instead of being relearned. No file is read or
+    written.
     """
     trace = as_trace(trace)
     ys = trace.y
     n = len(ys)
     review_every = config.epochs_per_review
-    predictor_config = config_dict(config.predictor)
-    predictor = copy.deepcopy(config.predictor)
-    yields, predictions, warns = _predict_yields(ys, predictor, config.epsilon)
+    header, yields, predictions, warns = _entelechial(
+        trace, config.predictor, config.epsilon)
+    header.update(
+        protocol="antifragile",
+        epochs_per_review=review_every,
+        identity_profile=config_dict(config.identity_profile),
+        burstiness_threshold=config.burstiness_threshold,
+    )
 
     # Review pass: find the mutation point, if any, and record the lesson.
-    algorithm = "repetition"
     depth = 0
     mutation_step: int | None = None
     mutations: list[dict] = []
@@ -594,7 +622,7 @@ def run_antifragile(
         window = range(review_at - review_every, review_at)
         calmest = min(calmest, min(ys[window.start:review_at]))
         estimate = burstiness(ys, window, calmest)
-        if algorithm == "repetition" and estimate > config.burstiness_threshold:
+        if mutation_step is None and estimate > config.burstiness_threshold:
             signature = _signature(estimate)
             entry = store.get(signature)
             if entry is None:
@@ -607,7 +635,6 @@ def run_antifragile(
                 store.put(entry)
             if entry["algorithm"] != "interleaved":
                 continue  # the stored lesson says to stay as-is
-            algorithm = "interleaved"
             depth = entry.get("depth", config.interleave_depth)
             if depth < 2:
                 depth = config.interleave_depth
@@ -622,61 +649,20 @@ def run_antifragile(
                 "feedback": FeedbackKind.GENOTYPICAL.value,
             })
 
-    # Delivery pass: repetition up to the mutation, interleaving after it.
-    repetition_until = n if mutation_step is None else mutation_step
-    delivered_at = _deliver_by_repetition(ys, yields, repetition_until)
-    if mutation_step is None:
-        step_cost: list[int] = yields
-        step_algorithm: Sequence[str] = ("repetition",) * n
-    else:
-        interleaved = n - mutation_step
-        delivered_at += [None] * interleaved
-        step_cost = yields[:mutation_step] + [0] * interleaved
-        step_algorithm = ("repetition",) * mutation_step + ("interleaved",) * interleaved
-        for block_start in range(mutation_step, n, depth):
-            block = list(range(block_start, min(block_start + depth, n)))
-            length = len(block)
-            offset = max(1, length // 2)
-            for i, t in enumerate(block):
-                copies = [t]
-                if length >= 2:
-                    copies.append(block[(i + offset) % length])
-                for s in copies:
-                    step_cost[s] += 1
-                if trace.burst_correlated:
-                    ok = any(yields[s] > ys[s] for s in copies)
-                else:
-                    ok = yields[t] > ys[t]
-                if ok:
-                    delivered_at[t] = block[-1]
+    run = _protocol_run(trace, header, yields, predictions, warns, mutation_step, depth)
+    run.mutations = mutations
 
     # Identity accounting: jitter per review epoch, delivery times bucketed
     # by epoch in one pass (every delivery time lies in [0, n)).
-    violations = 0
     if isinstance(config.identity_profile, Teleconferencing):
         bound = config.identity_profile.jitter_bound
         epochs: list[list[int]] = [[] for _ in range(math.ceil(n / review_every))]
-        for dt in delivered_at:
+        for dt in run.delivered_at:
             if dt is not None:
                 epochs[dt // review_every].append(dt)
-        for epoch_times in epochs:
-            epoch_times.sort()
-            if _jitter(epoch_times) > bound:
-                violations += 1
-
-    header = {
-        "protocol": "antifragile",
-        "predictor": predictor_config,
-        "epsilon": config.epsilon,
-        "epochs_per_review": review_every,
-        "identity_profile": config_dict(config.identity_profile),
-        "burstiness_threshold": config.burstiness_threshold,
-        "bootstrap_yield": ys[0] + 1,
-    }
-    return ProtocolRun(
-        "antifragile", header, ys, yields, step_cost, delivered_at, step_algorithm,
-        predictions, warns, identity_violations=violations, mutations=mutations,
-    )
+        run.identity_violations = sum(
+            _jitter(sorted(times)) > bound for times in epochs)
+    return run
 
 
 def mean_step_fit(run: ProtocolRun, variant=None) -> float:

@@ -128,8 +128,9 @@ _TYPES = {
     float: ("a finite number", _is_number),
     float | None: ("a finite number or null", lambda v: v is None or _is_number(v)),
     bool: ("true or false", lambda v: isinstance(v, bool)),
-    frozenset[str]: ("a list of strings", lambda v: isinstance(v, list)
-                     and all(isinstance(s, str) for s in v)),
+    frozenset[str]: ("a list of strings (figure names must be non-empty strings)",
+                     lambda v: isinstance(v, list)
+                     and all(isinstance(s, str) and s for s in v)),
 }
 
 

@@ -471,6 +471,10 @@ class TestSentinelCommand:
         (("canary", "hazard_ts"), float("inf"), "canary.hazard_ts"),
         (("miners",), {"hazard_ts": 0.02}, "miners"),
         (("miner", "hazard"), 0.02, "miner.hazard"),
+        (("mine", "figures"), ["t", ""], "mine.figures"),
+        (("miner", "figures"), ["", "gas_level", "humidity", "temperature", "vibration"],
+         "miner.figures"),
+        (("canary", "figures"), ["t", "gas_level", ""], "canary.figures"),
     ])
     def test_malformed_value_exits_2_naming_key_path(self, tmp_path, capsys, path,
                                                      value, where):

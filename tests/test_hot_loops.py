@@ -3,11 +3,13 @@
 The oracles below are the earlier implementations, kept verbatim in
 substance: the per-step ``StepRecord``/``shooting`` builders of the three
 protocol runs (the antifragile one with its prefix-rescanning review pass
-and per-epoch rescanning identity accounting), the step CSV rows and mean
-step fit read from those records, the canary pool that keeps one flag per
-canary, the sentinel simulation that built one ``ScenarioStep`` per step,
-and the set checks of the scenario premise. The current code must agree
-with them exactly, including the random draws consumed and the float sums.
+and per-epoch rescanning identity accounting), with their own copy of the
+prediction loop so that they do not share it with the code under test; the
+step CSV rows and mean step fit read from those records, the canary pool
+that keeps one flag per canary, the sentinel simulation that built one
+``ScenarioStep`` per step, and the set checks of the scenario premise. The
+current code must agree with them exactly, including the random draws
+consumed and the float sums.
 The CSV producers stream finished lines; their oracles are the earlier
 tuple and dict row builders, written through ``csv.writer`` as the command
 line used to write them.
@@ -37,12 +39,13 @@ from resilsim.channel import (
     RandomWalkChannel,
     Teleconferencing,
     WindowMax,
+    ChannelTrace,
     _jitter,
-    _predict_yields,
     _signature,
     as_trace,
     burstiness,
     compare_runs,
+    config_dict,
     generate_trace,
     mean_step_fit,
     run_antifragile,
@@ -106,10 +109,30 @@ def oracle_run_elastic(trace, yield_point):
     return records
 
 
+def oracle_predict_yields(ys, predictor, epsilon):
+    """The original prediction loop: per-step yield choices from the
+    predictor over the observed history, step 0 primed with y(0)."""
+    yields = []
+    predictions = []
+    warnings_ = []
+    for t, y in enumerate(ys):
+        if t == 0:
+            predictor.observe(y)
+        prediction = predictor.predict()
+        chosen = max(1, math.floor(prediction) + 1)
+        yields.append(chosen)
+        predictions.append(prediction)
+        warnings_.append((chosen - prediction) >= epsilon)
+        if t > 0:
+            predictor.observe(y)
+    return yields, predictions, warnings_
+
+
 def oracle_run_entelechial(trace, predictor, epsilon):
     """The original run_entelechial's step records."""
     ys = as_trace(trace).y
-    yields, predictions, warns = _predict_yields(ys, copy.deepcopy(predictor), epsilon)
+    yields, predictions, warns = oracle_predict_yields(
+        ys, copy.deepcopy(predictor), epsilon)
     records = []
     for t, y in enumerate(ys):
         delivered = yields[t] > y
@@ -166,7 +189,7 @@ def oracle_run_antifragile(trace, config, store):
     n = len(ys)
     review_every = config.epochs_per_review
     predictor = copy.deepcopy(config.predictor)
-    yields, predictions, warns = _predict_yields(ys, predictor, config.epsilon)
+    yields, predictions, warns = oracle_predict_yields(ys, predictor, config.epsilon)
 
     algorithm = "repetition"
     depth = 0
@@ -306,6 +329,40 @@ stored_lessons = st.lists(
 )
 
 
+# Interleaving edge cases, each with the mutation (step, signature, depth)
+# it reaches. BURST_ONSET reviewed every 3 steps reads burstiness 1.0 at
+# step 3; with depth 3 the blocks after it are [3, 4, 5] and [6], a trailing
+# one-step block. Under WindowMax(1) step 5 undershoots (Y = 2, y = 5) and
+# only its copy on step 3 delivers it, which uncorrelated losses forbid.
+# LOW_THEN_HIGH reviewed every 6 steps reads 0.5 ("bursty-low") at step 6
+# and 1.0 ("bursty-high") at step 12.
+BURST_ONSET = (1, 5, 5, 5, 1, 5, 5)
+LOW_THEN_HIGH = (5, 5, 1, 5, 1, 5, 5, 5, 5, 5, 1, 1, 5, 1, 5, 5, 1)
+EDGE_CASES = {
+    "trailing one-step block": (
+        dict(trace=list(BURST_ONSET), review_every=3, depth=3, lessons=[]),
+        (3, "bursty-high", 3)),
+    "uncorrelated bursts": (
+        dict(trace=ChannelTrace(BURST_ONSET, ("unlabeled",) * len(BURST_ONSET),
+                                burst_correlated=False),
+             review_every=3, depth=3, lessons=[]),
+        (3, "bursty-high", 3)),
+    "stored repetition, then a mutation": (
+        dict(trace=list(LOW_THEN_HIGH), review_every=6, depth=4, lessons=[
+            {"signature": "bursty-low", "algorithm": "repetition", "depth": 4}]),
+        (12, "bursty-high", 4)),
+    "stored depth below 2": (
+        dict(trace=list(BURST_ONSET), review_every=3, depth=3, lessons=[
+            {"signature": "bursty-high", "algorithm": "interleaved", "depth": 1}]),
+        (3, "bursty-high", 3)),
+}
+
+
+def edge_case_example(name):
+    return example(predictor=WindowMax(1), epsilon=1.0, profile=FileTransfer(),
+                   threshold=0.0, **EDGE_CASES[name][0])
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     trace=st.one_of(plain_traces, bursty_traces),
@@ -317,6 +374,10 @@ stored_lessons = st.lists(
     depth=st.integers(2, 6),
     lessons=stored_lessons,
 )
+@edge_case_example("trailing one-step block")
+@edge_case_example("uncorrelated bursts")
+@edge_case_example("stored repetition, then a mutation")
+@edge_case_example("stored depth below 2")
 def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
                                         profile, threshold, depth, lessons):
     config = AntifragileEvolving(
@@ -331,6 +392,51 @@ def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
     assert run.mutations == mutations
     assert_run_matches_records(run, records)
     assert store.to_dict() == oracle_store.to_dict()
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_case_examples_reach_their_case(name):
+    case, expected = EDGE_CASES[name]
+    config = AntifragileEvolving(
+        predictor=WindowMax(1), epsilon=1.0, epochs_per_review=case["review_every"],
+        burstiness_threshold=0.0, interleave_depth=case["depth"],
+    )
+    [mutation] = run_antifragile(case["trace"], config,
+                                 KnowledgeStore(case["lessons"])).mutations
+    assert (mutation["step"], mutation["signature"], mutation["depth"]) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    trace=st.one_of(plain_traces, bursty_traces),
+    predictor=predictors,
+    epsilon=st.floats(0.1, 3.0),
+    review_every=st.integers(1, 60),
+    profile=profiles,
+    threshold=st.floats(0.0, 1.0),
+    lessons=stored_lessons,
+)
+def test_run_antifragile_starts_entelechial(trace, predictor, epsilon, review_every,
+                                            profile, threshold, lessons):
+    """The antifragile run is the entelechial run up to its mutation step."""
+    config = AntifragileEvolving(
+        predictor=predictor, epsilon=epsilon, epochs_per_review=review_every,
+        identity_profile=profile, burstiness_threshold=threshold,
+    )
+    run = run_antifragile(trace, config, KnowledgeStore(lessons))
+    entelechial = run_entelechial(trace, predictor, epsilon)
+    for column in ("yields", "prediction", "margin_warning"):
+        assert list(getattr(run, column)) == list(getattr(entelechial, column))
+    assert run.header == entelechial.header | {
+        "protocol": "antifragile",
+        "epochs_per_review": review_every,
+        "identity_profile": config_dict(profile),
+        "burstiness_threshold": threshold,
+    }
+    until = run.mutations[0]["step"] if run.mutations else len(run.y)
+    for column in ("delivered_at", "cost", "algorithm"):
+        assert list(getattr(run, column))[:until] == \
+            list(getattr(entelechial, column))[:until]
 
 
 def test_bursty_readme_trace_matches_oracle():
