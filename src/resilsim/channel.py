@@ -380,7 +380,9 @@ class ProtocolRun:
 
     @property
     def delivery_times(self) -> list[int]:
-        return sorted(dt for dt in self.delivered_at if dt is not None)
+        """The delivery steps, in order: :func:`_protocol_run` delivers no
+        packet before an earlier one."""
+        return [dt for dt in self.delivered_at if dt is not None]
 
     @cached_property
     def jitter(self) -> float:
@@ -461,7 +463,8 @@ def _protocol_run(
     packets at a lower cost per step; under uncorrelated losses spreading
     copies buys nothing and delivery degenerates to the repetition rule.
     Deinterleaving makes the block's packets available together at the
-    block's last step, which is what introduces jitter.
+    block's last step, which is what introduces jitter. Either way the
+    delivery steps never decrease along the run.
     """
     ys = trace.y
     n = len(ys)
@@ -622,46 +625,47 @@ def run_antifragile(
         window = range(review_at - review_every, review_at)
         calmest = min(calmest, min(ys[window.start:review_at]))
         estimate = burstiness(ys, window, calmest)
-        if mutation_step is None and estimate > config.burstiness_threshold:
-            signature = _signature(estimate)
-            entry = store.get(signature)
-            if entry is None:
-                entry = {
-                    "signature": signature,
-                    "algorithm": "interleaved",
-                    "depth": config.interleave_depth,
-                    "epoch_learned": k,
-                }
-                store.put(entry)
-            if entry["algorithm"] != "interleaved":
-                continue  # the stored lesson says to stay as-is
-            depth = entry.get("depth", config.interleave_depth)
-            if depth < 2:
-                depth = config.interleave_depth
-            mutation_step = review_at
-            mutations.append({
-                "step": review_at,
-                "epoch": k,
-                "algorithm": "interleaved",
-                "depth": depth,
+        if estimate <= config.burstiness_threshold:
+            continue
+        signature = _signature(estimate)
+        entry = store.get(signature)
+        if entry is None:
+            entry = {
                 "signature": signature,
-                "burstiness": estimate,
-                "feedback": FeedbackKind.GENOTYPICAL.value,
-            })
+                "algorithm": "interleaved",
+                "depth": config.interleave_depth,
+                "epoch_learned": k,
+            }
+            store.put(entry)
+        if entry["algorithm"] != "interleaved":
+            continue  # the stored lesson says to stay as-is
+        depth = entry.get("depth", config.interleave_depth)
+        if depth < 2:
+            depth = config.interleave_depth
+        mutation_step = review_at
+        mutations.append({
+            "step": review_at,
+            "epoch": k,
+            "algorithm": "interleaved",
+            "depth": depth,
+            "signature": signature,
+            "burstiness": estimate,
+            "feedback": FeedbackKind.GENOTYPICAL.value,
+        })
+        break  # a genotypical change is permanent: nothing is left to review
 
     run = _protocol_run(trace, header, yields, predictions, warns, mutation_step, depth)
     run.mutations = mutations
 
     # Identity accounting: jitter per review epoch, delivery times bucketed
-    # by epoch in one pass (every delivery time lies in [0, n)).
+    # by epoch in one pass, in order (every delivery time lies in [0, n)).
     if isinstance(config.identity_profile, Teleconferencing):
         bound = config.identity_profile.jitter_bound
         epochs: list[list[int]] = [[] for _ in range(math.ceil(n / review_every))]
         for dt in run.delivered_at:
             if dt is not None:
                 epochs[dt // review_every].append(dt)
-        run.identity_violations = sum(
-            _jitter(sorted(times)) > bound for times in epochs)
+        run.identity_violations = sum(_jitter(times) > bound for times in epochs)
     return run
 
 
@@ -698,15 +702,8 @@ def compare_runs(runs: Mapping[str, ProtocolRun]) -> list[dict]:
         raise TraceMismatch("runs were driven by different channel traces")
     rows = []
     for name in sorted(runs):
-        run = runs[name]
-        rows.append({
-            "protocol": name,
-            "undershoot_count": run.undershoot_count,
-            "cumulative_overshoot": run.cumulative_overshoot,
-            "total_cost": run.total_cost,
-            "delivered_fraction": run.delivered_fraction,
-            "jitter": run.jitter,
-        })
+        row = runs[name].aggregates() | {"protocol": name}
+        rows.append({column: row[column] for column in COMPARE_CSV_HEADER})
     return rows
 
 

@@ -122,9 +122,12 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
-# What a value of each annotated parameter type must be, and its check.
+# What a value of each annotated parameter type must be, and its check. An
+# integer must fit a machine word: ``range``, list repetition and ``float``
+# raise OverflowError on larger ones.
 _TYPES = {
-    int: ("an integer", _is_int),
+    int: (f"an integer between -{sys.maxsize} and {sys.maxsize}",
+          lambda v: _is_int(v) and abs(v) <= sys.maxsize),
     float: ("a finite number", _is_number),
     float | None: ("a finite number or null", lambda v: v is None or _is_number(v)),
     bool: ("true or false", lambda v: isinstance(v, bool)),
@@ -216,8 +219,8 @@ def _steps_and_seed(config: dict, seed_override: int | None,
     if steps < 1:
         raise ConfigError(f"steps must be a positive integer, got {steps}")
     if seed_override is not None:
-        _integer(config, "seed", seed_override)  # type-checked all the same
-        return steps, seed_override
+        _integer(config, "seed", 0)  # type-checked all the same
+        return steps, _value("--seed", int, seed_override, "--seed")
     return steps, _integer(config, "seed", default_seed)
 
 
@@ -374,10 +377,10 @@ def cmd_sentinel(config_path: str, out_dir: str, curve: int | None = None,
     scenario = _build(Scenario, config, "", ("steps", "seed"))
     steps, seed = _steps_and_seed(config, seed_override, 500, 0)
 
-    if curve is not None and curve < 1:
-        raise ConfigError("--curve needs a positive pool size")
-    if runs is not None and runs < 1:
-        raise ConfigError("--runs needs a positive run count")
+    for flag, value, what in (("--curve", curve, "pool size"),
+                              ("--runs", runs, "run count")):
+        if value is not None and not 1 <= value <= sys.maxsize:
+            raise ConfigError(f"{flag} needs a positive {what} up to {sys.maxsize}")
 
     os.makedirs(out_dir, exist_ok=True)
     files = []
@@ -411,18 +414,11 @@ def cmd_sentinel(config_path: str, out_dir: str, curve: int | None = None,
     return EXIT_OK
 
 
-def _load_descriptor(path: str) -> BehaviorDescriptor:
+def _load(cls, path: str):
+    """The ``cls`` (a descriptor or an organ tuple) that the JSON file holds."""
     data = _load_json(path)
     try:
-        return BehaviorDescriptor.from_dict(data)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _load_organs(path: str) -> CyberneticClass:
-    data = _load_json(path)
-    try:
-        return CyberneticClass.from_dict(data)
+        return cls.from_dict(data)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -431,11 +427,12 @@ def cmd_compare(path_a: str, path_b: str, organs: bool = False,
                 fit_variant: FitVariant | None = None) -> int:
     variant = fit_variant or FitVariant()
     if organs:
-        comparison = compare_classes(_load_organs(path_a), _load_organs(path_b))
+        comparison = compare_classes(_load(CyberneticClass, path_a),
+                                     _load(CyberneticClass, path_b))
         print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK
-    a = _load_descriptor(path_a)
-    b = _load_descriptor(path_b)
+    a = _load(BehaviorDescriptor, path_a)
+    b = _load(BehaviorDescriptor, path_b)
     result = {
         "precedes_ab": precedes(a, b),
         "precedes_ba": precedes(b, a),

@@ -93,8 +93,7 @@ class CyberneticClass:
 
     @property
     def present(self) -> list[BehaviorDescriptor]:
-        return [d for d in (self.monitor, self.analyze, self.plan,
-                            self.execute, self.knowledge) if d is not None]
+        return [d for d in map(self.organ, Organ) if d is not None]
 
     def to_dict(self) -> dict:
         data = {
@@ -116,14 +115,8 @@ class CyberneticClass:
         stateful = data.get("k_stateful", False)
         if not isinstance(stateful, bool):
             raise ValueError("k_stateful must be a boolean")
-        return cls(
-            monitor=load("M"),
-            analyze=load("A"),
-            plan=load("P"),
-            execute=load("E"),
-            knowledge=load("K"),
-            k_stateful=stateful,
-        )
+        return cls(k_stateful=stateful, **{
+            name: load(organ.value) for organ, name in _ORGAN_FIELDS.items()})
 
 
 _ORGAN_FIELDS = {
@@ -174,13 +167,9 @@ def _compare_organ(
 
 def compare_classes(c1: CyberneticClass, c2: CyberneticClass) -> OrganComparison:
     """Organ-wise comparison; Inferior means c1's organ sits below c2's."""
-    return OrganComparison(
-        monitor=_compare_organ(c1.monitor, c2.monitor),
-        analyze=_compare_organ(c1.analyze, c2.analyze),
-        plan=_compare_organ(c1.plan, c2.plan),
-        execute=_compare_organ(c1.execute, c2.execute),
-        knowledge=_compare_organ(c1.knowledge, c2.knowledge),
-    )
+    return OrganComparison(**{
+        name: _compare_organ(c1.organ(organ), c2.organ(organ))
+        for organ, name in _ORGAN_FIELDS.items()})
 
 
 _TELEOLOGICAL = (BehaviorClass.REACTIVE, BehaviorClass.PROACTIVE)

@@ -149,9 +149,11 @@ class Scenario:
     own checks), and the miner strictly covers the rest of the mine's
     context. The paper's premise is checked with the calculus: the miner's
     and the canary's monitor behaviors are incommensurable (their
-    perceptions are mutually non-nested), and the social miner-plus-canary
-    collective has no need for a further social relation toward the mine
-    (the joint perception strictly covers the mine's context set).
+    perceptions are mutually non-nested). The rest of the premise follows:
+    the joint perception of the social miner-plus-canary collective then
+    strictly covers the mine's context set (the miner holds a figure
+    outside it, the canary the threat figure), so ``detect_need_for_social``
+    finds no need for a further social relation toward the mine.
     """
 
     mine: CoalMine = field(default_factory=CoalMine)
@@ -169,10 +171,6 @@ class Scenario:
             )
         if commensurable(self.miner.monitor_behavior, self.canary.monitor_behavior):
             raise ValueError("miner and canary perceptions must be mutually non-nested")
-        if detect_need_for_social(self.collective().monitor_behavior, self.mine.behavior):
-            raise ValueError(
-                "the joint perception must strictly cover the mine's context set"
-            )
 
     def collective(self) -> CollectiveMC:
         return CollectiveMC(self.miner, self.canary, self.pool_size)

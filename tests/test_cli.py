@@ -599,6 +599,40 @@ def test_config_dict_writes_back_the_loaded_section(section, config):
     assert config_dict(built) == {**config, **fixed}
 
 
+# Integers past sys.maxsize, each of which once ended in an OverflowError.
+BIG = 10**400
+OVERSIZED = {
+    "elastic yield_point": ("channel", edited(
+        WALK_CONFIG, ("protocols",), [{"kind": "elastic", "yield_point": BIG}]),
+        [], "protocol #0.yield_point"),
+    "ewma_slope horizon": ("channel", edited(
+        WALK_CONFIG, ("protocols", 0, "predictor", "horizon"), BIG),
+        [], "protocol #0.predictor.horizon"),
+    "bursty y_burst": ("channel", edited(CHANNEL_CONFIG, ("channel", "y_burst"), BIG),
+                       [], "channel.y_burst"),
+    "window_max window": ("channel", edited(
+        CHANNEL_CONFIG, ("protocols", 1, "predictor", "window"), BIG),
+        [], "protocol #1.predictor.window"),
+    "random_walk y0": ("channel", edited(
+        edited(WALK_CONFIG, ("channel", "max"), BIG), ("channel", "y0"), BIG),
+        [], "channel.y0"),
+    "pool_size": ("sentinel", {**SENTINEL_CONFIG, "pool_size": BIG}, [], "pool_size"),
+    "--curve": ("sentinel", SENTINEL_CONFIG, ["--curve", str(BIG)], "--curve"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_integer_exits_2_naming_it(tmp_path, capsys, case):
+    command, config, args, where = OVERSIZED[case]
+    config = write_json(tmp_path / "config.json", config)
+    out = tmp_path / "out"
+    assert main([command, "-c", config, "-o", str(out), *args]) == 2
+    message = capsys.readouterr().err
+    assert message.startswith(f"config error: {where} ")
+    assert "Traceback" not in message
+    assert not out.exists()
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

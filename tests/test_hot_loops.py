@@ -28,6 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import resilsim.channel as channel
 import resilsim.sentinel as sentinel
 from resilsim.channel import (
     COMPARE_CSV_HEADER,
@@ -392,6 +393,8 @@ def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
     assert run.mutations == mutations
     assert_run_matches_records(run, records)
     assert store.to_dict() == oracle_store.to_dict()
+    delivered = [dt for dt in run.delivered_at if dt is not None]
+    assert delivered == sorted(delivered)
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
@@ -458,6 +461,27 @@ def test_bursty_readme_trace_matches_oracle():
         assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
 
 
+def test_review_stops_at_the_mutation(monkeypatch):
+    reviews = []
+
+    def recording_burstiness(ys, window, baseline):
+        reviews.append(window.stop)
+        return burstiness(ys, window, baseline)
+
+    monkeypatch.setattr(channel, "burstiness", recording_burstiness)
+    trace = generate_trace(
+        BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=17), 5_000
+    )
+    config = AntifragileEvolving(predictor=WindowMax(8), epsilon=1.5,
+                                 epochs_per_review=50)
+    [mutation] = run_antifragile(trace, config, KnowledgeStore()).mutations
+    assert reviews == [50 * k for k in range(1, mutation["epoch"] + 1)]
+    reviews.clear()
+    calm = replace(config, burstiness_threshold=1.0)  # no estimate exceeds 1
+    assert run_antifragile(trace, calm, KnowledgeStore()).mutations == []
+    assert len(reviews) == len(trace) // 50
+
+
 def test_cached_aggregates_match_fresh_computation():
     trace = generate_trace(
         BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=3), 800
@@ -501,6 +525,8 @@ def test_run_elastic_matches_oracle(trace, yield_point, variant):
     records = oracle_run_elastic(trace, yield_point)
     assert_run_matches_records(run, records)
     assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
+    delivered = [dt for dt in run.delivered_at if dt is not None]
+    assert delivered == sorted(delivered)
 
 
 @settings(max_examples=200, deadline=None)
@@ -513,6 +539,8 @@ def test_run_entelechial_matches_oracle(trace, predictor, epsilon, variant):
     records = oracle_run_entelechial(trace, predictor, epsilon)
     assert_run_matches_records(run, records)
     assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
+    delivered = [dt for dt in run.delivered_at if dt is not None]
+    assert delivered == sorted(delivered)
 
 
 def test_oracle_examples_undershoot_and_lose_identity():
