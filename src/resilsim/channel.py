@@ -27,10 +27,12 @@ import operator
 import os
 import random
 import shutil
-import statistics
+import sys
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidBounds, NoObservations, StoreCorrupt, TraceMismatch
@@ -427,12 +429,45 @@ def step_csv_rows(run: ProtocolRun) -> Iterator[str]:
         yield f"{t}{tail}"
 
 
+# Bits of the integer square root taken before the one rounding to a float.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_of_ratio(n: int, m: int) -> float:
+    """The correctly rounded float square root of n / m, for n >= 0 and m > 0.
+
+    The integer root of n / m, scaled to at least ``_SQRT_BITS`` bits and
+    rounded to odd, keeps enough bits that the true division below is the
+    only rounding (bugs.python.org msg407078; the algorithm of
+    ``statistics`` since Python 3.11).
+    """
+    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
 def _jitter(delivery_times: Sequence[int]) -> float:
-    """Standard deviation of inter-delivery gaps, in steps."""
-    if len(delivery_times) < 2:
+    """Population standard deviation of the inter-delivery gaps, in steps.
+
+    With k gaps g, the variance is (k·Σg² − (Σg)²) / k², exact in integers:
+    Σg is the last time minus the first, and Σg² takes one pass over
+    adjacent times. Its root is correctly rounded, so every Python gives
+    the same float.
+    """
+    k = len(delivery_times) - 1
+    if k < 1:
         return 0.0
-    gaps = [b - a for a, b in zip(delivery_times, delivery_times[1:])]
-    return statistics.pstdev(gaps)
+    total = delivery_times[-1] - delivery_times[0]
+    squares = 0
+    for a, b in zip(delivery_times, islice(delivery_times, 1, None)):
+        gap = b - a
+        squares += gap * gap
+    return _sqrt_of_ratio(k * squares - total * total, k * k)
 
 
 # ---------------------------------------------------------------------------
@@ -657,15 +692,15 @@ def run_antifragile(
     run = _protocol_run(trace, header, yields, predictions, warns, mutation_step, depth)
     run.mutations = mutations
 
-    # Identity accounting: jitter per review epoch, delivery times bucketed
-    # by epoch in one pass, in order (every delivery time lies in [0, n)).
+    # Identity accounting: jitter per review epoch. The delivery times never
+    # decrease, so each epoch's times are one slice of them.
     if isinstance(config.identity_profile, Teleconferencing):
         bound = config.identity_profile.jitter_bound
-        epochs: list[list[int]] = [[] for _ in range(math.ceil(n / review_every))]
-        for dt in run.delivered_at:
-            if dt is not None:
-                epochs[dt // review_every].append(dt)
-        run.identity_violations = sum(_jitter(times) > bound for times in epochs)
+        times = run.delivery_times
+        cuts = [bisect_left(times, k * review_every)
+                for k in range(math.ceil(n / review_every) + 1)]
+        run.identity_violations = sum(
+            _jitter(times[lo:hi]) > bound for lo, hi in zip(cuts, cuts[1:]))
     return run
 
 

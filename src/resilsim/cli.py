@@ -517,6 +517,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ResilienceError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        print("internal error: out of memory; the run is too large for this machine",
+              file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_INTERNAL
 
 

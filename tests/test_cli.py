@@ -633,6 +633,21 @@ def test_oversized_integer_exits_2_naming_it(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_out_of_memory_exits_4_writing_nothing(tmp_path, capsys):
+    """A step count within sys.maxsize but too large for memory. The constant
+    channel's ``[y] * steps`` raises MemoryError at once, before allocating;
+    other channel kinds would allocate step by step, so they are not tried."""
+    config = write_json(tmp_path / "config.json", {
+        "channel": {"kind": "constant", "y": 2}, "steps": 9223372036854775807,
+        "seed": 0, "protocol": {"kind": "elastic", "yield_point": 3}})
+    out = tmp_path / "out"
+    assert main(["channel", "-c", config, "-o", str(out)]) == 4
+    message = capsys.readouterr().err
+    assert message.startswith("internal error: out of memory")
+    assert "Traceback" not in message
+    assert not out.exists()
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

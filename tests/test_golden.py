@@ -6,7 +6,9 @@ config at the relative path ``config.json`` and outputs under ``out/``
 of every file the invocation wrote with the digests below. The digests
 were recorded from the code before the hot loops were made linear, those
 of the two single sentinel runs without canaries and with a fit policy
-from the code before sentinel runs were stored as columns; a change that
+from the code before sentinel runs were stored as columns, and those of
+the jitter case on Python 3.11 from the code before the jitter was
+computed in integers (3.10 then wrote other bytes); a change that
 alters any output byte fails here, unlike a rerun check.
 """
 
@@ -49,6 +51,14 @@ CASES = {
     "sentinel-runs": ({"steps": 300, "seed": 4}, ["sentinel", "--runs", "60"]),
     # No canaries: blank estimate cells, and the miner dies at step 199.
     "sentinel-no-pool": ({"pool_size": 0, "steps": 500, "seed": 0}, ["sentinel"]),
+    # A jitter whose last bit Python 3.10's statistics.pstdev once rounded
+    # differently: 0.9693015993318163, not ...164.
+    "channel-jitter": (
+        {"channel": {"kind": "bursty", "p_enter": 0.05, "p_exit": 0.3,
+                     "y_calm": 1, "y_burst": 5},
+         "steps": 500, "seed": 10, "protocol": {"kind": "elastic", "yield_point": 4}},
+        ["channel"],
+    ),
     # Evacuation through the fit threshold, at step 41.
     "sentinel-fit-policy": (
         {"miner": {"evacuation_threshold": -1000.0}, "canary": {"hazard_ts": 0.5},
@@ -66,6 +76,11 @@ GOLDEN = {
         "out/elastic_steps.csv": "5f853b59b4064bc743565c95bcf67054eb00ca7c791b5d1c04b516f2f9ebeae1",
         "out/entelechial_steps.csv": "988907fb921dd518299856cadc09345895a7ed7c69173ac96448a03294213d3b",
         "out/manifest.json": "431aea4a7c6fef99ab838aa18f7dd1a92e6f6bf07c4bc5fb52a84d3bffeee017",
+    },
+    "channel-jitter": {
+        "out/aggregates.json": "e672250ddea4863897e83e77f9f0e79b89e171b879f529b79edf5aa82950ce11",
+        "out/elastic_steps.csv": "313bc7faacc12b1b3a46c770a06258eb385a7410e75db294f989af6ff68468a6",
+        "out/manifest.json": "3769dc3b61648914c240e061e25aa58c337b88c2ffa8afd553de47678519a671",
     },
     "sentinel-curve": {
         "out/curve.csv": "c0694d0b7cedd22653369ab2a57a2453da6f803762b382086e246cda28f017de",

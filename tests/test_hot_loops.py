@@ -4,9 +4,10 @@ The oracles below are the earlier implementations, kept verbatim in
 substance: the per-step ``StepRecord``/``shooting`` builders of the three
 protocol runs (the antifragile one with its prefix-rescanning review pass
 and per-epoch rescanning identity accounting), with their own copy of the
-prediction loop so that they do not share it with the code under test; the
-step CSV rows and mean step fit read from those records, the canary pool
-that keeps one flag per canary, the sentinel simulation that built one
+prediction loop and their own exact jitter reference so that they do not
+share either with the code under test; the step CSV rows and mean step fit
+read from those records, the canary pool that keeps one flag per canary,
+the sentinel simulation that built one
 ``ScenarioStep`` per step, and the set checks of the scenario premise. The
 current code must agree with them exactly, including the random draws
 consumed and the float sums.
@@ -17,12 +18,17 @@ line used to write them.
 
 import copy
 import csv
+import decimal
 import io
+import itertools
 import json
 import math
 import random
+import statistics
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -95,6 +101,21 @@ class StepRecord:
     prediction: float | None = None
     margin_warning: bool = False
     delivered_at: int | None = None
+
+
+def exact_jitter(times):
+    """The population standard deviation of the gaps between ``times``, not
+    using ``_jitter``: the exact variance as a Fraction, from the deviations
+    from the exact mean, and its root by ``decimal`` at 80 digits, then
+    ``float``."""
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    if not gaps:
+        return 0.0
+    mean = Fraction(sum(gaps), len(gaps))
+    variance = sum((gap - mean) ** 2 for gap in gaps) / len(gaps)
+    context = decimal.Context(prec=80)
+    return float(context.sqrt(context.divide(
+        decimal.Decimal(variance.numerator), decimal.Decimal(variance.denominator))))
 
 
 def oracle_run_elastic(trace, yield_point):
@@ -178,7 +199,7 @@ def assert_run_matches_records(run, records):
         s.shoot.magnitude for s in records if s.shoot.kind is ShootKind.OVERSHOOT))
     assert run.total_cost == sum(s.cost for s in records)
     assert run.delivered_fraction == sum(1 for s in records if s.delivered) / len(records)
-    assert run.jitter == _jitter(
+    assert run.jitter == exact_jitter(
         sorted(s.delivered_at for s in records if s.delivered_at is not None))
     assert "".join(step_csv_rows(run)) == csv_text(oracle_step_csv_rows(records))
 
@@ -277,7 +298,7 @@ def oracle_run_antifragile(trace, config, store):
             start = k * review_every
             end = min((k + 1) * review_every, n)
             epoch_times = sorted(dt for dt in times if start <= dt < end)
-            if _jitter(epoch_times) > bound:
+            if exact_jitter(epoch_times) > bound:
                 violations += 1
     return records, violations, mutations
 
@@ -296,6 +317,40 @@ class OraclePool:
         for i, is_alive in enumerate(self.alive):
             if is_alive and rng.random() < hazard:
                 self.alive[i] = False
+
+
+# ---------------------------------------------------------------------------
+# _jitter
+
+
+# Sorted integer times whose small gaps mix with gaps of 2**60 and more; a
+# variance past 2**109 takes the branch that scales the root's argument down.
+sorted_times = st.lists(
+    st.one_of(st.integers(0, 20), st.integers(2**60, 2**64)), max_size=60,
+).map(lambda increments: list(itertools.accumulate(increments)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(times=sorted_times)
+# No time, one time, one gap and equal gaps, all with jitter 0.0; then a
+# variance that takes the scaled branch.
+@example(times=[])
+@example(times=[7])
+@example(times=[3, 10])
+@example(times=[2, 5, 8, 11])
+@example(times=[0, 1, 2**64])
+def test_jitter_is_exact(times):
+    """``_jitter`` is the correctly rounded root of the exact variance: the
+    reference's float on every Python, and ``statistics.pstdev`` of the gaps
+    bit for bit on 3.11+, where ``pstdev`` rounds that way too."""
+    jitter = _jitter(times)
+    assert type(jitter) is float
+    assert jitter.hex() == exact_jitter(times).hex()
+    if sys.version_info >= (3, 11) and len(times) >= 2:
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        assert jitter.hex() == statistics.pstdev(gaps).hex()
+    if len({b - a for a, b in zip(times, times[1:])}) <= 1:
+        assert jitter == 0.0
 
 
 # ---------------------------------------------------------------------------
