@@ -28,12 +28,13 @@ import os
 import random
 import shutil
 import sys
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from typing import Iterator, Mapping, Sequence
+from itertools import chain, compress, islice, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidBounds, NoObservations, StoreCorrupt, TraceMismatch
 from .fitness import BASELINE, fit, shooting
@@ -167,10 +168,10 @@ class ChannelTrace:
 def as_trace(trace: ChannelTrace | Sequence[int]) -> ChannelTrace:
     if isinstance(trace, ChannelTrace):
         return trace
-    ys = tuple(int(v) for v in trace)
+    ys = tuple(trace)
     if not ys:
         raise InvalidBounds("trace must contain at least one step")
-    if any(v < 1 for v in ys):
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in ys):
         raise InvalidBounds("y values must be positive integers")
     return ChannelTrace(y=ys, regimes=("unlabeled",) * len(ys))
 
@@ -335,33 +336,77 @@ class AntifragileEvolving:
 class ProtocolRun:
     """One protocol run as parallel per-step columns, plus its aggregates.
 
-    Entry t of each column describes step t:
+    Entry t of each stored column describes step t:
 
     * ``y``: the channel demand, the trace's own tuple (shared, not copied);
     * ``yields``: the provisioned yielding point Y;
-    * ``cost``: the copies sent (redundancy paid) at that step;
-    * ``delivered_at``: the step at which the packet became available, or
-      None when it was lost;
-    * ``algorithm``: "repetition" or "interleaved";
+    * ``delivered``: 1 if the packet got through, else 0, one byte a step;
     * ``prediction`` and ``margin_warning``: the predictor's output and the
       epsilon-margin flag of ``choose_yield`` (None and False for elastic).
 
-    Over- and undershoot are not stored: they follow from ``y`` and
-    ``yields``. Each aggregate is computed in one pass on first use and
-    cached, so ``aggregates`` and ``compare_runs`` share it; the columns
-    must not change after the run is built.
+    With ``mutation_step`` (None if the run never mutates) and the
+    interleaving ``depth`` they fix what is derived on read: over- and
+    undershoot, ``algorithm``, ``delivered_at``, ``delivery_times`` and
+    ``cost``, the copies sent: Y(t) before the mutation, 2 after it, as each
+    step of a block of length >= 2 gets exactly one second copy, and 1 in a
+    trailing one-step block. Each aggregate is computed in one pass on first
+    use and cached, so ``aggregates`` and ``compare_runs`` share it; the
+    columns must not change after the run is built.
     """
 
     header: dict
     y: tuple[int, ...]
     yields: Sequence[int]
-    cost: Sequence[int]
-    delivered_at: Sequence[int | None]
-    algorithm: Sequence[str]
+    delivered: bytes
     prediction: Sequence[float | None]
     margin_warning: Sequence[bool]
+    mutation_step: int | None = None
+    depth: int = 0
     identity_violations: int = 0
     mutations: list[dict] = field(default_factory=list)
+
+    @property
+    def _repetition_steps(self) -> int:
+        return len(self.y) if self.mutation_step is None else self.mutation_step
+
+    def _costs(self) -> Iterator[int]:
+        m, n = self._repetition_steps, len(self.y)
+        single = m < n and (n - m) % self.depth == 1  # a trailing one-step block
+        return chain(islice(self.yields, m), repeat(2, n - m - single),
+                     repeat(1, single))
+
+    def _algorithms(self) -> Iterator[str]:
+        m = self._repetition_steps
+        return chain(repeat("repetition", m), repeat("interleaved", len(self.y) - m))
+
+    def _arrivals(self) -> Iterator[int]:
+        n, m, depth = len(self.y), self._repetition_steps, self.depth
+        if m == n:
+            return iter(range(n))
+        full_blocks = map(repeat, range(m + depth - 1, n, depth), repeat(depth))
+        return chain(range(m), chain.from_iterable(full_blocks),
+                     repeat(n - 1, (n - m) % depth))
+
+    @property
+    def cost(self) -> Sequence[int]:
+        """The copies sent (redundancy paid) at each step."""
+        return self.yields if self.mutation_step is None else list(self._costs())
+
+    @property
+    def algorithm(self) -> tuple[str, ...]:
+        """Each step's transmission algorithm, "repetition" or "interleaved"."""
+        return tuple(self._algorithms())
+
+    @property
+    def delivered_at(self) -> list[int | None]:
+        """The step at which each packet became available, or None if lost:
+        the step itself before the mutation, its block's last step after it."""
+        return [t if d else None for t, d in zip(self._arrivals(), self.delivered)]
+
+    @property
+    def delivery_times(self) -> list[int]:
+        """The delivery steps, in order: no packet arrives before an earlier one."""
+        return list(compress(self._arrivals(), self.delivered))
 
     @cached_property
     def undershoot_count(self) -> int:
@@ -373,22 +418,15 @@ class ProtocolRun:
 
     @cached_property
     def total_cost(self) -> int:
-        return sum(self.cost)
+        return sum(self._costs())
 
     @cached_property
     def delivered_fraction(self) -> float:
-        n = len(self.delivered_at)
-        return (n - self.delivered_at.count(None)) / n
-
-    @property
-    def delivery_times(self) -> list[int]:
-        """The delivery steps, in order: :func:`_protocol_run` delivers no
-        packet before an earlier one."""
-        return [dt for dt in self.delivered_at if dt is not None]
+        return self.delivered.count(1) / len(self.delivered)
 
     @cached_property
     def jitter(self) -> float:
-        return _jitter(self.delivery_times)
+        return _jitter(compress(self._arrivals(), self.delivered))
 
     def aggregates(self) -> dict:
         return {
@@ -420,9 +458,8 @@ def step_csv_rows(run: ProtocolRun) -> Iterator[str]:
     read. The text after ``t`` depends only on (y, Y, delivered, cost,
     algorithm), so each distinct tail is built once."""
     tails: dict[tuple, str] = {}
-    columns = zip(run.y, run.yields, run.delivered_at, run.cost, run.algorithm)
-    for t, (y, Y, dt, cost, algorithm) in enumerate(columns):
-        key = (y, Y, dt is not None, cost, algorithm)
+    columns = zip(run.y, run.yields, run.delivered, run._costs(), run._algorithms())
+    for t, key in enumerate(columns):
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = _csv_tail(*key)
@@ -451,23 +488,24 @@ def _sqrt_of_ratio(n: int, m: int) -> float:
     return float(root << q) if q >= 0 else root / (1 << -q)
 
 
-def _jitter(delivery_times: Sequence[int]) -> float:
+def _jitter(delivery_times: Iterable[int]) -> float:
     """Population standard deviation of the inter-delivery gaps, in steps.
 
     With k gaps g, the variance is (k·Σg² − (Σg)²) / k², exact in integers:
-    Σg is the last time minus the first, and Σg² takes one pass over
-    adjacent times. Its root is correctly rounded, so every Python gives
+    Σg is the last time minus the first, and Σg² and k take one pass over
+    the ordered times. Its root is correctly rounded, so every Python gives
     the same float.
     """
-    k = len(delivery_times) - 1
+    times = iter(delivery_times)
+    first = last = next(times, 0)
+    k = squares = 0
+    for k, t in enumerate(times, 1):
+        gap = t - last
+        squares += gap * gap
+        last = t
     if k < 1:
         return 0.0
-    total = delivery_times[-1] - delivery_times[0]
-    squares = 0
-    for a, b in zip(delivery_times, islice(delivery_times, 1, None)):
-        gap = b - a
-        squares += gap * gap
-    return _sqrt_of_ratio(k * squares - total * total, k * k)
+    return _sqrt_of_ratio(k * squares - (last - first) ** 2, k * k)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +521,8 @@ def _protocol_run(
     mutation_step: int | None = None,
     depth: int = 0,
 ) -> ProtocolRun:
-    """The run of every protocol: its delivery, cost and algorithm columns
-    from the provisioned ``yields``.
+    """The run of every protocol: its one-byte-a-step delivery column from
+    the provisioned ``yields``; the rest is derived (see :class:`ProtocolRun`).
 
     Before ``mutation_step`` (at every step when it is None) the repetition
     rule holds: Y copies are sent at once, so the step-t packet costs Y(t)
@@ -498,36 +536,28 @@ def _protocol_run(
     packets at a lower cost per step; under uncorrelated losses spreading
     copies buys nothing and delivery degenerates to the repetition rule.
     Deinterleaving makes the block's packets available together at the
-    block's last step, which is what introduces jitter. Either way the
+    block's last step, which is what introduces jitter. An interleaved step
+    costs 2, one per copy, or 1 alone in a trailing block. Either way the
     delivery steps never decrease along the run.
     """
     ys = trace.y
     n = len(ys)
     until = n if mutation_step is None else mutation_step
-    delivered_at = [t if Y > y else None for t, y, Y in zip(range(until), ys, yields)]
-    if mutation_step is None:
-        return ProtocolRun(header, ys, yields, yields, delivered_at,
-                           ("repetition",) * n, predictions, warns)
-    interleaved = n - mutation_step
-    delivered_at += [None] * interleaved
-    cost = yields[:mutation_step] + [0] * interleaved
-    for start in range(mutation_step, n, depth):
-        end = min(start + depth, n)
-        last = end - 1  # one int shared by the block's deliveries
-        length = end - start
-        offset = max(1, length // 2)
-        for t in range(start, end):
-            cost[t] += 1
-            ok = yields[t] > ys[t]
-            if length > 1:  # the second copy, on another step of the block
-                second = start + (t - start + offset) % length
-                cost[second] += 1
-                ok = ok or trace.burst_correlated and yields[second] > ys[second]
-            if ok:
-                delivered_at[t] = last
-    algorithm = ("repetition",) * mutation_step + ("interleaved",) * interleaved
-    return ProtocolRun(header, ys, yields, cost, delivered_at, algorithm,
-                       predictions, warns)
+    delivered = bytearray(map(operator.gt, islice(yields, until), ys))
+    if until < n:
+        delivered += bytes(n - until)
+        for start in range(until, n, depth):
+            end = min(start + depth, n)
+            length = end - start
+            offset = max(1, length // 2)
+            for t in range(start, end):
+                ok = yields[t] > ys[t]
+                if length > 1:  # the second copy, on another step of the block
+                    second = start + (t - start + offset) % length
+                    ok = ok or trace.burst_correlated and yields[second] > ys[second]
+                delivered[t] = ok
+    return ProtocolRun(header, ys, yields, bytes(delivered), predictions, warns,
+                       mutation_step, depth)
 
 
 def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> ProtocolRun:
@@ -547,7 +577,7 @@ def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> Protoc
 
 def _entelechial(
     trace: ChannelTrace, predictor, epsilon: float
-) -> tuple[dict, list[int], list[float], list[bool]]:
+) -> tuple[dict, list[int], array, list[bool]]:
     """The entelechial header and its per-step yield, prediction and
     margin-warning columns, from a copy of ``predictor``.
 
@@ -565,7 +595,7 @@ def _entelechial(
     }
     predictor = copy.deepcopy(predictor)
     yields: list[int] = []
-    predictions: list[float] = []
+    predictions = array("d")
     warns: list[bool] = []
     predictor.observe(trace.y[0])
     for t, y in enumerate(trace.y):

@@ -187,6 +187,12 @@ class TestRunElastic:
         assert set(run.yields) == {4}
         assert run.cost == run.yields
 
+    @pytest.mark.parametrize("demand", [3.5, True, "3"])
+    def test_rejects_non_integer_demand(self, demand):
+        # Truncated to 3, a demand of 3.5 would count no undershoot at Y = 3.
+        with pytest.raises(InvalidBounds, match="y values must be positive integers"):
+            run_elastic([demand], 3)
+
 
 class TestRunEntelechial:
     def test_constant_trace_tracks_one_above(self):

@@ -26,6 +26,7 @@ import math
 import random
 import statistics
 import sys
+import tracemalloc
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -346,6 +347,7 @@ def test_jitter_is_exact(times):
     jitter = _jitter(times)
     assert type(jitter) is float
     assert jitter.hex() == exact_jitter(times).hex()
+    assert _jitter(iter(times)).hex() == jitter.hex()  # one pass over an iterator
     if sys.version_info >= (3, 11) and len(times) >= 2:
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert jitter.hex() == statistics.pstdev(gaps).hex()
@@ -419,8 +421,7 @@ def edge_case_example(name):
                    threshold=0.0, **EDGE_CASES[name][0])
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+antifragile_cases = dict(
     trace=st.one_of(plain_traces, bursty_traces),
     predictor=predictors,
     epsilon=st.floats(0.1, 3.0),
@@ -430,6 +431,10 @@ def edge_case_example(name):
     depth=st.integers(2, 6),
     lessons=stored_lessons,
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(**antifragile_cases)
 @edge_case_example("trailing one-step block")
 @edge_case_example("uncorrelated bursts")
 @edge_case_example("stored repetition, then a mutation")
@@ -450,6 +455,27 @@ def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
     assert store.to_dict() == oracle_store.to_dict()
     delivered = [dt for dt in run.delivered_at if dt is not None]
     assert delivered == sorted(delivered)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**antifragile_cases)
+@edge_case_example("trailing one-step block")
+@edge_case_example("uncorrelated bursts")
+@edge_case_example("stored repetition, then a mutation")
+@edge_case_example("stored depth below 2")
+def test_derived_columns_agree(trace, predictor, epsilon, review_every, profile,
+                               threshold, depth, lessons):
+    """The run stores only ``delivered`` and the mutation point; the delivery
+    steps, the delivery times and the closed-form cost read from them agree."""
+    config = AntifragileEvolving(
+        predictor=predictor, epsilon=epsilon, epochs_per_review=review_every,
+        identity_profile=profile, burstiness_threshold=threshold,
+        interleave_depth=depth,
+    )
+    run = run_antifragile(trace, config, KnowledgeStore(lessons))
+    assert run.delivery_times == [dt for dt in run.delivered_at if dt is not None]
+    assert run.delivered == bytes(dt is not None for dt in run.delivered_at)
+    assert run.total_cost == sum(run.cost)
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
@@ -612,6 +638,49 @@ def test_oracle_examples_undershoot_and_lose_identity():
         assert_run_matches_records(run, records)
         for variant in FIT_VARIANTS:
             assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
+
+
+# ---------------------------------------------------------------------------
+# Memory per step
+
+
+def traced_bytes_per_step(make_run, trace):
+    """The traced bytes ``make_run(trace)`` keeps in its run and holds at its
+    peak, per step of ``trace``, beyond what was allocated before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run = make_run(trace)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return run, (retained - before) / len(trace), (peak - before) / len(trace)
+
+
+MEMORY_TRACE = generate_trace(
+    BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=17), 20_000)
+TELECONFERENCING = AntifragileEvolving(
+    predictor=WindowMax(8), epsilon=1.5,
+    identity_profile=Teleconferencing(jitter_bound=0.5))
+
+
+@pytest.mark.parametrize("make_run", [
+    lambda trace: run_elastic(trace, 6),
+    lambda trace: run_entelechial(trace, EwmaPlusSlope(), 1.5),
+    lambda trace: run_entelechial(trace, WindowMax(8), 1.5),
+    lambda trace: run_antifragile(trace, TELECONFERENCING, KnowledgeStore()),
+], ids=["elastic", "entelechial-ewma_slope", "entelechial-window_max", "antifragile"])
+def test_runs_keep_at_most_32_bytes_per_step(make_run):
+    """A run stores a byte of delivery and three one-word columns per step
+    (yields, predictions, margin flags); the trace's ``y`` is shared. Per-step
+    int, float or string objects would take 72 bytes or more."""
+    run, retained, peak = traced_bytes_per_step(make_run, MEMORY_TRACE)
+    assert retained <= 32
+    if run.header["protocol"] == "antifragile":
+        assert run.mutations  # the interleaved delivery ran
+        # identity accounting included
+        assert peak <= 48
 
 
 # ---------------------------------------------------------------------------
