@@ -19,7 +19,6 @@ entropy reaches a run or an output. Only :meth:`KnowledgeStore.load` and
 from __future__ import annotations
 
 import contextlib
-import copy
 import inspect
 import json
 import math
@@ -33,7 +32,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidBounds, NoObservations, StoreCorrupt, TraceMismatch
@@ -141,11 +140,13 @@ ChannelModel = ConstantChannel | RandomWalkChannel | BurstyChannel
 
 @dataclass(frozen=True)
 class ChannelTrace:
-    """A generated demand series with per-step regime labels."""
+    """A generated demand series with per-step regime labels; ``_columns``
+    keeps the last entelechial columns run on it (see :func:`_entelechial`)."""
 
     y: tuple[int, ...]
     regimes: tuple[str, ...]
     burst_correlated: bool = True
+    _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.y) != len(self.regimes):
@@ -212,6 +213,19 @@ class WindowMax:
             raise NoObservations("predictor has no observations yet")
         return float(max(self._recent))
 
+    def predictions(self, ys: Sequence[int]) -> array:
+        """The prediction before each step of ``ys`` of a fresh predictor
+        primed with ``ys[0]``: ``ys[0]``, then the maximum of the last
+        ``window`` samples of ``ys[:t]``, a running maximum up to ``window``
+        steps and then read through ``window`` staggered iterators."""
+        n, window = len(ys), self.window
+        columns = array("d", chain(islice(ys, 1),
+                                   accumulate(islice(ys, min(window, n) - 1), max)))
+        if window < n:
+            starts = (islice(ys, i, n - 1) for i in range(window))
+            columns.extend(map(max, zip(*starts)))
+        return columns
+
 
 class EwmaPlusSlope:
     """Exponentially weighted level plus slope, extrapolated ahead.
@@ -246,12 +260,21 @@ class EwmaPlusSlope:
             raise NoObservations("predictor has no observations yet")
         return self._level + self.horizon * self._slope
 
-
-def _yield_from_prediction(prediction: float, epsilon: float) -> tuple[int, bool]:
-    y = math.floor(prediction) + 1
-    if y < 1:
-        y = 1
-    return y, (y - prediction) >= epsilon
+    def predictions(self, ys: Sequence[int]) -> array:
+        """The prediction before each step of ``ys`` of a fresh predictor
+        primed with ``ys[0]``, then fed ``ys[:t]``: the float operations of
+        :meth:`observe` and :meth:`predict`, in their order, over locals."""
+        alpha, beta, horizon = self.alpha, 1 - self.alpha, self.horizon
+        level = last = float(ys[0])
+        slope = 0.0
+        columns = array("d", repeat(level + horizon * slope, min(2, len(ys))))
+        append = columns.append
+        for y in islice(ys, 1, len(ys) - 1):
+            slope = alpha * (y - last) + beta * slope
+            level = alpha * y + beta * level
+            last = float(y)
+            append(level + horizon * slope)
+        return columns
 
 
 def choose_yield(predictor, epsilon: float) -> tuple[int, bool]:
@@ -262,7 +285,9 @@ def choose_yield(predictor, epsilon: float) -> tuple[int, bool]:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    return _yield_from_prediction(predictor.predict(), epsilon)
+    prediction = predictor.predict()
+    y = max(1, math.floor(prediction) + 1)
+    return y, (y - prediction) >= epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +337,8 @@ class AntifragileEvolving:
     """Configuration of the evolving protocol.
 
     ``epochs_per_review`` is the number of steps between reviews by the
-    analysis organ. Pass a fresh predictor per run; runs copy it before
-    feeding observations.
+    analysis organ. A run reads only the predictor's parameters, never its
+    observed history.
     """
 
     predictor: object
@@ -341,8 +366,10 @@ class ProtocolRun:
     * ``y``: the channel demand, the trace's own tuple (shared, not copied);
     * ``yields``: the provisioned yielding point Y;
     * ``delivered``: 1 if the packet got through, else 0, one byte a step;
-    * ``prediction`` and ``margin_warning``: the predictor's output and the
-      epsilon-margin flag of ``choose_yield`` (None and False for elastic).
+    * ``prediction`` and ``margin_warning``: the predictor's output, an
+      ``array("d")`` (None for elastic), and the epsilon-margin flag of
+      ``choose_yield``, one byte a step (0 for elastic); shared, with
+      ``yields``, by the runs of one predictor pass (see :func:`_entelechial`).
 
     With ``mutation_step`` (None if the run never mutates) and the
     interleaving ``depth`` they fix what is derived on read: over- and
@@ -359,7 +386,7 @@ class ProtocolRun:
     yields: Sequence[int]
     delivered: bytes
     prediction: Sequence[float | None]
-    margin_warning: Sequence[bool]
+    margin_warning: bytes
     mutation_step: int | None = None
     depth: int = 0
     identity_violations: int = 0
@@ -517,7 +544,7 @@ def _protocol_run(
     header: dict,
     yields: Sequence[int],
     predictions: Sequence[float | None],
-    warns: Sequence[bool],
+    warns: bytes,
     mutation_step: int | None = None,
     depth: int = 0,
 ) -> ProtocolRun:
@@ -538,25 +565,24 @@ def _protocol_run(
     Deinterleaving makes the block's packets available together at the
     block's last step, which is what introduces jitter. An interleaved step
     costs 2, one per copy, or 1 alone in a trailing block. Either way the
-    delivery steps never decrease along the run.
+    delivery steps never decrease along the run. The rules run over whole
+    columns, interleaving as one strided byte slice per position in a block,
+    so the work is O(steps) for any depth.
     """
-    ys = trace.y
-    n = len(ys)
-    until = n if mutation_step is None else mutation_step
-    delivered = bytearray(map(operator.gt, islice(yields, until), ys))
-    if until < n:
-        delivered += bytes(n - until)
-        for start in range(until, n, depth):
-            end = min(start + depth, n)
-            length = end - start
+    delivered = bytearray(map(operator.gt, yields, trace.y))
+    if mutation_step is not None and trace.burst_correlated:
+        # Residue r of each block pairs with (r + offset) mod its length; the
+        # full blocks, then the trailing block (of length 1 maybe) by itself.
+        ok = delivered[mutation_step:]
+        steps = len(ok)
+        full = steps - steps % depth
+        for start, stop, length in ((0, full, depth), (full, steps, steps - full)):
             offset = max(1, length // 2)
-            for t in range(start, end):
-                ok = yields[t] > ys[t]
-                if length > 1:  # the second copy, on another step of the block
-                    second = start + (t - start + offset) % length
-                    ok = ok or trace.burst_correlated and yields[second] > ys[second]
-                delivered[t] = ok
-    return ProtocolRun(header, ys, yields, bytes(delivered), predictions, warns,
+            for r in range(min(length, stop - start)):
+                second = start + (r + offset) % length
+                delivered[mutation_step + start + r:mutation_step + stop:length] = bytes(
+                    map(operator.or_, ok[start + r:stop:length], ok[second:stop:length]))
+    return ProtocolRun(header, trace.y, yields, bytes(delivered), predictions, warns,
                        mutation_step, depth)
 
 
@@ -572,18 +598,21 @@ def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> Protoc
         raise ValueError("yield point must be a positive integer")
     n = len(trace.y)
     header = {"protocol": "elastic", "yield_point": yield_point}
-    return _protocol_run(trace, header, (yield_point,) * n, (None,) * n, (False,) * n)
+    return _protocol_run(trace, header, (yield_point,) * n, (None,) * n, bytes(n))
 
 
 def _entelechial(
     trace: ChannelTrace, predictor, epsilon: float
-) -> tuple[dict, list[int], array, list[bool]]:
+) -> tuple[dict, tuple[int, ...], array, bytes]:
     """The entelechial header and its per-step yield, prediction and
-    margin-warning columns, from a copy of ``predictor``.
+    margin-warning columns.
 
     Step 0 bootstraps from the first sample itself (the predictor is primed
     with y(0), so Y(0) = y(0) + 1); every later step only sees samples up
-    to the previous one.
+    to the previous one. The columns are one ``predictor.predictions`` pass,
+    which reads the predictor's parameters only. The trace keeps the last
+    columns, so a call with equal parameters and epsilon shares them, and
+    they are immutable: the yields a tuple, the warnings one byte a step.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -593,20 +622,15 @@ def _entelechial(
         "epsilon": epsilon,
         "bootstrap_yield": trace.y[0] + 1,
     }
-    predictor = copy.deepcopy(predictor)
-    yields: list[int] = []
-    predictions = array("d")
-    warns: list[bool] = []
-    predictor.observe(trace.y[0])
-    for t, y in enumerate(trace.y):
-        prediction = predictor.predict()
-        chosen, warn = _yield_from_prediction(prediction, epsilon)
-        yields.append(chosen)
-        predictions.append(prediction)
-        warns.append(warn)
-        if t > 0:
-            predictor.observe(y)
-    return header, yields, predictions, warns
+    key = (header["predictor"], epsilon)
+    if trace._columns is None or trace._columns[0] != key:
+        predictions = predictor.predictions(trace.y)
+        yields = tuple(map(max, repeat(1), map(operator.add, map(math.floor, predictions),
+                                               repeat(1))))
+        warns = bytes(map(operator.ge, map(operator.sub, yields, predictions),
+                          repeat(epsilon)))
+        object.__setattr__(trace, "_columns", (key, (yields, predictions, warns)))
+    return (header, *trace._columns[1])
 
 
 def run_entelechial(
@@ -808,7 +832,8 @@ class KnowledgeStore:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # not JSON or UTF-8, an integer past the digit limit, or nested too deep
             raise StoreCorrupt(f"cannot parse knowledge store {path}: {exc}") from exc
         if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
             raise StoreCorrupt(f"knowledge store {path} has no entry list")

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilsim.behavior import MAX_CARDINALITY
-from resilsim.channel import config_dict
+import resilsim.channel as channel
+from resilsim.channel import WindowMax, config_dict
 from resilsim.cli import _KINDS, _build_kind, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -354,6 +356,10 @@ class TestChannelCommand:
         '{"entries": [{"signature": ["x"], "algorithm": "interleaved"}]}',
         '{"entries": [{"signature": "bursty-high", "algorithm": "interleaved",'
         ' "depth": "4"}]}',
+        pytest.param('{"entries": [{"signature": "x", "algorithm": "i", "depth": 1'
+                     + "0" * 5000 + "}]}", id="integer past the digit limit"),
+        pytest.param('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                     id="nested too deep"),
     ])
     def test_corrupt_knowledge_store_exits_2_naming_it(self, tmp_path, capsys, content):
         store = tmp_path / "lessons.json"
@@ -664,6 +670,76 @@ def test_readme_example_config_runs(tmp_path, monkeypatch, capsys, command):
     write_json(tmp_path / "config.json", readme_config(command))
     assert main([command, "-c", "config.json", "-o", "out"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_one_predictor_pass_per_trace_and_parameters(tmp_path, monkeypatch):
+    """The README config's entelechial and antifragile entries share one
+    ``WindowMax`` pass; a different epsilon takes a second. Clearing the
+    trace's columns before every run changes no output byte."""
+    calls = []
+    predictions = WindowMax.predictions
+
+    def counted(self, ys):
+        calls.append(len(ys))
+        return predictions(self, ys)
+
+    monkeypatch.setattr(WindowMax, "predictions", counted)
+    config = readme_config("channel")
+    del config["knowledge_store"]  # each run keeps its own, in its -o
+    antifragile_1 = edited(config, ("protocols", 2, "epsilon"), 1.0)
+    outputs = {}
+    for name, payload in (("shared", config), ("epsilon 1.0", antifragile_1)):
+        calls.clear()
+        out = tmp_path / name
+        assert main(["channel", "-c", write_json(tmp_path / "config.json", payload),
+                     "-o", str(out)]) == 0
+        outputs[name] = (len(calls), read_tree(out))
+    assert outputs["shared"][0] == 1
+    assert outputs["epsilon 1.0"][0] == 2
+
+    entelechial = channel._entelechial
+
+    def unshared(trace, predictor, epsilon):
+        object.__setattr__(trace, "_columns", None)
+        return entelechial(trace, predictor, epsilon)
+
+    monkeypatch.setattr(channel, "_entelechial", unshared)
+    for name, payload in (("shared", config), ("epsilon 1.0", antifragile_1)):
+        calls.clear()
+        out = tmp_path / f"{name}, unshared"
+        assert main(["channel", "-c", write_json(tmp_path / "config.json", payload),
+                     "-o", str(out)]) == 0
+        assert (len(calls), read_tree(out)) == (2, outputs[name][1])
+
+
+# A stored lesson depth past any machine integer, beside the two largest
+# values a config may give.
+HUGE_STORED_DEPTH = 10**400
+
+
+@pytest.mark.parametrize("key", ["window", "interleave_depth", "stored depth"])
+def test_huge_window_or_depth_costs_o_of_steps(tmp_path, key):
+    """A window or interleaving depth far beyond the trace runs in time
+    linear in the steps, not in the window or the depth."""
+    config = edited(CHANNEL_CONFIG, ("steps",), 2_000)
+    config["protocols"] = [config["protocols"][2]]
+    depth = 4
+    if key == "window":
+        config = edited(config, ("protocols", 0, "predictor", "window"), sys.maxsize)
+    elif key == "interleave_depth":
+        config = edited(config, ("protocols", 0, "interleave_depth"), sys.maxsize)
+        depth = sys.maxsize
+    else:
+        depth = HUGE_STORED_DEPTH
+        config["knowledge_store"] = write_json(tmp_path / "lessons.json", {"entries": [
+            {"signature": signature, "algorithm": "interleaved", "depth": depth}
+            for signature in ("calm", "bursty-low", "bursty-high")]})
+    out = tmp_path / "out"
+    assert main(["channel", "-c", write_json(tmp_path / "config.json", config),
+                 "-o", str(out)]) == 0
+    aggregates = json.loads((out / "aggregates.json").read_text())
+    [mutation] = aggregates["protocols"]["antifragile"]["mutations"]
+    assert mutation["depth"] == depth
 
 
 # Exit-code contract: one arbitrary JSON value put anywhere in a known-good

@@ -27,6 +27,7 @@ import random
 import statistics
 import sys
 import tracemalloc
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -392,6 +393,8 @@ stored_lessons = st.lists(
 # step 3; with depth 3 the blocks after it are [3, 4, 5] and [6], a trailing
 # one-step block. Under WindowMax(1) step 5 undershoots (Y = 2, y = 5) and
 # only its copy on step 3 delivers it, which uncorrelated losses forbid.
+# Two more steps make the blocks [3, 4, 5] and [6, 7, 8], no trailing block;
+# with depth 6 the four steps after step 3 are one trailing block.
 # LOW_THEN_HIGH reviewed every 6 steps reads 0.5 ("bursty-low") at step 6
 # and 1.0 ("bursty-high") at step 12.
 BURST_ONSET = (1, 5, 5, 5, 1, 5, 5)
@@ -413,6 +416,12 @@ EDGE_CASES = {
         dict(trace=list(BURST_ONSET), review_every=3, depth=3, lessons=[
             {"signature": "bursty-high", "algorithm": "interleaved", "depth": 1}]),
         (3, "bursty-high", 3)),
+    "full blocks only": (
+        dict(trace=[*BURST_ONSET, 1, 5], review_every=3, depth=3, lessons=[]),
+        (3, "bursty-high", 3)),
+    "fewer steps than the depth": (
+        dict(trace=list(BURST_ONSET), review_every=3, depth=6, lessons=[]),
+        (3, "bursty-high", 6)),
 }
 
 
@@ -439,6 +448,8 @@ antifragile_cases = dict(
 @edge_case_example("uncorrelated bursts")
 @edge_case_example("stored repetition, then a mutation")
 @edge_case_example("stored depth below 2")
+@edge_case_example("full blocks only")
+@edge_case_example("fewer steps than the depth")
 def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
                                         profile, threshold, depth, lessons):
     config = AntifragileEvolving(
@@ -463,6 +474,8 @@ def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
 @edge_case_example("uncorrelated bursts")
 @edge_case_example("stored repetition, then a mutation")
 @edge_case_example("stored depth below 2")
+@edge_case_example("full blocks only")
+@edge_case_example("fewer steps than the depth")
 def test_derived_columns_agree(trace, predictor, epsilon, review_every, profile,
                                threshold, depth, lessons):
     """The run stores only ``delivered`` and the mutation point; the delivery
@@ -638,6 +651,57 @@ def test_oracle_examples_undershoot_and_lose_identity():
         assert_run_matches_records(run, records)
         for variant in FIT_VARIANTS:
             assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
+
+
+# ---------------------------------------------------------------------------
+# Predictor kernels
+
+
+@settings(max_examples=300, deadline=None)
+@given(ys=plain_traces, predictor=predictors | st.integers(1, 12).map(WindowMax))
+@example(ys=[3], predictor=WindowMax(8))
+@example(ys=[3], predictor=EwmaPlusSlope())
+@example(ys=[3, 1], predictor=WindowMax(8))
+@example(ys=[3, 1], predictor=EwmaPlusSlope())
+@example(ys=[1, 5, 2, 2, 6, 1], predictor=WindowMax(1))
+def test_predictions_match_the_observe_predict_loop(ys, predictor):
+    """One ``predictions`` call gives the floats of the observe/predict loop
+    bit for bit, for windows shorter and longer than the trace."""
+    _, expected, _ = oracle_predict_yields(ys, copy.deepcopy(predictor), 1.0)
+    columns = predictor.predictions(tuple(ys))
+    assert type(columns) is array and columns.typecode == "d"
+    assert [p.hex() for p in columns] == [p.hex() for p in expected]
+
+
+def test_a_primed_predictor_runs_as_a_fresh_one():
+    """A run reads the predictor's parameters, not its observed history."""
+    primed = WindowMax(8)
+    for y in (9, 9, 9):
+        primed.observe(y)
+    trace = list(generate_trace(  # a list: each run gets a trace of its own
+        BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=17), 2_000).y)
+    assert run_entelechial(trace, primed, 1.5) == run_entelechial(trace, WindowMax(8), 1.5)
+    config = AntifragileEvolving(predictor=WindowMax(8), epsilon=1.5)
+    run = run_antifragile(trace, config, KnowledgeStore())
+    assert run.mutations
+    assert run_antifragile(trace, replace(config, predictor=primed), KnowledgeStore()) == run
+
+
+def test_a_trace_keeps_the_columns_of_its_last_predictor_pass():
+    """An epsilon sweep leaves one set of columns on the trace, those of the
+    last run; the memo is no part of the trace's value."""
+    trace = generate_trace(
+        BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=17), 2_000)
+    runs = [run_entelechial(trace, WindowMax(8), epsilon) for epsilon in (0.5, 1.0, 1.5)]
+    key, columns = trace._columns
+    assert key == (config_dict(WindowMax(8)), 1.5)
+    assert columns == (runs[-1].yields, runs[-1].prediction, runs[-1].margin_warning)
+    assert isinstance(runs[-1].yields, tuple) and isinstance(runs[-1].margin_warning, bytes)
+    fresh = replace(trace)
+    assert fresh._columns is None
+    assert (fresh, hash(fresh), repr(fresh)) == (trace, hash(trace), repr(trace))
+    assert runs == [run_entelechial(list(trace.y), WindowMax(8), epsilon)
+                    for epsilon in (0.5, 1.0, 1.5)]
 
 
 # ---------------------------------------------------------------------------
