@@ -62,8 +62,8 @@ class ConstantChannel:
         if self.y < 1:
             raise InvalidBounds(f"y must be a positive integer, got {self.y}")
 
-    def _generate(self, steps: int, rng: random.Random) -> tuple[list[int], list[str]]:
-        return [self.y] * steps, ["constant"] * steps
+    def _generate(self, steps: int, rng: random.Random) -> Sequence[int]:
+        return (self.y,) * steps
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class RandomWalkChannel:
             raise InvalidBounds(f"y0 {self.y0} outside [{self.y_min}, {self.y_max}]")
         _check_probability("step_prob", self.step_prob)
 
-    def _generate(self, steps: int, rng: random.Random) -> tuple[list[int], list[str]]:
+    def _generate(self, steps: int, rng: random.Random) -> Sequence[int]:
         ys = [self.y0]
         for _ in range(steps - 1):
             y = ys[-1]
@@ -95,7 +95,7 @@ class RandomWalkChannel:
                 y += rng.choice((-1, 1))
                 y = min(self.y_max, max(self.y_min, y))
             ys.append(y)
-        return ys, ["walk"] * steps
+        return ys
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,8 @@ class BurstyChannel:
         if self.y_burst < self.y_calm:
             raise InvalidBounds("y_burst must be at least y_calm")
 
-    def _generate(self, steps: int, rng: random.Random) -> tuple[list[int], list[str]]:
+    def _generate(self, steps: int, rng: random.Random) -> Sequence[int]:
         ys: list[int] = []
-        regimes: list[str] = []
         burst = False
         for _ in range(steps):
             if burst:
@@ -131,8 +130,7 @@ class BurstyChannel:
                 if rng.random() < self.p_enter:
                     burst = True
             ys.append(self.y_burst if burst else self.y_calm)
-            regimes.append("burst" if burst else "calm")
-        return ys, regimes
+        return ys
 
 
 ChannelModel = ConstantChannel | RandomWalkChannel | BurstyChannel
@@ -140,30 +138,15 @@ ChannelModel = ConstantChannel | RandomWalkChannel | BurstyChannel
 
 @dataclass(frozen=True)
 class ChannelTrace:
-    """A generated demand series with per-step regime labels; ``_columns``
+    """The demand y(t), all a protocol perceives of the channel. ``_columns``
     keeps the last entelechial columns run on it (see :func:`_entelechial`)."""
 
     y: tuple[int, ...]
-    regimes: tuple[str, ...]
     burst_correlated: bool = True
     _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if len(self.y) != len(self.regimes):
-            raise ValueError("y and regimes must have the same length")
-
     def __len__(self) -> int:
         return len(self.y)
-
-    def regime_segments(self) -> list[tuple[str, int, int]]:
-        """Maximal constant-regime segments as (label, start, end_exclusive)."""
-        segments = []
-        start = 0
-        for t in range(1, len(self.regimes) + 1):
-            if t == len(self.regimes) or self.regimes[t] != self.regimes[start]:
-                segments.append((self.regimes[start], start, t))
-                start = t
-        return segments
 
 
 def as_trace(trace: ChannelTrace | Sequence[int]) -> ChannelTrace:
@@ -174,18 +157,16 @@ def as_trace(trace: ChannelTrace | Sequence[int]) -> ChannelTrace:
         raise InvalidBounds("trace must contain at least one step")
     if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in ys):
         raise InvalidBounds("y values must be positive integers")
-    return ChannelTrace(y=ys, regimes=("unlabeled",) * len(ys))
+    return ChannelTrace(y=ys)
 
 
 def generate_trace(model: ChannelModel, steps: int) -> ChannelTrace:
-    """Deterministically generate a demand trace from a channel model."""
+    """Deterministically generate a channel model's demand, a word a step."""
     if steps < 1:
         raise InvalidBounds(f"steps must be at least 1, got {steps}")
     rng = random.Random(model.seed)
-    ys, regimes = model._generate(steps, rng)
     return ChannelTrace(
-        y=tuple(ys),
-        regimes=tuple(regimes),
+        y=tuple(model._generate(steps, rng)),
         burst_correlated=getattr(model, "burst_correlated", True),
     )
 
@@ -231,7 +212,7 @@ class EwmaPlusSlope:
     """Exponentially weighted level plus slope, extrapolated ahead.
 
     Suited to drifting channels where the demand trends rather than
-    jumping between regimes.
+    jumping between levels.
     """
 
     kind = "ewma_slope"
@@ -367,9 +348,10 @@ class ProtocolRun:
     * ``yields``: the provisioned yielding point Y;
     * ``delivered``: 1 if the packet got through, else 0, one byte a step;
     * ``prediction`` and ``margin_warning``: the predictor's output, an
-      ``array("d")`` (None for elastic), and the epsilon-margin flag of
-      ``choose_yield``, one byte a step (0 for elastic); shared, with
-      ``yields``, by the runs of one predictor pass (see :func:`_entelechial`).
+      ``array("d")``, and the epsilon-margin flag of ``choose_yield``, one
+      byte a step; shared, with ``yields``, by the runs of one predictor
+      pass (see :func:`_entelechial`). An elastic run has no predictor, so
+      both are None.
 
     With ``mutation_step`` (None if the run never mutates) and the
     interleaving ``depth`` they fix what is derived on read: over- and
@@ -385,8 +367,8 @@ class ProtocolRun:
     y: tuple[int, ...]
     yields: Sequence[int]
     delivered: bytes
-    prediction: Sequence[float | None]
-    margin_warning: bytes
+    prediction: Sequence[float] | None
+    margin_warning: bytes | None
     mutation_step: int | None = None
     depth: int = 0
     identity_violations: int = 0
@@ -543,8 +525,8 @@ def _protocol_run(
     trace: ChannelTrace,
     header: dict,
     yields: Sequence[int],
-    predictions: Sequence[float | None],
-    warns: bytes,
+    predictions: Sequence[float] | None,
+    warns: bytes | None,
     mutation_step: int | None = None,
     depth: int = 0,
 ) -> ProtocolRun:
@@ -591,14 +573,14 @@ def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> Protoc
 
     Delivery at step t succeeds iff yield_point strictly exceeds y(t); with
     a yield above the trace supremum no undershooting is ever experienced,
-    at the price of paying for the worst case at every step.
+    at the price of paying for the worst case at every step. There is no
+    predictor, so the run has no prediction or margin-warning column.
     """
     trace = as_trace(trace)
     if yield_point < 1:
         raise ValueError("yield point must be a positive integer")
-    n = len(trace.y)
     header = {"protocol": "elastic", "yield_point": yield_point}
-    return _protocol_run(trace, header, (yield_point,) * n, (None,) * n, bytes(n))
+    return _protocol_run(trace, header, (yield_point,) * len(trace.y), None, None)
 
 
 def _entelechial(

@@ -224,15 +224,32 @@ def _steps_and_seed(config: dict, seed_override: int | None,
     return steps, _integer(config, "seed", default_seed)
 
 
-def _protocol_name(config, path: str) -> str:
-    """The entry's ``name``, else its ``kind``; it names the step CSV file."""
+def _file_name(value: str, key: str) -> bytes:
+    """``value`` as the file system encodes it, or a config error naming ``key``."""
+    try:
+        return os.fsencode(value)
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"{key}: {value!r} cannot name a file: {exc}") from exc
+
+
+def _protocol_name(config, path: str, index: int, taken) -> str:
+    """The entry's ``name``, else its ``kind``, renamed ``<name>_<index>`` if
+    in ``taken``; it names the step CSV file. It holds no surrogate, which
+    no UTF-8 output (``compare.csv``) can hold."""
     config = _section(config, path)
     name = config.get("name", config.get("kind"))
-    if not isinstance(name, str) or not name or any(c in name for c in "/\\\0"):
+    if not isinstance(name, str) or not name or any(
+            c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in name):
         raise ConfigError(
-            f"{path}: name (or kind) must be a non-empty string without '/', '\\' "
-            f"or NUL, got {name!r}"
+            f"{path}: name (or kind) must be a non-empty string without '/', '\\', "
+            f"NUL or a surrogate, got {name!r}"
         )
+    if name in taken:
+        name = f"{name}_{index}"
+        if name in taken:
+            raise ConfigError(f"{path}: renamed to {name!r}, a name already taken")
+    if len(_file_name(f"{name}_steps.csv", f"{path}.name")) > 255:  # NAME_MAX
+        raise ConfigError(f"{path}.name: {name!r} makes a step CSV name over 255 bytes")
     return name
 
 
@@ -287,6 +304,7 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
         raise ConfigError(
             f"knowledge_store must be a non-empty string, got {store_path!r}"
         )
+    _file_name(store_path, "knowledge_store")
     if "channel" not in config:
         raise ConfigError("channel: missing required key")
     model = _build_kind("channel", config["channel"], "channel", seed=seed)
@@ -298,11 +316,7 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
     runs = {}
     for index, protocol_config in enumerate(protocol_configs):
         path = f"protocol #{index}"
-        name = _protocol_name(protocol_config, path)
-        if name in runs:
-            name = f"{name}_{index}"
-            if name in runs:
-                raise ConfigError(f"{path}: renamed to {name!r}, a name already taken")
+        name = _protocol_name(protocol_config, path, index, runs)
         run = _build_kind("protocol", protocol_config, path, ("name",), trace=trace)
         if isinstance(run, AntifragileEvolving):
             run = run_antifragile(trace, run, store)

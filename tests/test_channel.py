@@ -9,7 +9,6 @@ import pytest
 from resilsim.channel import (
     AntifragileEvolving,
     BurstyChannel,
-    ChannelTrace,
     ConstantChannel,
     EwmaPlusSlope,
     KnowledgeStore,
@@ -55,7 +54,6 @@ class TestGenerateTrace:
             BurstyChannel(p_enter=1.0, p_exit=0.0, y_calm=1, y_burst=5), 4
         )
         assert trace.y == (5, 5, 5, 5)
-        assert trace.regimes == ("burst",) * 4
 
     def test_walk_stays_in_bounds(self):
         model = RandomWalkChannel(y0=3, step_prob=0.9, y_min=1, y_max=6, seed=42)
@@ -86,12 +84,6 @@ class TestGenerateTrace:
     def test_rejects_zero_steps(self):
         with pytest.raises(InvalidBounds):
             generate_trace(ConstantChannel(1), 0)
-
-    def test_regime_segments(self):
-        trace = ChannelTrace(y=(1, 1, 5, 5, 1), regimes=("calm",) * 2 + ("burst",) * 2 + ("calm",))
-        assert trace.regime_segments() == [
-            ("calm", 0, 2), ("burst", 2, 4), ("calm", 4, 5),
-        ]
 
 
 class _FixedPredictor:

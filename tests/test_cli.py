@@ -309,6 +309,43 @@ class TestChannelCommand:
         assert capsys.readouterr().err.startswith("config error: knowledge_store: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("change, key", [
+        ({"protocols": [{"kind": "elastic", "yield_point": 6, "name": "a\ud800"}]},
+         "protocol #0: name"),
+        # a file system byte in the escape, but no UTF-8 text for compare.csv
+        ({"protocols": [{"kind": "elastic", "yield_point": 6, "name": "a\udc80"},
+                        {"kind": "elastic", "yield_point": 7}]},
+         "protocol #0: name"),
+        ({"knowledge_store": "s\ud800.json"}, "knowledge_store: "),
+        ({"protocols": [{**CHANNEL_CONFIG["protocols"][2], "name": "\u00e9" * 124}]},
+         "protocol #0.name: "),
+        # 254 bytes, then the rename to <name>_1 makes 256
+        ({"protocols": [{"kind": "elastic", "yield_point": 5 + i, "name": "\u00e9" * 122}
+                        for i in range(2)]},
+         "protocol #1.name: "),
+    ], ids=["surrogate-name", "escaped-surrogate-name", "surrogate-store", "long-name",
+            "long-renamed-name"])
+    def test_name_the_file_system_cannot_take_exits_2(self, tmp_path, capsys,
+                                                      change, key):
+        """A protocol name or store path that cannot name a file is a config
+        error found before any write, not a traceback or an I/O error after
+        the store was saved."""
+        store = tmp_path / "lessons.json"
+        prior = b'{"entries": [{"signature": "calm", "algorithm": "repetition"}]}'
+        store.write_bytes(prior)
+        payload = {**CHANNEL_CONFIG, "knowledge_store": str(store), **change}
+        if "knowledge_store" in change:
+            payload["knowledge_store"] = os.path.join(tmp_path, change["knowledge_store"])
+        config = write_json(tmp_path / "config.json", payload)
+        out = tmp_path / "out"
+        assert main(["channel", "-c", config, "-o", str(out)]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith(f"config error: {key}")
+        assert "Traceback" not in message
+        assert not out.exists()
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "lessons.json"]
+        assert store.read_bytes() == prior
+
     def test_learning_run_reads_no_os_entropy(self, tmp_path, monkeypatch):
         def no_entropy(size):
             raise RuntimeError("os.urandom called")

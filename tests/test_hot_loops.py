@@ -193,8 +193,11 @@ def assert_run_matches_records(run, records):
     assert list(run.delivered_at) == [s.delivered_at for s in records]
     assert [dt is not None for dt in run.delivered_at] == [s.delivered for s in records]
     assert list(run.algorithm) == [s.algorithm for s in records]
-    assert list(run.prediction) == [s.prediction for s in records]
-    assert list(run.margin_warning) == [s.margin_warning for s in records]
+    if all(s.prediction is None for s in records):  # elastic: no predictor
+        assert run.prediction is None and run.margin_warning is None
+    else:
+        assert list(run.prediction) == [s.prediction for s in records]
+        assert list(run.margin_warning) == [s.margin_warning for s in records]
     assert run.undershoot_count == sum(
         1 for s in records if s.shoot.kind is ShootKind.UNDERSHOOT)
     assert run.cumulative_overshoot == float(sum(
@@ -404,8 +407,7 @@ EDGE_CASES = {
         dict(trace=list(BURST_ONSET), review_every=3, depth=3, lessons=[]),
         (3, "bursty-high", 3)),
     "uncorrelated bursts": (
-        dict(trace=ChannelTrace(BURST_ONSET, ("unlabeled",) * len(BURST_ONSET),
-                                burst_correlated=False),
+        dict(trace=ChannelTrace(BURST_ONSET, burst_correlated=False),
              review_every=3, depth=3, lessons=[]),
         (3, "bursty-high", 3)),
     "stored repetition, then a mutation": (
@@ -745,6 +747,26 @@ def test_runs_keep_at_most_32_bytes_per_step(make_run):
         assert run.mutations  # the interleaved delivery ran
         # identity accounting included
         assert peak <= 48
+
+
+WALK = RandomWalkChannel(y0=3, step_prob=0.2, y_min=1, y_max=6, seed=5)
+WALK_TRACE = generate_trace(WALK, 100_000)
+
+
+def test_a_trace_keeps_at_most_9_bytes_per_step():
+    """A trace is its demand: one tuple, a word a step, of cached small ints."""
+    trace, retained, _ = traced_bytes_per_step(
+        lambda trace: generate_trace(WALK, len(trace)), WALK_TRACE)
+    assert trace == WALK_TRACE
+    assert retained <= 9
+
+
+def test_an_elastic_run_keeps_at_most_10_bytes_per_step():
+    """An elastic run has no predictor: it stores its yields column and a
+    byte of delivery per step, and no prediction or margin-warning column."""
+    run, retained, _ = traced_bytes_per_step(lambda trace: run_elastic(trace, 7), WALK_TRACE)
+    assert run.prediction is None and run.margin_warning is None
+    assert retained <= 10
 
 
 # ---------------------------------------------------------------------------
