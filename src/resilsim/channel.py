@@ -839,6 +839,11 @@ class KnowledgeStore:
     def to_dict(self) -> dict:
         return {"entries": [self._entries[s] for s in sorted(self._entries)]}
 
+    @staticmethod
+    def temp_path(path: str) -> str:
+        """The temp file that :meth:`save` writes and then renames to ``path``."""
+        return f"{path}.{os.getpid()}.tmp"
+
     def save(self, path: str) -> None:
         """Write to ``path`` with the mode ``open(path, "w")`` would give it.
 
@@ -846,7 +851,7 @@ class KnowledgeStore:
         leftover of an earlier process with the same id is replaced.
         """
         payload = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        temp_path = f"{path}.{os.getpid()}.tmp"
+        temp_path = self.temp_path(path)
         with contextlib.suppress(FileNotFoundError):
             os.unlink(temp_path)
         try:

@@ -6,8 +6,9 @@ curve and Monte Carlo batches), and ``compare`` relates two behavior
 descriptors or two organ tuples. Time series go to CSV, aggregates and
 manifests to JSON. Reruns with identical inputs produce byte-identical
 outputs; the only file touched outside the output directory is an
-explicitly named knowledge store. Nothing is written before every input is
-checked and every simulation has run, so a config error leaves no file.
+explicitly named knowledge store. Both ``channel`` and ``sentinel`` check
+every input and output name and run every simulation before the first
+write, so a config error or a failed simulation leaves no file.
 
 Exit codes: 0 success, 2 config error (a corrupt knowledge store included),
 3 I/O error, 4 internal error.
@@ -224,14 +225,6 @@ def _steps_and_seed(config: dict, seed_override: int | None,
     return steps, _integer(config, "seed", default_seed)
 
 
-def _file_name(value: str, key: str) -> bytes:
-    """``value`` as the file system encodes it, or a config error naming ``key``."""
-    try:
-        return os.fsencode(value)
-    except UnicodeEncodeError as exc:
-        raise ConfigError(f"{key}: {value!r} cannot name a file: {exc}") from exc
-
-
 def _protocol_name(config, path: str, index: int, taken) -> str:
     """The entry's ``name``, else its ``kind``, renamed ``<name>_<index>`` if
     in ``taken``; it names the step CSV file. It holds no surrogate, which
@@ -248,8 +241,6 @@ def _protocol_name(config, path: str, index: int, taken) -> str:
         name = f"{name}_{index}"
         if name in taken:
             raise ConfigError(f"{path}: renamed to {name!r}, a name already taken")
-    if len(_file_name(f"{name}_steps.csv", f"{path}.name")) > 255:  # NAME_MAX
-        raise ConfigError(f"{path}.name: {name!r} makes a step CSV name over 255 bytes")
     return name
 
 
@@ -264,20 +255,67 @@ def _write_csv(path: str, header: Sequence[str], lines: Iterable[str]) -> None:
         handle.writelines(lines)
 
 
+def _write_rows(path: str, header: Sequence[str], rows) -> None:
+    """The header, then ``rows`` of cells; csv.writer quotes a cell that needs it."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out_dir: str, command: str, config_path: str, seed,
-                    files: list[str]) -> None:
+def _check_name(key: str, path: str) -> None:
+    """A config error naming ``key`` unless ``path`` can name a file: the file
+    system encoding takes it, and its last component has 1 to 255 bytes
+    (NAME_MAX on common file systems)."""
+    try:
+        name = os.path.basename(os.fsencode(path))
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"{key}: {path!r} cannot name a file: {exc}") from exc
+    if not 0 < len(name) <= 255:
+        raise ConfigError(f"{key}: {path!r} needs a file name of 1 to 255 bytes")
+
+
+def _write_outputs(out_dir: str, command: str, config_path: str, seed: int,
+                   plan: list[tuple], store: tuple | None = None) -> int:
+    """Check every output name, then write the store, the ``plan`` and the manifest.
+
+    ``plan`` lists ``(key, name, write, *args)`` in write order:
+    ``write(path, *args)`` writes the file ``name`` in ``out_dir``, and
+    ``key`` is the config key or flag that gave the name. ``store`` is
+    ``(path, store, learned)``; the path and its temp file must name files,
+    and the path neither ``out_dir`` nor an output. It is saved first, and
+    only if it learned, so that an I/O error on ``-o`` cannot lose a lesson.
+    """
+    names = [name for _, name, *_ in plan]
+    for key, name, *_ in plan:
+        _check_name(key, name)
+    if store is not None:
+        store_path, knowledge, learned = store
+        _check_name("knowledge_store", store_path)
+        _check_name("knowledge_store", KnowledgeStore.temp_path(store_path))
+        store_file, *outputs = map(os.path.realpath, [store_path, out_dir, *(
+            os.path.join(out_dir, name) for name in [*names, "manifest.json"])])
+        if store_file in outputs:
+            raise ConfigError(
+                f"knowledge_store: {store_path!r} is -o or an output file of this run")
+    os.makedirs(out_dir, exist_ok=True)
+    if store is not None and learned:
+        knowledge.save(store_path)
+    for _, name, write, *args in plan:
+        write(os.path.join(out_dir, name), *args)
+    if store is not None and os.path.exists(store_path):
+        relative = os.path.relpath(store_path, out_dir)
+        if relative.partition(os.sep)[0] != os.pardir:
+            names.append(relative)
     _write_json(os.path.join(out_dir, "manifest.json"), {
-        "command": command,
-        "config": config_path,
-        "seed": seed,
-        "files": sorted(files),
-        "version": __version__,
-    })
+        "command": command, "config": config_path, "seed": seed,
+        "files": sorted(names), "version": __version__})
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +342,6 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
         raise ConfigError(
             f"knowledge_store must be a non-empty string, got {store_path!r}"
         )
-    _file_name(store_path, "knowledge_store")
     if "channel" not in config:
         raise ConfigError("channel: missing required key")
     model = _build_kind("channel", config["channel"], "channel", seed=seed)
@@ -313,7 +350,7 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
     lessons = len(store)
 
     variant = fit_variant or FitVariant()
-    runs = {}
+    runs, plan, protocols = {}, [], {}
     for index, protocol_config in enumerate(protocol_configs):
         path = f"protocol #{index}"
         name = _protocol_name(protocol_config, path, index, runs)
@@ -321,60 +358,26 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
         if isinstance(run, AntifragileEvolving):
             run = run_antifragile(trace, run, store)
         runs[name] = run
-
-    # The files this run writes in -o; the store may not be one of them.
-    step_files = {name: f"{name}_steps.csv" for name in runs}
-    files = [*step_files.values(), "aggregates.json"]
-    if len(runs) > 1:
-        files.append("compare.csv")
-    store_file = os.path.realpath(store_path)
-    if any(os.path.realpath(os.path.join(out_dir, output)) == store_file
-           for output in [*files, "manifest.json"]):
-        raise ConfigError(
-            f"knowledge_store: {store_path!r} is an output file of this run"
-        )
-
-    # Every protocol has run; write now. The store goes first, so that an I/O
-    # error on -o cannot lose a lesson.
-    os.makedirs(out_dir, exist_ok=True)
-    if len(store) > lessons:
-        store.save(store_path)
-    aggregates = {}
-    for name, run in runs.items():
         summary = run.aggregates()
         summary["mean_step_fit"] = mean_step_fit(run, variant)
-        aggregates[name] = {
-            "aggregates": summary,
-            "header": run.header,
-            "mutations": run.mutations,
-        }
-        _write_csv(os.path.join(out_dir, step_files[name]), STEP_CSV_HEADER,
-                   step_csv_rows(run))
+        protocols[name] = {"aggregates": summary, "header": run.header,
+                           "mutations": run.mutations}
+        plan.append((f"{path}.name", f"{name}_steps.csv", _write_csv, STEP_CSV_HEADER,
+                     step_csv_rows(run)))
 
-    _write_json(os.path.join(out_dir, "aggregates.json"), {
+    plan.append(("-o", "aggregates.json", _write_json, {
         "channel": config_dict(model),
         "steps": steps,
         "seed": seed,
         "fit_variant": variant.label(),
-        "protocols": aggregates,
-    })
-
+        "protocols": protocols,
+    }))
     if len(runs) > 1:
-        # few rows, but a protocol name may need quoting: csv.writer does that
-        with open(os.path.join(out_dir, "compare.csv"), "w", encoding="utf-8",
-                  newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(COMPARE_CSV_HEADER)
-            writer.writerows([_csv_cell(row[column]) for column in COMPARE_CSV_HEADER]
-                             for row in compare_runs(runs))
-
-    if os.path.exists(store_path):
-        relative = os.path.relpath(store_path, out_dir)
-        if not relative.startswith(".."):
-            files.append(relative)
-
-    _write_manifest(out_dir, "channel", config_path, seed, files)
-    return EXIT_OK
+        plan.append(("-o", "compare.csv", _write_rows, COMPARE_CSV_HEADER,
+                     [[_csv_cell(row[column]) for column in COMPARE_CSV_HEADER]
+                      for row in compare_runs(runs)]))
+    return _write_outputs(out_dir, "channel", config_path, seed, plan,
+                          (store_path, store, len(store) > lessons))
 
 
 def _csv_cell(value) -> str:
@@ -396,36 +399,26 @@ def cmd_sentinel(config_path: str, out_dir: str, curve: int | None = None,
         if value is not None and not 1 <= value <= sys.maxsize:
             raise ConfigError(f"{flag} needs a positive {what} up to {sys.maxsize}")
 
-    os.makedirs(out_dir, exist_ok=True)
-    files = []
-
+    plan = []
     if curve is not None:
-        _write_csv(
-            os.path.join(out_dir, "curve.csv"),
-            ("f", "supply", "fit"),
-            (f"{f},{s!r},{fit_cell(value)}\n" for f, s, value in supply_fit_curve(curve)),
-        )
-        files.append("curve.csv")
-
+        plan.append(("--curve", "curve.csv", _write_csv, ("f", "supply", "fit"),
+                     (f"{f},{s!r},{fit_cell(value)}\n"
+                      for f, s, value in supply_fit_curve(curve))))
     if runs is not None:
         batch = survival_rate(scenario, steps, runs, base_seed=seed)
         baseline = survival_rate(replace(scenario, pool_size=0), steps, runs,
                                  base_seed=seed)
-        _write_json(os.path.join(out_dir, "batch.json"), {
+        plan.append(("--runs", "batch.json", _write_json, {
             "with_canaries": batch,
             "baseline": baseline,
             "uplift": batch["survival_rate"] - baseline["survival_rate"],
-        })
-        files.append("batch.json")
+        }))
     else:
         run = simulate(scenario, steps, seed)
-        _write_csv(os.path.join(out_dir, "trace.csv"), SCENARIO_CSV_HEADER,
-                   scenario_csv_rows(run))
-        _write_json(os.path.join(out_dir, "summary.json"), run.to_dict())
-        files.extend(["trace.csv", "summary.json"])
-
-    _write_manifest(out_dir, "sentinel", config_path, seed, files)
-    return EXIT_OK
+        plan += [("-o", "trace.csv", _write_csv, SCENARIO_CSV_HEADER,
+                  scenario_csv_rows(run)),
+                 ("-o", "summary.json", _write_json, run.to_dict())]
+    return _write_outputs(out_dir, "sentinel", config_path, seed, plan)
 
 
 def _load(cls, path: str):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from resilsim.behavior import MAX_CARDINALITY
 import resilsim.channel as channel
+import resilsim.cli as cli
 from resilsim.channel import WindowMax, config_dict
 from resilsim.cli import _KINDS, _build_kind, main
 
@@ -299,7 +300,7 @@ class TestChannelCommand:
 
     @pytest.mark.parametrize("output", [
         "aggregates.json", "manifest.json", "compare.csv", "elastic_steps.csv",
-        "sub/../aggregates.json",
+        "sub/../aggregates.json", ".",
     ])
     def test_store_naming_an_output_exits_2(self, tmp_path, capsys, output):
         out = tmp_path / "out"
@@ -345,6 +346,33 @@ class TestChannelCommand:
         assert not out.exists()
         assert sorted(os.listdir(tmp_path)) == ["config.json", "lessons.json"]
         assert store.read_bytes() == prior
+
+    @pytest.mark.parametrize("name, prior", [
+        # 250 bytes fit a file name, but not with the temp file's .<pid>.tmp
+        ("s" * 250 + ".json", None),
+        ("s" * 250 + ".json", b'{"entries": []}\n'),
+        ("lessons" + os.sep, None),
+    ], ids=["long-store", "long-store-existing", "trailing-separator"])
+    def test_store_that_cannot_be_saved_exits_2(self, tmp_path, capsys, name, prior):
+        """A learning run whose store, or the store's temp file, cannot name a
+        file is a config error found before -o is created, not an I/O error
+        after it."""
+        store = os.path.join(tmp_path, name)
+        if prior is not None:
+            Path(store).write_bytes(prior)
+        payload = {**CHANNEL_CONFIG, "knowledge_store": store,
+                   "protocols": [CHANNEL_CONFIG["protocols"][2]]}
+        config = write_json(tmp_path / "config.json", payload)
+        out = tmp_path / "out"
+        assert main(["channel", "-c", config, "-o", str(out)]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("config error: knowledge_store: ")
+        assert "Traceback" not in message
+        assert not out.exists()
+        if prior is None:
+            assert sorted(os.listdir(tmp_path)) == ["config.json"]
+        else:
+            assert Path(store).read_bytes() == prior
 
     def test_learning_run_reads_no_os_entropy(self, tmp_path, monkeypatch):
         def no_entropy(size):
@@ -472,6 +500,23 @@ class TestSentinelCommand:
         out = tmp_path / "out"
         assert main(["sentinel", "-c", config, "-o", str(out), *args]) == 2
         assert capsys.readouterr().err.startswith("config error: --")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [[], ["--curve", "10"],
+                                      ["--runs", "3", "--curve", "10"]])
+    def test_out_of_memory_in_a_simulation_writes_nothing(self, tmp_path, capsys,
+                                                          monkeypatch, args):
+        """A simulation out of memory exits 4 before any file, the curve
+        included, is written."""
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "simulate", out_of_memory)
+        monkeypatch.setattr(cli, "survival_rate", out_of_memory)
+        config = write_json(tmp_path / "config.json", SENTINEL_CONFIG)
+        out = tmp_path / "out"
+        assert main(["sentinel", "-c", config, "-o", str(out), *args]) == 4
+        assert capsys.readouterr().err.startswith("internal error: out of memory")
         assert not out.exists()
 
     def test_invalid_scenario_exits_2(self, tmp_path):
@@ -847,3 +892,65 @@ def test_single_arbitrary_edit_keeps_the_exit_code_contract(data):
         assert code != 2 or not os.path.exists(os.path.join(work, "out"))
     assert code in (0, 2, 3), stderr.getvalue()
     assert "Traceback" not in stderr.getvalue()
+
+
+MANIFEST_CASES = {
+    "channel, default store in -o": ("channel", CHANNEL_CONFIG, []),
+    "channel, store outside -o": ("channel", {**CHANNEL_CONFIG,
+                                              "knowledge_store": "lessons.json"}, []),
+    # in -o, though its name starts with ..
+    "channel, store ..lessons.json in -o": (
+        "channel", {**CHANNEL_CONFIG, "knowledge_store": "out/..lessons.json"}, []),
+    "channel, one protocol": ("channel", WALK_CONFIG, []),
+    "sentinel": ("sentinel", SENTINEL_CONFIG, []),
+    "sentinel --curve": ("sentinel", SENTINEL_CONFIG, ["--curve", "10"]),
+    "sentinel --runs --curve": ("sentinel", SENTINEL_CONFIG,
+                                ["--runs", "3", "--curve", "10"]),
+}
+
+
+@pytest.mark.parametrize("case", list(MANIFEST_CASES))
+def test_manifest_lists_every_file_written_in_out(tmp_path, monkeypatch, case):
+    command, config, args = MANIFEST_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "config.json", config)
+    assert main([command, "-c", "config.json", "-o", "out", *args]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["files"] == sorted(set(os.listdir("out")) - {"manifest.json"})
+
+
+@st.composite
+def name_of_bytes(draw, low, high, suffix=""):
+    """A name of mixed 1- to 4-byte UTF-8 characters whose UTF-8 form, with
+    ``suffix``, is ``low`` to ``high`` bytes long."""
+    size = draw(st.integers(low, high)) - len(suffix)
+    name = "".join(draw(st.lists(st.sampled_from("a\u00e9\u20ac\U0001d11e"),
+                                 max_size=size // 4)))
+    return name + "a" * (size - len(name.encode())) + suffix
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=name_of_bytes(236, 250), renamed=st.booleans(),
+       store=st.none() | name_of_bytes(240, 260, ".json"), in_out=st.booleans())
+def test_output_names_near_the_file_name_limit(name, renamed, store, in_out):
+    """A step CSV or store name near 255 bytes either runs, with a manifest
+    that lists every file in -o, or exits 2 leaving -o and the store alone."""
+    protocols = [{**CHANNEL_CONFIG["protocols"][2], "name": name}]
+    if renamed:  # the second entry is renamed <name>_1
+        protocols.append({"kind": "elastic", "yield_point": 6, "name": name})
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, "out")
+        config = {**CHANNEL_CONFIG, "protocols": protocols}
+        if store is not None:
+            config["knowledge_store"] = os.path.join(out if in_out else work, store)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["channel", "-c", write_json(Path(work) / "config.json", config),
+                         "-o", out])
+        assert code in (0, 2), stderr.getvalue()
+        if code == 2:
+            assert stderr.getvalue().startswith("config error: ")
+            assert sorted(os.listdir(work)) == ["config.json"]
+        else:
+            manifest = json.loads(Path(out, "manifest.json").read_text())
+            assert manifest["files"] == sorted(set(os.listdir(out)) - {"manifest.json"})

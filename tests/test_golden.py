@@ -8,10 +8,13 @@ were recorded from the code before the hot loops were made linear, those
 of the two single sentinel runs without canaries and with a fit policy
 from the code before sentinel runs were stored as columns, and those of
 the jitter case on Python 3.11 from the code before the jitter was
-computed in integers (3.10 then wrote other bytes); a change that
-alters any output byte fails here, unlike a rerun check.
+computed in integers (3.10 then wrote other bytes), and those of the
+curve-and-batch and default-store cases from the code before every output
+name was checked against one write plan; a change that alters any output
+byte fails here, unlike a rerun check.
 """
 
+import copy
 import hashlib
 import json
 
@@ -45,10 +48,18 @@ README_SENTINEL = {
     "seed": 0,
 }
 
+# The README channel config without a knowledge_store: the default store,
+# out/knowledge_store.json, is written and listed in the manifest.
+DEFAULT_STORE_CHANNEL = copy.deepcopy(README_CHANNEL)
+del DEFAULT_STORE_CHANNEL["knowledge_store"]
+
 CASES = {
     "channel": (README_CHANNEL, ["channel"]),
     "sentinel-curve": (README_SENTINEL, ["sentinel", "--curve", "200"]),
     "sentinel-runs": ({"steps": 300, "seed": 4}, ["sentinel", "--runs", "60"]),
+    "sentinel-curve-runs": (README_SENTINEL,
+                            ["sentinel", "--curve", "200", "--runs", "60"]),
+    "channel-default-store": (DEFAULT_STORE_CHANNEL, ["channel"]),
     # No canaries: blank estimate cells, and the miner dies at step 199.
     "sentinel-no-pool": ({"pool_size": 0, "steps": 500, "seed": 0}, ["sentinel"]),
     # A jitter whose last bit Python 3.10's statistics.pstdev once rounded
@@ -77,6 +88,15 @@ GOLDEN = {
         "out/entelechial_steps.csv": "988907fb921dd518299856cadc09345895a7ed7c69173ac96448a03294213d3b",
         "out/manifest.json": "431aea4a7c6fef99ab838aa18f7dd1a92e6f6bf07c4bc5fb52a84d3bffeee017",
     },
+    "channel-default-store": {
+        "out/aggregates.json": "a79d5fba0407250c2a6c5cb878f89ed84901b844620b1451873be77bf6463230",
+        "out/antifragile_steps.csv": "ca71f5849a550ac0f16105b6b871ef56ace1c3d6bd8cdfd2204bc0418488c35b",
+        "out/compare.csv": "e721e8c809d6f92e9c5ad362d4154847cede6013bf219b39dcbca3f94a084aa9",
+        "out/elastic_steps.csv": "5f853b59b4064bc743565c95bcf67054eb00ca7c791b5d1c04b516f2f9ebeae1",
+        "out/entelechial_steps.csv": "988907fb921dd518299856cadc09345895a7ed7c69173ac96448a03294213d3b",
+        "out/knowledge_store.json": "25ab20441e6864780016fa926275fe507fe6e52f11140968d7f0c8559a9356a8",
+        "out/manifest.json": "6c8976227f8ba287c4489fe3ff01a05124cb8fef73269e3f7a6b512bcb65e35d",
+    },
     "channel-jitter": {
         "out/aggregates.json": "e672250ddea4863897e83e77f9f0e79b89e171b879f529b79edf5aa82950ce11",
         "out/elastic_steps.csv": "313bc7faacc12b1b3a46c770a06258eb385a7410e75db294f989af6ff68468a6",
@@ -87,6 +107,11 @@ GOLDEN = {
         "out/manifest.json": "f461ef2874426dfa8d27000fdcf55d0ec059f284770d3e8391ad26ed2e080460",
         "out/summary.json": "d4bd31fcf042b2ce0af90f565e7650275fe539af8851d36147e4390ab6671e78",
         "out/trace.csv": "a7ed98670b5ae7cf14ec82806b4ef1c0cf6b3c4e558cc4c03673fff3700359b9",
+    },
+    "sentinel-curve-runs": {
+        "out/batch.json": "564c6a896f2e75cd035876e6091197191f8719964b3f80ce64ed341cbc0a6dfe",
+        "out/curve.csv": "c0694d0b7cedd22653369ab2a57a2453da6f803762b382086e246cda28f017de",
+        "out/manifest.json": "5aa3a845cec8830fc5462a1ed5ae904786b5676412e79a22fd1f2a5009f12780",
     },
     "sentinel-runs": {
         "out/batch.json": "b2fc4da7675d6d8222111eab60c5f29d996b32cbd7d7ee72953a8ed265d6ab6a",
