@@ -77,6 +77,9 @@ class RandomWalkChannel:
     seed: int = 0
 
     kind = "random_walk"
+    # Config keys that differ from the parameter they set. The CLI's loader
+    # reads them and ``config_dict`` writes them.
+    config_keys = {"y_min": "min", "y_max": "max"}
 
     def __post_init__(self) -> None:
         if self.y_min > self.y_max:
@@ -293,23 +296,21 @@ class FileTransfer:
 
 IdentityProfile = Teleconferencing | FileTransfer
 
-# Config keys that differ from the parameter they set. The CLI's loader reads
-# them and ``config_dict`` writes them.
-CONFIG_KEYS = {"y_min": "min", "y_max": "max"}
-
 
 def config_dict(obj) -> dict:
     """The config section that builds ``obj``: a channel model, predictor or
     identity profile.
 
     That is ``{"kind": obj.kind}`` plus every constructor parameter of
-    ``obj``'s class under its config key, so a channel's section holds its
-    ``seed`` too. The CLI's loader reads the same keys from the same
-    signature, so the section builds an equal object again.
+    ``obj``'s class under its config key (its name, unless the class's
+    ``config_keys`` renames it), so a channel's section holds its ``seed``
+    too. The CLI's loader reads the same keys from the same signature, so
+    the section builds an equal object again.
     """
     config = {"kind": obj.kind}
+    renamed = getattr(obj, "config_keys", {})
     for name in inspect.signature(type(obj)).parameters:
-        config[CONFIG_KEYS.get(name, name)] = getattr(obj, name)
+        config[renamed.get(name, name)] = getattr(obj, name)
     return config
 
 

@@ -8,7 +8,10 @@ manifests to JSON. Reruns with identical inputs produce byte-identical
 outputs; the only file touched outside the output directory is an
 explicitly named knowledge store. Both ``channel`` and ``sentinel`` check
 every input and output name and run every simulation before the first
-write, so a config error or a failed simulation leaves no file.
+write, so a config error or a failed simulation leaves no file. Each
+command imports only the modules it runs, when it runs: ``--version`` and
+``--help`` load no study, ``channel`` never loads the sentinel study, and
+``sentinel`` never the channel study or the organs.
 
 Exit codes: 0 success, 2 config error (a corrupt knowledge store included),
 3 I/O error, 4 internal error.
@@ -17,55 +20,17 @@ Exit codes: 0 success, 2 config error (a corrupt knowledge store included),
 from __future__ import annotations
 
 import argparse
-import csv
-import inspect
-import json
 import math
 import os
 import sys
-from dataclasses import is_dataclass, replace
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import __version__
-from .behavior import BehaviorDescriptor, commensurable, distance, precedes
-from .channel import (
-    COMPARE_CSV_HEADER,
-    CONFIG_KEYS,
-    STEP_CSV_HEADER,
-    AntifragileEvolving,
-    BurstyChannel,
-    ConstantChannel,
-    EwmaPlusSlope,
-    FileTransfer,
-    KnowledgeStore,
-    RandomWalkChannel,
-    Teleconferencing,
-    WindowMax,
-    compare_runs,
-    config_dict,
-    generate_trace,
-    mean_step_fit,
-    run_antifragile,
-    run_elastic,
-    run_entelechial,
-    step_csv_rows,
-)
 from .errors import (
     IncommensurableBehaviors,
     InvalidBounds,
     ResilienceError,
     StoreCorrupt,
-)
-from .fitness import FitVariant, fit, supply
-from .organs import CyberneticClass, compare_classes
-from .sentinel import (
-    SCENARIO_CSV_HEADER,
-    Scenario,
-    fit_cell,
-    scenario_csv_rows,
-    simulate,
-    supply_fit_curve,
-    survival_rate,
 )
 
 EXIT_OK = 0
@@ -81,18 +46,15 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # Config parsing
 
-def _by_kind(*classes) -> dict[str, str]:
-    """The names of ``classes`` by the ``kind`` each class declares."""
-    return {cls.kind: cls.__name__ for cls in classes}
-
-
-# Kind tables of the nested config sections. Each names the constructor of a
-# kind by its global in this module, looked up when called, so that a wrapper
-# installed on a module attribute (as a tracer does) is the one that runs.
+# The constructors of the config sections that a ``kind`` key selects, by
+# their names in the channel module. Each is looked up there when called, so
+# that a wrapper installed on a module attribute (as a tracer does) is the one
+# that runs. A tuple names classes, keyed by their ``kind`` attributes when
+# the table is used, which is when the channel study is loaded.
 _KINDS = {
-    "channel": _by_kind(ConstantChannel, RandomWalkChannel, BurstyChannel),
-    "predictor": _by_kind(WindowMax, EwmaPlusSlope),
-    "identity_profile": _by_kind(FileTransfer, Teleconferencing),
+    "channel": ("ConstantChannel", "RandomWalkChannel", "BurstyChannel"),
+    "predictor": ("WindowMax", "EwmaPlusSlope"),
+    "identity_profile": ("FileTransfer", "Teleconferencing"),
     "protocol": {"elastic": "run_elastic", "entelechial": "run_entelechial",
                  "antifragile": "AntifragileEvolving"},
 }
@@ -100,7 +62,19 @@ _KINDS = {
 _CHANNEL_KEYS = ("channel", "steps", "seed", "protocols", "protocol", "knowledge_store")
 
 
+def _kinds(section: str) -> dict[str, str]:
+    """The constructor names of the config ``section`` by kind."""
+    names = _KINDS[section]
+    if isinstance(names, dict):
+        return names
+    from . import channel
+
+    return {getattr(channel, name).kind: name for name in names}
+
+
 def _load_json(path: str):
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
@@ -158,6 +132,8 @@ def _section(config, path: str, allowed=None) -> dict:
 
 def _value(name: str, annotation, value, path: str):
     """``value`` checked against the annotation of parameter ``name``."""
+    from dataclasses import is_dataclass
+
     if name in _KINDS:
         return _build_kind(name, value, path)
     if is_dataclass(annotation):
@@ -176,10 +152,13 @@ def _build(target, config, path: str, extra=(), **fixed):
     the type check. ``fixed`` supplies the parameters of those names, where
     ``target`` has them, from the caller instead of the config; ``extra``
     keys are allowed and left to the caller. Values pass through unchanged.
+    A parameter's key is its name, unless ``target.config_keys`` renames it.
     """
+    import inspect
+
     parameters = inspect.signature(target, eval_str=True).parameters
-    keys = {CONFIG_KEYS.get(name, name): name for name in parameters
-            if name not in fixed}
+    renamed = getattr(target, "config_keys", {})
+    keys = {renamed.get(name, name): name for name in parameters if name not in fixed}
     _section(config, path, [*keys, *extra])
     arguments = {name: value for name, value in fixed.items() if name in parameters}
     for key, name in keys.items():
@@ -196,13 +175,15 @@ def _build(target, config, path: str, extra=(), **fixed):
 
 def _build_kind(section: str, config, path: str, extra=(), **fixed):
     """:func:`_build` with the constructor that the ``kind`` key names."""
-    kinds = _KINDS[section]
+    from . import channel
+
+    kinds = _kinds(section)
     kind = _section(config, path).get("kind")
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(
             f"{_join(path, 'kind')} must be one of {', '.join(kinds)}, got {kind!r}"
         )
-    return _build(globals()[kinds[kind]], config, path, ("kind", *extra), **fixed)
+    return _build(getattr(channel, kinds[kind]), config, path, ("kind", *extra), **fixed)
 
 
 def _integer(config: dict, key: str, default: int | None = None) -> int:
@@ -257,6 +238,8 @@ def _write_csv(path: str, header: Sequence[str], lines: Iterable[str]) -> None:
 
 def _write_rows(path: str, header: Sequence[str], rows) -> None:
     """The header, then ``rows`` of cells; csv.writer quotes a cell that needs it."""
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -264,6 +247,8 @@ def _write_rows(path: str, header: Sequence[str], rows) -> None:
 
 
 def _write_json(path: str, payload) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -287,9 +272,10 @@ def _write_outputs(out_dir: str, command: str, config_path: str, seed: int,
     ``plan`` lists ``(key, name, write, *args)`` in write order:
     ``write(path, *args)`` writes the file ``name`` in ``out_dir``, and
     ``key`` is the config key or flag that gave the name. ``store`` is
-    ``(path, store, learned)``; the path and its temp file must name files,
-    and the path neither ``out_dir`` nor an output. It is saved first, and
-    only if it learned, so that an I/O error on ``-o`` cannot lose a lesson.
+    ``(path, store, learned)``; the path and its temp file must name files
+    in a directory that exists or is ``out_dir``, and the path is neither
+    ``out_dir`` nor an output. It is saved first, and only if it learned, so
+    that an I/O error on ``-o`` cannot lose a lesson.
     """
     names = [name for _, name, *_ in plan]
     for key, name, *_ in plan:
@@ -297,9 +283,18 @@ def _write_outputs(out_dir: str, command: str, config_path: str, seed: int,
     if store is not None:
         store_path, knowledge, learned = store
         _check_name("knowledge_store", store_path)
-        _check_name("knowledge_store", KnowledgeStore.temp_path(store_path))
+        _check_name("knowledge_store", knowledge.temp_path(store_path))
         store_file, *outputs = map(os.path.realpath, [store_path, out_dir, *(
             os.path.join(out_dir, name) for name in [*names, "manifest.json"])])
+        # A directory that is missing must be -o, which is made before the save.
+        # A path through .. resolves only if every part exists, so it cannot be.
+        directory = os.path.dirname(store_path) or os.curdir
+        if not os.path.isdir(directory) and (
+                os.pardir in directory.split(os.sep)
+                or os.path.realpath(directory) != outputs[0]):
+            raise ConfigError(
+                f"knowledge_store: {store_path!r} is in a directory that neither "
+                "exists nor is -o")
         if store_file in outputs:
             raise ConfigError(
                 f"knowledge_store: {store_path!r} is -o or an output file of this run")
@@ -323,7 +318,10 @@ def _write_outputs(out_dir: str, command: str, config_path: str, seed: int,
 
 
 def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None,
-                fit_variant: FitVariant | None = None) -> int:
+                fit_variant=None) -> int:
+    from . import channel
+    from .fitness import FitVariant
+
     config = _section(_load_json(config_path), "", _CHANNEL_KEYS)
     steps, seed = _steps_and_seed(config, seed_override)
     if "protocol" in config:
@@ -342,11 +340,13 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
         raise ConfigError(
             f"knowledge_store must be a non-empty string, got {store_path!r}"
         )
+    if os.path.isdir(store_path):
+        raise ConfigError(f"knowledge_store: {store_path!r} is a directory")
     if "channel" not in config:
         raise ConfigError("channel: missing required key")
     model = _build_kind("channel", config["channel"], "channel", seed=seed)
-    trace = generate_trace(model, steps)
-    store = KnowledgeStore.load(store_path)
+    trace = channel.generate_trace(model, steps)
+    store = channel.KnowledgeStore.load(store_path)
     lessons = len(store)
 
     variant = fit_variant or FitVariant()
@@ -355,27 +355,28 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
         path = f"protocol #{index}"
         name = _protocol_name(protocol_config, path, index, runs)
         run = _build_kind("protocol", protocol_config, path, ("name",), trace=trace)
-        if isinstance(run, AntifragileEvolving):
-            run = run_antifragile(trace, run, store)
+        if isinstance(run, channel.AntifragileEvolving):
+            run = channel.run_antifragile(trace, run, store)
         runs[name] = run
         summary = run.aggregates()
-        summary["mean_step_fit"] = mean_step_fit(run, variant)
+        summary["mean_step_fit"] = channel.mean_step_fit(run, variant)
         protocols[name] = {"aggregates": summary, "header": run.header,
                            "mutations": run.mutations}
-        plan.append((f"{path}.name", f"{name}_steps.csv", _write_csv, STEP_CSV_HEADER,
-                     step_csv_rows(run)))
+        plan.append((f"{path}.name", f"{name}_steps.csv", _write_csv,
+                     channel.STEP_CSV_HEADER, channel.step_csv_rows(run)))
 
     plan.append(("-o", "aggregates.json", _write_json, {
-        "channel": config_dict(model),
+        "channel": channel.config_dict(model),
         "steps": steps,
         "seed": seed,
         "fit_variant": variant.label(),
         "protocols": protocols,
     }))
     if len(runs) > 1:
-        plan.append(("-o", "compare.csv", _write_rows, COMPARE_CSV_HEADER,
-                     [[_csv_cell(row[column]) for column in COMPARE_CSV_HEADER]
-                      for row in compare_runs(runs)]))
+        header = channel.COMPARE_CSV_HEADER
+        plan.append(("-o", "compare.csv", _write_rows, header,
+                     [[_csv_cell(row[column]) for column in header]
+                      for row in channel.compare_runs(runs)]))
     return _write_outputs(out_dir, "channel", config_path, seed, plan,
                           (store_path, store, len(store) > lessons))
 
@@ -390,8 +391,12 @@ def _csv_cell(value) -> str:
 
 def cmd_sentinel(config_path: str, out_dir: str, curve: int | None = None,
                  runs: int | None = None, seed_override: int | None = None) -> int:
+    from dataclasses import replace
+
+    from . import sentinel
+
     config = _load_json(config_path)
-    scenario = _build(Scenario, config, "", ("steps", "seed"))
+    scenario = _build(sentinel.Scenario, config, "", ("steps", "seed"))
     steps, seed = _steps_and_seed(config, seed_override, 500, 0)
 
     for flag, value, what in (("--curve", curve, "pool size"),
@@ -402,21 +407,21 @@ def cmd_sentinel(config_path: str, out_dir: str, curve: int | None = None,
     plan = []
     if curve is not None:
         plan.append(("--curve", "curve.csv", _write_csv, ("f", "supply", "fit"),
-                     (f"{f},{s!r},{fit_cell(value)}\n"
-                      for f, s, value in supply_fit_curve(curve))))
+                     (f"{f},{s!r},{sentinel.fit_cell(value)}\n"
+                      for f, s, value in sentinel.supply_fit_curve(curve))))
     if runs is not None:
-        batch = survival_rate(scenario, steps, runs, base_seed=seed)
-        baseline = survival_rate(replace(scenario, pool_size=0), steps, runs,
-                                 base_seed=seed)
+        batch = sentinel.survival_rate(scenario, steps, runs, base_seed=seed)
+        baseline = sentinel.survival_rate(replace(scenario, pool_size=0), steps, runs,
+                                          base_seed=seed)
         plan.append(("--runs", "batch.json", _write_json, {
             "with_canaries": batch,
             "baseline": baseline,
             "uplift": batch["survival_rate"] - baseline["survival_rate"],
         }))
     else:
-        run = simulate(scenario, steps, seed)
-        plan += [("-o", "trace.csv", _write_csv, SCENARIO_CSV_HEADER,
-                  scenario_csv_rows(run)),
+        run = sentinel.simulate(scenario, steps, seed)
+        plan += [("-o", "trace.csv", _write_csv, sentinel.SCENARIO_CSV_HEADER,
+                  sentinel.scenario_csv_rows(run)),
                  ("-o", "summary.json", _write_json, run.to_dict())]
     return _write_outputs(out_dir, "sentinel", config_path, seed, plan)
 
@@ -431,13 +436,20 @@ def _load(cls, path: str):
 
 
 def cmd_compare(path_a: str, path_b: str, organs: bool = False,
-                fit_variant: FitVariant | None = None) -> int:
-    variant = fit_variant or FitVariant()
+                fit_variant=None) -> int:
+    import json
+
     if organs:
+        from .organs import CyberneticClass, compare_classes
+
         comparison = compare_classes(_load(CyberneticClass, path_a),
                                      _load(CyberneticClass, path_b))
         print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK
+    from .behavior import BehaviorDescriptor, commensurable, distance, precedes
+    from .fitness import FitVariant, fit, supply
+
+    variant = fit_variant or FitVariant()
     a = _load(BehaviorDescriptor, path_a)
     b = _load(BehaviorDescriptor, path_b)
     result = {
@@ -465,6 +477,17 @@ def cmd_compare(path_a: str, path_b: str, organs: bool = False,
 # Argument parsing
 
 
+def _fit_variant(text: str):
+    """The ``--fit-variant`` value, a ``fitness.FitVariant``: the fitness
+    module is loaded when the flag is given, not when the parser is built."""
+    from .fitness import FitVariant
+
+    try:
+        return FitVariant.parse(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid fit variant: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resilsim",
@@ -477,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     channel.add_argument("-c", "--config", required=True)
     channel.add_argument("-o", "--out-dir", required=True)
     channel.add_argument("--seed", type=int, default=None)
-    channel.add_argument("--fit-variant", type=FitVariant.parse, default=None)
+    channel.add_argument("--fit-variant", type=_fit_variant, default=None)
 
     sentinel = subparsers.add_parser("sentinel", help="run the sentinel scenario")
     sentinel.add_argument("-c", "--config", required=True)
@@ -493,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("descriptor_b")
     compare.add_argument("--organs", action="store_true",
                          help="inputs are organ tuples, compare organ-wise")
-    compare.add_argument("--fit-variant", type=FitVariant.parse, default=None)
+    compare.add_argument("--fit-variant", type=_fit_variant, default=None)
 
     return parser
 

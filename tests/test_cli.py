@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 
 from resilsim.behavior import MAX_CARDINALITY
 import resilsim.channel as channel
-import resilsim.cli as cli
+import resilsim.sentinel as sentinel
 from resilsim.channel import WindowMax, config_dict
-from resilsim.cli import _KINDS, _build_kind, main
+from resilsim.cli import _build_kind, _kinds, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -374,6 +375,39 @@ class TestChannelCommand:
         else:
             assert Path(store).read_bytes() == prior
 
+    @pytest.mark.parametrize("store", ["nodir/x.json", "out/sub/x.json",
+                                       "out/sub/../x.json"])
+    def test_store_in_a_missing_directory_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  store):
+        """A learning run whose store's directory neither exists nor is -o
+        is a config error found before -o is created, not an I/O error
+        after it."""
+        monkeypatch.chdir(tmp_path)
+        payload = {**CHANNEL_CONFIG, "knowledge_store": store,
+                   "protocols": [CHANNEL_CONFIG["protocols"][2]]}
+        config = write_json(tmp_path / "config.json", payload)
+        assert main(["channel", "-c", config, "-o", "out"]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("config error: knowledge_store: ")
+        assert "Traceback" not in message
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+    @pytest.mark.parametrize("store", [".", "lessons/.", "lessons/.."])
+    def test_store_naming_a_directory_exits_2(self, tmp_path, capsys, monkeypatch,
+                                              store):
+        """A store that names a directory is a config error, not the I/O
+        error of opening a directory as a file."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "lessons").mkdir()
+        payload = {**CHANNEL_CONFIG, "knowledge_store": store}
+        config = write_json(tmp_path / "config.json", payload)
+        assert main(["channel", "-c", config, "-o", "out"]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("config error: knowledge_store: ")
+        assert "Traceback" not in message
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "lessons"]
+        assert not os.listdir(tmp_path / "lessons")
+
     def test_learning_run_reads_no_os_entropy(self, tmp_path, monkeypatch):
         def no_entropy(size):
             raise RuntimeError("os.urandom called")
@@ -511,8 +545,8 @@ class TestSentinelCommand:
         def out_of_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "simulate", out_of_memory)
-        monkeypatch.setattr(cli, "survival_rate", out_of_memory)
+        monkeypatch.setattr(sentinel, "simulate", out_of_memory)
+        monkeypatch.setattr(sentinel, "survival_rate", out_of_memory)
         config = write_json(tmp_path / "config.json", SENTINEL_CONFIG)
         out = tmp_path / "out"
         assert main(["sentinel", "-c", config, "-o", str(out), *args]) == 4
@@ -675,7 +709,7 @@ SECTIONS = [
 def test_sections_cover_every_kind():
     assert sorted((section, config["kind"]) for section, config in SECTIONS) == \
         sorted((section, kind) for section in ("channel", "predictor", "identity_profile")
-               for kind in _KINDS[section])
+               for kind in _kinds(section))
 
 
 @pytest.mark.parametrize("section, config", SECTIONS)
@@ -954,3 +988,50 @@ def test_output_names_near_the_file_name_limit(name, renamed, store, in_out):
         else:
             manifest = json.loads(Path(out, "manifest.json").read_text())
             assert manifest["files"] == sorted(set(os.listdir(out)) - {"manifest.json"})
+
+
+# Runs cli.main(argv) in a fresh interpreter, then prints its exit code and
+# the package modules that were loaded.
+LOADED_MODULES = """
+import json, sys
+from resilsim import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "resilsim")]))
+"""
+STUDIES = {"resilsim.behavior", "resilsim.channel", "resilsim.fitness",
+           "resilsim.organs", "resilsim.sentinel"}
+SENTINEL_ARGS = ["sentinel", "-c", "sentinel.json", "-o", "out"]
+# argv, modules that must be loaded, modules that must not be
+IMPORT_CASES = {
+    "--version": (["--version"], set(), STUDIES),
+    "--help": (["--help"], set(), STUDIES),
+    "sentinel": (SENTINEL_ARGS, {"resilsim.sentinel"},
+                 {"resilsim.channel", "resilsim.organs"}),
+    "sentinel --curve": ([*SENTINEL_ARGS, "--curve", "10"], {"resilsim.sentinel"},
+                         {"resilsim.channel", "resilsim.organs"}),
+    "sentinel --runs": ([*SENTINEL_ARGS, "--runs", "3"], {"resilsim.sentinel"},
+                        {"resilsim.channel", "resilsim.organs"}),
+    "channel": (["channel", "-c", "channel.json", "-o", "out"], {"resilsim.channel"},
+                {"resilsim.sentinel"}),
+    "compare": (["compare", "miner.json", "mine.json"], {"resilsim.fitness"},
+                {"resilsim.channel", "resilsim.sentinel"}),
+}
+
+
+@pytest.mark.parametrize("case", list(IMPORT_CASES))
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, case):
+    """``--version`` and ``--help`` load no study module, ``sentinel`` never
+    loads the channel study and ``channel`` never the sentinel study."""
+    argv, loaded, absent = IMPORT_CASES[case]
+    write_json(tmp_path / "sentinel.json", SENTINEL_CONFIG)
+    write_json(tmp_path / "channel.json", WALK_CONFIG)
+    write_json(tmp_path / "miner.json", MINER_DESCRIPTOR)
+    write_json(tmp_path / "mine.json", MINE_DESCRIPTOR)
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, check=True)
+    code, modules = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0, result.stderr
+    assert {"resilsim", "resilsim.cli", "resilsim.errors", *loaded} <= set(modules)
+    assert not absent & set(modules)
