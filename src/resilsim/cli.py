@@ -19,11 +19,14 @@ Exit codes: 0 success, 2 config error (a corrupt knowledge store included),
 
 from __future__ import annotations
 
+# The standard modules that only a command needs (json, csv, inspect and
+# dataclasses, about 15 ms to load) are imported where they are used, so that
+# ``--version`` and ``--help`` load little more than argparse.
 import argparse
 import math
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import __version__
 from .errors import (
@@ -46,30 +49,34 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # Config parsing
 
-# The constructors of the config sections that a ``kind`` key selects, by
-# their names in the channel module. Each is looked up there when called, so
-# that a wrapper installed on a module attribute (as a tracer does) is the one
-# that runs. A tuple names classes, keyed by their ``kind`` attributes when
-# the table is used, which is when the channel study is loaded.
-_KINDS = {
+# The config sections whose ``kind`` key selects a class of the channel
+# module, by name. A protocol's kind selects a runner or a class there too.
+_KIND_CLASSES = {
     "channel": ("ConstantChannel", "RandomWalkChannel", "BurstyChannel"),
     "predictor": ("WindowMax", "EwmaPlusSlope"),
     "identity_profile": ("FileTransfer", "Teleconferencing"),
-    "protocol": {"elastic": "run_elastic", "entelechial": "run_entelechial",
-                 "antifragile": "AntifragileEvolving"},
 }
+_PROTOCOL_KINDS = {"elastic": "run_elastic", "entelechial": "run_entelechial",
+                   "antifragile": "AntifragileEvolving"}
+
+# The constructor names of each section by kind, built on first use (which
+# loads the channel study) from each class's ``kind``. A constructor is looked
+# up by name when called, so that a wrapper installed on a module attribute
+# (as a tracer does) is the one that runs.
+_KINDS: dict[str, dict[str, str]] = {}
 
 _CHANNEL_KEYS = ("channel", "steps", "seed", "protocols", "protocol", "knowledge_store")
 
 
 def _kinds(section: str) -> dict[str, str]:
     """The constructor names of the config ``section`` by kind."""
-    names = _KINDS[section]
-    if isinstance(names, dict):
-        return names
-    from . import channel
+    if not _KINDS:
+        from . import channel
 
-    return {getattr(channel, name).kind: name for name in names}
+        _KINDS.update({name: {getattr(channel, cls).kind: cls for cls in classes}
+                       for name, classes in _KIND_CLASSES.items()},
+                      protocol=_PROTOCOL_KINDS)
+    return _KINDS[section]
 
 
 def _load_json(path: str):
@@ -134,7 +141,7 @@ def _value(name: str, annotation, value, path: str):
     """``value`` checked against the annotation of parameter ``name``."""
     from dataclasses import is_dataclass
 
-    if name in _KINDS:
+    if name in _KIND_CLASSES:
         return _build_kind(name, value, path)
     if is_dataclass(annotation):
         return _build(annotation, value, path)
@@ -246,11 +253,15 @@ def _write_rows(path: str, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_json(path: str, payload) -> None:
+def _json_text(payload) -> str:
     import json
 
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        handle.write(_json_text(payload) + "\n")
 
 
 def _check_name(key: str, path: str) -> None:
@@ -265,6 +276,33 @@ def _check_name(key: str, path: str) -> None:
         raise ConfigError(f"{key}: {path!r} needs a file name of 1 to 255 bytes")
 
 
+def _parts(path: str) -> Iterator[tuple[str, str]]:
+    """``(head, part)`` for each part of ``path``, the last first, where
+    ``head`` is the path up to ``part``."""
+    head, part = os.path.split(path.rstrip(os.sep))
+    while part:
+        yield head or os.curdir, part
+        head, part = os.path.split(head)
+
+
+def _made_by(directory: str, out_dir: str) -> bool:
+    """True if ``directory`` is one once ``os.makedirs(out_dir)`` has run.
+
+    ``makedirs`` makes ``out_dir`` and every missing directory on its way.
+    ``directory`` must be one of those or exist now, and so must each of its
+    parts that a ``..`` follows: the kernel cannot resolve ``missing/..``,
+    where ``os.path.realpath`` just drops ``missing``.
+    """
+    made = {os.path.realpath(path) for path in
+            [out_dir, *(head for head, _ in _parts(out_dir))]}
+
+    def there(path: str) -> bool:
+        return os.path.isdir(path) or os.path.realpath(path) in made
+
+    return there(directory or os.curdir) and all(
+        there(head) for head, part in _parts(directory) if part == os.pardir)
+
+
 def _write_outputs(out_dir: str, command: str, config_path: str, seed: int,
                    plan: list[tuple], store: tuple | None = None) -> int:
     """Check every output name, then write the store, the ``plan`` and the manifest.
@@ -272,10 +310,11 @@ def _write_outputs(out_dir: str, command: str, config_path: str, seed: int,
     ``plan`` lists ``(key, name, write, *args)`` in write order:
     ``write(path, *args)`` writes the file ``name`` in ``out_dir``, and
     ``key`` is the config key or flag that gave the name. ``store`` is
-    ``(path, store, learned)``; the path and its temp file must name files
-    in a directory that exists or is ``out_dir``, and the path is neither
-    ``out_dir`` nor an output. It is saved first, and only if it learned, so
-    that an I/O error on ``-o`` cannot lose a lesson.
+    ``(path, store, learned)``; the path and its temp file must name files,
+    the path is neither ``out_dir`` nor an output, and if the store learned,
+    the path's directory must be one once ``out_dir`` is made. It is saved
+    first, and only if it learned, so that an I/O error on ``-o`` cannot
+    lose a lesson.
     """
     names = [name for _, name, *_ in plan]
     for key, name, *_ in plan:
@@ -286,12 +325,7 @@ def _write_outputs(out_dir: str, command: str, config_path: str, seed: int,
         _check_name("knowledge_store", knowledge.temp_path(store_path))
         store_file, *outputs = map(os.path.realpath, [store_path, out_dir, *(
             os.path.join(out_dir, name) for name in [*names, "manifest.json"])])
-        # A directory that is missing must be -o, which is made before the save.
-        # A path through .. resolves only if every part exists, so it cannot be.
-        directory = os.path.dirname(store_path) or os.curdir
-        if not os.path.isdir(directory) and (
-                os.pardir in directory.split(os.sep)
-                or os.path.realpath(directory) != outputs[0]):
+        if learned and not _made_by(os.path.dirname(store_path), out_dir):
             raise ConfigError(
                 f"knowledge_store: {store_path!r} is in a directory that neither "
                 "exists nor is -o")
@@ -340,13 +374,14 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
         raise ConfigError(
             f"knowledge_store must be a non-empty string, got {store_path!r}"
         )
-    if os.path.isdir(store_path):
-        raise ConfigError(f"knowledge_store: {store_path!r} is a directory")
     if "channel" not in config:
         raise ConfigError("channel: missing required key")
     model = _build_kind("channel", config["channel"], "channel", seed=seed)
     trace = channel.generate_trace(model, steps)
-    store = channel.KnowledgeStore.load(store_path)
+    try:
+        store = channel.KnowledgeStore.load(store_path)
+    except IsADirectoryError as exc:
+        raise ConfigError(f"knowledge_store: {store_path!r} is a directory") from exc
     lessons = len(store)
 
     variant = fit_variant or FitVariant()
@@ -437,14 +472,12 @@ def _load(cls, path: str):
 
 def cmd_compare(path_a: str, path_b: str, organs: bool = False,
                 fit_variant=None) -> int:
-    import json
-
     if organs:
         from .organs import CyberneticClass, compare_classes
 
         comparison = compare_classes(_load(CyberneticClass, path_a),
                                      _load(CyberneticClass, path_b))
-        print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
+        print(_json_text(comparison.to_dict()))
         return EXIT_OK
     from .behavior import BehaviorDescriptor, commensurable, distance, precedes
     from .fitness import FitVariant, fit, supply
@@ -469,7 +502,7 @@ def cmd_compare(path_a: str, path_b: str, organs: bool = False,
         result["supply"] = None
         result["fit"] = None
         result["marker"] = "incommensurable"
-    print(json.dumps(result, indent=2, sort_keys=True))
+    print(_json_text(result))
     return EXIT_OK
 
 

@@ -392,6 +392,33 @@ class TestChannelCommand:
         assert "Traceback" not in message
         assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
+    @pytest.mark.parametrize("protocol", [0, 2])
+    @pytest.mark.parametrize("out", ["../fresh", "sub/../fresh", "fresh/new/.."])
+    def test_default_store_in_a_new_out_through_dotdot(self, tmp_path, monkeypatch,
+                                                       out, protocol):
+        """The default store lies in -o, which the run makes however it is
+        spelt; a learning run saves the store there and lists it."""
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        payload = {**CHANNEL_CONFIG, "protocols": [CHANNEL_CONFIG["protocols"][protocol]]}
+        config = write_json(tmp_path / "config.json", payload)
+        assert main(["channel", "-c", config, "-o", out]) == 0
+        files = json.loads(Path(out, "manifest.json").read_text())["files"]
+        assert ("knowledge_store.json" in files) == (protocol == 2)
+        assert files == sorted(name for name in os.listdir(out)
+                               if Path(out, name).is_file() and name != "manifest.json")
+
+    def test_store_in_a_missing_directory_without_a_lesson_runs(
+            self, tmp_path, monkeypatch):
+        """A run that learns nothing saves no store, so the store's
+        directory need not exist."""
+        monkeypatch.chdir(tmp_path)
+        payload = {**CHANNEL_CONFIG, "knowledge_store": "nodir/x.json",
+                   "protocols": CHANNEL_CONFIG["protocols"][:2]}
+        config = write_json(tmp_path / "config.json", payload)
+        assert main(["channel", "-c", config, "-o", "out"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
+
     @pytest.mark.parametrize("store", [".", "lessons/.", "lessons/.."])
     def test_store_naming_a_directory_exits_2(self, tmp_path, capsys, monkeypatch,
                                               store):
