@@ -201,12 +201,19 @@ class WindowMax:
         """The prediction before each step of ``ys`` of a fresh predictor
         primed with ``ys[0]``: ``ys[0]``, then the maximum of the last
         ``window`` samples of ``ys[:t]``, a running maximum up to ``window``
-        steps and then read through ``window`` staggered iterators."""
+        steps and then the maximum of the spans ``span[j] = max(ys[j:j +
+        width])`` at offsets 0, width, ... and ``window - width``, where each
+        doubling of ``width`` is one pass: O(log window) per step."""
         n, window = len(ys), self.window
         columns = array("d", chain(islice(ys, 1),
                                    accumulate(islice(ys, min(window, n) - 1), max)))
         if window < n:
-            starts = (islice(ys, i, n - 1) for i in range(window))
+            span, width = ys, 1
+            while window > 8 * width:
+                span = list(map(max, span, islice(span, width, None)))
+                width *= 2
+            offsets = chain(range(0, window - width, width), (window - width,))
+            starts = (islice(span, i, i + n - window) for i in offsets)
             columns.extend(map(max, zip(*starts)))
         return columns
 

@@ -203,14 +203,16 @@ def _integer(config: dict, key: str, default: int | None = None) -> int:
 def _steps_and_seed(config: dict, seed_override: int | None,
                     default_steps: int | None = None,
                     default_seed: int | None = None) -> tuple[int, int]:
-    """Top-level ``steps`` (positive) and ``seed``, unless ``seed_override``."""
+    """Top-level ``steps`` (positive) and ``seed``, unless ``seed_override``;
+    a seed is not negative, since ``random.seed`` would take its |seed|."""
     steps = _integer(config, "steps", default_steps)
     if steps < 1:
         raise ConfigError(f"steps must be a positive integer, got {steps}")
-    if seed_override is not None:
-        _integer(config, "seed", 0)  # type-checked all the same
-        return steps, _value("--seed", int, seed_override, "--seed")
-    return steps, _integer(config, "seed", default_seed)
+    seed = _integer(config, "seed", default_seed if seed_override is None else 0)
+    for name, value in (("seed", seed), ("--seed", seed_override)):
+        if value is not None and _value(name, int, value, name) < 0:
+            raise ConfigError(f"{name} must not be negative, got {value}")
+    return steps, seed if seed_override is None else seed_override
 
 
 def _protocol_name(config, path: str, index: int, taken) -> str:

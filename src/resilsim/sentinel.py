@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterator
 
 from .behavior import BehaviorClass, BehaviorDescriptor, FigureSpec, commensurable
@@ -227,7 +228,9 @@ def estimate_supply(pool: CanaryPool) -> float:
 
 
 def estimate_fit(pool: CanaryPool) -> float:
-    """Fit estimate from the supply estimate; FLOAT_MIN on undersupply."""
+    """Fit estimate from the supply estimate; FLOAT_MIN on undersupply. The
+    pool's fit on the calculus surface, and a span the benchmark traces;
+    ``simulate`` and the CSV apply ``fit_of_supply`` to a supply they hold."""
     return fit_of_supply(estimate_supply(pool))
 
 
@@ -252,27 +255,27 @@ def supply_fit_curve(pool_size: int) -> Iterator[tuple[int, float, float]]:
 
 @dataclass
 class ScenarioRun:
-    """One scenario run: parallel per-step columns plus the survival outcome.
+    """One scenario run: only what it decided, step by step.
 
-    Entry ``t`` of each column belongs to step ``t``: ``mine_state`` ("NS"
-    neutral or "TS" threatening), ``canaries_alive``, the pool's ``supply``
-    and ``fit`` estimates (None without canaries), and whether the miner is
-    alive and has evacuated after that step. ``steps`` is ``range(n)``, the
-    step numbers, so ``len(run.steps)`` is the count of simulated steps.
+    Entry ``t`` of ``mine_state`` ("NS" neutral or "TS" threatening) and of
+    ``canaries_alive`` belongs to step ``t``; ``steps`` is ``range(n)``, so
+    ``len(run.steps)`` is the count of simulated steps. The miner has
+    evacuated from ``evacuation_step`` on and is dead from
+    ``miner_failed_step`` on (None when it never did). The pool's estimates
+    follow from ``canaries_alive`` and are derived where they are read.
     ``header`` holds the scenario's parameters, ``steps`` and ``seed``.
     """
 
     steps: range
     mine_state: list[str]
     canaries_alive: list[int]
-    supply: list[float | None]
-    fit: list[float | None]
-    miner_alive: list[bool]
-    evacuated: list[bool]
-    survived: bool
     evacuation_step: int | None
     miner_failed_step: int | None
     header: dict
+
+    @property
+    def survived(self) -> bool:
+        return self.miner_failed_step is None
 
     def to_dict(self) -> dict:
         pool_size = self.header["pool_size"]
@@ -295,21 +298,24 @@ SCENARIO_CSV_HEADER = (
 
 def scenario_csv_rows(run: ScenarioRun) -> Iterator[str]:
     """The scenario CSV's lines after the header, one per step, made as they
-    are read; each distinct text after ``t`` is built once."""
+    are read; each distinct text after ``t`` is built once. The miner is
+    alive before ``miner_failed_step`` and evacuated from ``evacuation_step``
+    on; the estimates follow from the canary count (empty without a pool)."""
+    pool_size, n = run.header["pool_size"], len(run.steps)
+    failed_at, evac_at = run.miner_failed_step, run.evacuation_step
+    alive = chain(repeat(True, n if failed_at is None else failed_at), repeat(False))
+    evacuated = chain(repeat(False, n if evac_at is None else evac_at), repeat(True))
     tails: dict[tuple, str] = {}
-    for t, key in enumerate(zip(run.mine_state, run.canaries_alive, run.supply,
-                                run.fit, run.miner_alive, run.evacuated)):
+    for t, key in enumerate(zip(run.mine_state, run.canaries_alive, alive, evacuated)):
         tail = tails.get(key)
         if tail is None:
-            tail = tails[key] = _scenario_csv_tail(*key)
+            mine_state, canaries, *flags = key
+            supply_est = pool_size / 2.0 - (pool_size - canaries)
+            estimates = (f"{supply_est!r},{fit_cell(fit_of_supply(supply_est))}"
+                         if pool_size >= 1 else ",")
+            flag_text = ",".join("true" if flag else "false" for flag in flags)
+            tail = tails[key] = f",{mine_state},{canaries},{estimates},{flag_text}\n"
         yield f"{t}{tail}"
-
-
-def _scenario_csv_tail(mine_state: str, canaries_alive: int, supply: float | None,
-                       fit: float | None, miner_alive: bool, evacuated: bool) -> str:
-    estimates = "," if supply is None else f"{supply!r},{fit_cell(fit)}"
-    flags = ",".join("true" if flag else "false" for flag in (miner_alive, evacuated))
-    return f",{mine_state},{canaries_alive},{estimates},{flags}\n"
 
 
 def simulate(
@@ -324,8 +330,9 @@ def simulate(
     estimates exist and the miner never evacuates.
 
     A step costs one random draw per live canary while the mine threatens,
-    plus O(1); the pool estimates are O(1). Each step appends one entry to
-    every column of the returned run; no per-step object is made. With
+    plus O(1); the pool is estimated, in O(1), only while the miner has
+    neither evacuated nor died. Each step appends one entry to each of the
+    two columns of the returned run; no per-step object is made. With
     ``until_decided`` the run ends after the step where the miner evacuates
     or dies: its survival outcome cannot change after that step, so
     ``survived``, ``evacuation_step`` and ``miner_failed_step`` equal those
@@ -342,45 +349,32 @@ def simulate(
     threshold = scenario.miner.evacuation_threshold
     fit_threshold = scenario.policy.fit_threshold
     threatening = False
-    miner_alive = True
-    evacuated = False
+    decided = False
     evacuation_step: int | None = None
     miner_failed_step: int | None = None
     mine_states: list[str] = []
     alive_counts: list[int] = []
-    supplies: list[float | None] = []
-    fits: list[float | None] = []
-    miner_alives: list[bool] = []
-    evacuations: list[bool] = []
     for t in range(steps):
         if draw() < (p_exit if threatening else p_enter):
             threatening = not threatening
         if threatening:
             pool.step_threatened(rng, canary_hazard)
 
-        supply_est: float | None = None
-        fit_est: float | None = None
-        if pool.size >= 1:
-            supply_est = estimate_supply(pool)
-            fit_est = fit_of_supply(supply_est)
-            if miner_alive and not evacuated and (
-                supply_est < threshold
-                or fit_threshold is not None and fit_est < fit_threshold
-            ):
-                evacuated = True
-                evacuation_step = t
-
-        if threatening and miner_alive and not evacuated and draw() < miner_hazard:
-            miner_alive = False
-            miner_failed_step = t
+        if not decided:
+            if pool.size >= 1:
+                supply_est = estimate_supply(pool)
+                if supply_est < threshold or (
+                        fit_threshold is not None
+                        and fit_of_supply(supply_est) < fit_threshold):
+                    decided = True
+                    evacuation_step = t
+            if threatening and not decided and draw() < miner_hazard:
+                decided = True
+                miner_failed_step = t
 
         mine_states.append("TS" if threatening else "NS")
         alive_counts.append(pool.alive_count)
-        supplies.append(supply_est)
-        fits.append(fit_est)
-        miner_alives.append(miner_alive)
-        evacuations.append(evacuated)
-        if until_decided and (evacuated or not miner_alive):
+        if until_decided and decided:
             break
 
     header = {
@@ -398,11 +392,6 @@ def simulate(
         steps=range(len(mine_states)),
         mine_state=mine_states,
         canaries_alive=alive_counts,
-        supply=supplies,
-        fit=fits,
-        miner_alive=miner_alives,
-        evacuated=evacuations,
-        survived=miner_alive,
         evacuation_step=evacuation_step,
         miner_failed_step=miner_failed_step,
         header=header,

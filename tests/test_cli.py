@@ -594,12 +594,33 @@ class TestSentinelCommand:
         assert "figure names must be non-empty strings" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("args", [[], ["--runs", "3"]])
-    def test_wrong_typed_seed_exits_2(self, tmp_path, capsys, args):
-        config = write_json(tmp_path / "config.json", {**SENTINEL_CONFIG, "seed": [1]})
+    @pytest.mark.parametrize("command, seed, args, message", [
+        pytest.param("sentinel", [1], [], "seed must be an integer", id="args0"),
+        pytest.param("sentinel", [1], ["--runs", "3"], "seed must be an integer",
+                     id="args1"),
+        # random.seed takes |seed|, so a negative seed would replay another.
+        pytest.param("sentinel", -1, [], "seed must not be negative",
+                     id="sentinel-negative-seed"),
+        pytest.param("sentinel", -1, ["--runs", "3", "--seed", "2"],
+                     "seed must not be negative", id="sentinel-runs-negative-seed"),
+        pytest.param("sentinel", 5, ["--runs", "3", "--seed", "-1"],
+                     "--seed must not be negative", id="sentinel-runs-negative-flag"),
+        pytest.param("sentinel", 5, ["--seed", "-100"], "--seed must not be negative",
+                     id="sentinel-negative-flag"),
+        pytest.param("channel", [1], [], "seed must be an integer",
+                     id="channel-wrong-typed-seed"),
+        pytest.param("channel", -1, [], "seed must not be negative",
+                     id="channel-negative-seed"),
+        pytest.param("channel", 11, ["--seed", "-1"], "--seed must not be negative",
+                     id="channel-negative-flag"),
+    ])
+    def test_wrong_typed_seed_exits_2(self, tmp_path, capsys, command, seed, args,
+                                      message):
+        base = CHANNEL_CONFIG if command == "channel" else SENTINEL_CONFIG
+        config = write_json(tmp_path / "config.json", {**base, "seed": seed})
         out = tmp_path / "out"
-        assert main(["sentinel", "-c", config, "-o", str(out), *args]) == 2
-        assert "seed must be an integer" in capsys.readouterr().err
+        assert main([command, "-c", config, "-o", str(out), *args]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["steps", "pool_size"])
@@ -860,15 +881,20 @@ def test_one_predictor_pass_per_trace_and_parameters(tmp_path, monkeypatch):
 HUGE_STORED_DEPTH = 10**400
 
 
-@pytest.mark.parametrize("key", ["window", "interleave_depth", "stored depth"])
+@pytest.mark.parametrize("key", ["window", "half window", "interleave_depth",
+                                 "stored depth"])
 def test_huge_window_or_depth_costs_o_of_steps(tmp_path, key):
     """A window or interleaving depth far beyond the trace runs in time
-    linear in the steps, not in the window or the depth."""
+    linear in the steps, not in the window or the depth; a window of half
+    of 20 000 steps costs O(log window) per step."""
     config = edited(CHANNEL_CONFIG, ("steps",), 2_000)
     config["protocols"] = [config["protocols"][2]]
     depth = 4
     if key == "window":
         config = edited(config, ("protocols", 0, "predictor", "window"), sys.maxsize)
+    elif key == "half window":
+        config = edited(config, ("steps",), 20_000)
+        config = edited(config, ("protocols", 0, "predictor", "window"), 10_000)
     elif key == "interleave_depth":
         config = edited(config, ("protocols", 0, "interleave_depth"), sys.maxsize)
         depth = sys.maxsize

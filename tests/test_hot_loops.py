@@ -668,11 +668,15 @@ def test_oracle_examples_undershoot_and_lose_identity():
 @example(ys=[1, 5, 2, 2, 6, 1], predictor=WindowMax(1))
 def test_predictions_match_the_observe_predict_loop(ys, predictor):
     """One ``predictions`` call gives the floats of the observe/predict loop
-    bit for bit, for windows shorter and longer than the trace."""
-    _, expected, _ = oracle_predict_yields(ys, copy.deepcopy(predictor), 1.0)
-    columns = predictor.predictions(tuple(ys))
-    assert type(columns) is array and columns.typecode == "d"
-    assert [p.hex() for p in columns] == [p.hex() for p in expected]
+    bit for bit, for windows shorter and longer than the trace, and for
+    windows of 1, n//2, n-1, n and n+1 steps of an n-step trace."""
+    n = len(ys)
+    windows = {w for w in (1, n // 2, n - 1, n, n + 1) if w >= 1}
+    for predictor in (predictor, *map(WindowMax, sorted(windows))):
+        _, expected, _ = oracle_predict_yields(ys, copy.deepcopy(predictor), 1.0)
+        columns = predictor.predictions(tuple(ys))
+        assert type(columns) is array and columns.typecode == "d"
+        assert [p.hex() for p in columns] == [p.hex() for p in expected]
 
 
 def test_a_primed_predictor_runs_as_a_fresh_one():
@@ -917,10 +921,6 @@ def oracle_simulate(scenario, steps, seed, until_decided=False):
     )
 
 
-SCENARIO_COLUMNS = ("mine_state", "canaries_alive", "supply", "fit", "miner_alive",
-                    "evacuated")
-
-
 scenarios = st.builds(
     lambda p_enter, p_exit, miner_hazard, threshold, canary_hazard, pool,
     fit_threshold: Scenario(
@@ -947,22 +947,30 @@ ODD_POOL_FIT_POLICY = Scenario(
 )
 
 
+def assert_run_matches_oracle(scenario, steps, seed, until_decided):
+    """The run's CSV lines equal those of the oracle's own step records,
+    and its columns, decisions, header and summary equal the oracle's."""
+    run = simulate(scenario, steps, seed, until_decided=until_decided)
+    oracle = oracle_simulate(scenario, steps, seed, until_decided)
+    assert run.steps == range(len(oracle.steps))
+    assert "".join(scenario_csv_rows(run)) == \
+        csv_text(oracle_scenario_csv_rows(oracle.steps))
+    assert run.mine_state == [s.mine_state for s in oracle.steps]
+    assert run.canaries_alive == [s.canaries_alive for s in oracle.steps]
+    assert (run.survived, run.evacuation_step, run.miner_failed_step) == \
+        (oracle.survived, oracle.evacuation_step, oracle.miner_failed_step)
+    assert run.header == oracle.header
+    assert json.dumps(run.to_dict(), sort_keys=True) == \
+        json.dumps(oracle.to_dict(), sort_keys=True)
+
+
 @settings(max_examples=300, deadline=None)
 @given(scenario=scenarios, steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
        until_decided=st.booleans())
 @example(scenario=Scenario(pool_size=0), steps=20, seed=0, until_decided=False)
 @example(scenario=ODD_POOL_FIT_POLICY, steps=30, seed=1, until_decided=True)
 def test_simulate_matches_oracle(scenario, steps, seed, until_decided):
-    run = simulate(scenario, steps, seed, until_decided=until_decided)
-    oracle = oracle_simulate(scenario, steps, seed, until_decided)
-    assert run.steps == range(len(oracle.steps))
-    for column in SCENARIO_COLUMNS:
-        assert getattr(run, column) == [getattr(s, column) for s in oracle.steps]
-    assert (run.survived, run.evacuation_step, run.miner_failed_step) == \
-        (oracle.survived, oracle.evacuation_step, oracle.miner_failed_step)
-    assert run.header == oracle.header
-    assert json.dumps(run.to_dict(), sort_keys=True) == \
-        json.dumps(oracle.to_dict(), sort_keys=True)
+    assert_run_matches_oracle(scenario, steps, seed, until_decided)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,8 +1019,14 @@ def test_until_decided_is_a_prefix_of_the_full_run(name):
         k = len(short.steps)
         assert k == (min(decided) + 1 if decided else 300)
         assert short.steps == range(k)
-        for column in SCENARIO_COLUMNS:
-            assert getattr(short, column) == getattr(full, column)[:k]
+        short_lines = list(scenario_csv_rows(short))
+        assert short_lines == list(scenario_csv_rows(full))[:k]
+        if decided:
+            # The last line shows the decision: the miner is dead or evacuated.
+            *_, miner_alive, evacuated = next(csv.reader(short_lines[-1:]))
+            assert (miner_alive, evacuated) != ("true", "false")
+        assert (short.mine_state, short.canaries_alive) == \
+            (full.mine_state[:k], full.canaries_alive[:k])
         assert (short.survived, short.evacuation_step, short.miner_failed_step) == \
             (full.survived, full.evacuation_step, full.miner_failed_step)
 
@@ -1033,26 +1047,25 @@ def test_survival_rate_calls_simulate_through_module_global(monkeypatch):
 # Streamed CSV lines
 
 
-def oracle_scenario_csv_rows(run):
-    """The earlier scenario_csv_rows: one tuple of cells per step."""
+def oracle_scenario_csv_rows(records):
+    """The earlier scenario_csv_rows over the oracle's ``ScenarioStep``
+    records: one tuple of cells per step."""
     rows = []
-    for t, mine_state, canaries_alive, supply, fit_value, miner_alive, evacuated in zip(
-            run.steps, *(getattr(run, column) for column in SCENARIO_COLUMNS),
-            strict=True):
-        if supply is None:
+    for step in records:
+        if step.supply is None:
             supply_text = ""
             fit_text = ""
         else:
-            supply_text = repr(supply)
-            fit_text = FLOAT_MIN_LABEL if fit_value == FLOAT_MIN else repr(fit_value)
+            supply_text = repr(step.supply)
+            fit_text = FLOAT_MIN_LABEL if step.fit == FLOAT_MIN else repr(step.fit)
         rows.append((
-            str(t),
-            mine_state,
-            str(canaries_alive),
+            str(step.t),
+            step.mine_state,
+            str(step.canaries_alive),
             supply_text,
             fit_text,
-            "true" if miner_alive else "false",
-            "true" if evacuated else "false",
+            "true" if step.miner_alive else "false",
+            "true" if step.evacuated else "false",
         ))
     return rows
 
@@ -1085,8 +1098,7 @@ def oracle_curve_csv(pool_size):
 @example(scenario=Scenario(pool_size=0), steps=20, seed=0, until_decided=False)
 @example(scenario=ODD_POOL_FIT_POLICY, steps=30, seed=1, until_decided=False)
 def test_scenario_csv_lines_match_oracle(scenario, steps, seed, until_decided):
-    run = simulate(scenario, steps, seed, until_decided=until_decided)
-    assert "".join(scenario_csv_rows(run)) == csv_text(oracle_scenario_csv_rows(run))
+    assert_run_matches_oracle(scenario, steps, seed, until_decided)
 
 
 def test_odd_pool_example_writes_half_supplies_and_float_min():
@@ -1149,8 +1161,18 @@ def test_simulate_estimates_supply_once_per_step(monkeypatch):
         return estimate_supply(pool)
 
     monkeypatch.setattr(sentinel, "estimate_supply", recording_estimate_supply)
-    run = simulate(Scenario(), 50, 3)
-    assert calls == [Scenario().pool_size] * len(run.steps)
+    scenario = SCENARIOS["hazardous"]
+    decided_early = 0
+    for seed in range(20):
+        calls.clear()
+        run = simulate(scenario, 300, seed)
+        decided = [s for s in (run.evacuation_step, run.miner_failed_step)
+                   if s is not None]
+        # One estimate per step up to and including the decision, none after.
+        estimated = min(decided) + 1 if decided else len(run.steps)
+        assert calls == [scenario.pool_size] * estimated
+        decided_early += estimated < len(run.steps)
+    assert decided_early > 0
 
 
 # ---------------------------------------------------------------------------

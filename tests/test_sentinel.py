@@ -155,8 +155,9 @@ class TestSimulate:
         run = simulate(scenario, 50, seed=1)
         assert run.survived
         assert run.evacuation_step is None
-        assert run.supply == [50.0] * 50
-        assert run.fit == [1.0 / 51.0] * 50
+        rows = csv_rows(run)
+        assert [row[3] for row in rows] == ["50.0"] * 50
+        assert [row[4] for row in rows] == [repr(1.0 / 51.0)] * 50
 
     def test_canaries_trigger_evacuation_before_miner_dies(self):
         scenario = Scenario(
@@ -173,10 +174,11 @@ class TestSimulate:
     def test_evacuation_is_irreversible(self):
         scenario = Scenario(mine=CoalMine(p_enter_ts=0.2, p_exit_ts=0.5))
         run = simulate(scenario, 300, seed=11)
-        evacuated = run.evacuated
-        if any(evacuated):
-            first = evacuated.index(True)
-            assert all(evacuated[first:])
+        evacuated = [row[6] == "true" for row in csv_rows(run)]
+        assert any(evacuated)
+        first = evacuated.index(True)
+        assert first == run.evacuation_step
+        assert all(evacuated[first:])
 
     def test_deterministic(self):
         scenario = Scenario()
@@ -199,7 +201,7 @@ class TestSimulate:
         )
         run = simulate(scenario, 3, seed=0)
         assert run.evacuation_step == 0
-        assert run.fit[0] == FLOAT_MIN
+        assert csv_rows(run)[0][4] == "float_min"
 
     def test_csv_rows(self):
         run = simulate(Scenario(mine=CoalMine(p_enter_ts=0.0)), 2, seed=0)
