@@ -362,13 +362,13 @@ class ProtocolRun:
       both are None.
 
     With ``mutation_step`` (None if the run never mutates) and the
-    interleaving ``depth`` they fix what is derived on read: over- and
-    undershoot, ``algorithm``, ``delivered_at``, ``delivery_times`` and
-    ``cost``, the copies sent: Y(t) before the mutation, 2 after it, as each
-    step of a block of length >= 2 gets exactly one second copy, and 1 in a
-    trailing one-step block. Each aggregate is computed in one pass on first
-    use and cached, so ``aggregates`` and ``compare_runs`` share it; the
-    columns must not change after the run is built.
+    interleaving ``depth`` they fix what is derived on read, each in one
+    place: over- and undershoot, ``delivery_times`` and the per-step
+    iterators ``costs()``, ``algorithms()`` and ``arrivals()``, which the
+    step CSV, ``total_cost``, ``jitter`` and identity accounting stream.
+    Each aggregate is computed in one pass on first use and cached, so
+    ``aggregates`` and ``compare_runs`` share it; the columns must not
+    change after the run is built.
     """
 
     header: dict
@@ -386,17 +386,23 @@ class ProtocolRun:
     def _repetition_steps(self) -> int:
         return len(self.y) if self.mutation_step is None else self.mutation_step
 
-    def _costs(self) -> Iterator[int]:
+    def costs(self) -> Iterator[int]:
+        """The copies sent (redundancy paid) at each step: Y(t) before the
+        mutation, 2 after it, as each step of a block of length >= 2 gets
+        exactly one second copy, and 1 in a trailing one-step block."""
         m, n = self._repetition_steps, len(self.y)
         single = m < n and (n - m) % self.depth == 1  # a trailing one-step block
         return chain(islice(self.yields, m), repeat(2, n - m - single),
                      repeat(1, single))
 
-    def _algorithms(self) -> Iterator[str]:
+    def algorithms(self) -> Iterator[str]:
+        """Each step's transmission algorithm, "repetition" or "interleaved"."""
         m = self._repetition_steps
         return chain(repeat("repetition", m), repeat("interleaved", len(self.y) - m))
 
-    def _arrivals(self) -> Iterator[int]:
+    def arrivals(self) -> Iterator[int]:
+        """When each step's packet arrives if delivered: at the step itself
+        before the mutation, at its block's last step after it."""
         n, m, depth = len(self.y), self._repetition_steps, self.depth
         if m == n:
             return iter(range(n))
@@ -405,25 +411,9 @@ class ProtocolRun:
                      repeat(n - 1, (n - m) % depth))
 
     @property
-    def cost(self) -> Sequence[int]:
-        """The copies sent (redundancy paid) at each step."""
-        return self.yields if self.mutation_step is None else list(self._costs())
-
-    @property
-    def algorithm(self) -> tuple[str, ...]:
-        """Each step's transmission algorithm, "repetition" or "interleaved"."""
-        return tuple(self._algorithms())
-
-    @property
-    def delivered_at(self) -> list[int | None]:
-        """The step at which each packet became available, or None if lost:
-        the step itself before the mutation, its block's last step after it."""
-        return [t if d else None for t, d in zip(self._arrivals(), self.delivered)]
-
-    @property
     def delivery_times(self) -> list[int]:
         """The delivery steps, in order: no packet arrives before an earlier one."""
-        return list(compress(self._arrivals(), self.delivered))
+        return list(compress(self.arrivals(), self.delivered))
 
     @cached_property
     def undershoot_count(self) -> int:
@@ -435,7 +425,7 @@ class ProtocolRun:
 
     @cached_property
     def total_cost(self) -> int:
-        return sum(self._costs())
+        return sum(self.costs())
 
     @cached_property
     def delivered_fraction(self) -> float:
@@ -443,7 +433,7 @@ class ProtocolRun:
 
     @cached_property
     def jitter(self) -> float:
-        return _jitter(compress(self._arrivals(), self.delivered))
+        return _jitter(compress(self.arrivals(), self.delivered))
 
     def aggregates(self) -> dict:
         return {
@@ -475,7 +465,7 @@ def step_csv_rows(run: ProtocolRun) -> Iterator[str]:
     read. The text after ``t`` depends only on (y, Y, delivered, cost,
     algorithm), so each distinct tail is built once."""
     tails: dict[tuple, str] = {}
-    columns = zip(run.y, run.yields, run.delivered, run._costs(), run._algorithms())
+    columns = zip(run.y, run.yields, run.delivered, run.costs(), run.algorithms())
     for t, key in enumerate(columns):
         tail = tails.get(key)
         if tail is None:

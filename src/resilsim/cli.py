@@ -443,9 +443,8 @@ def cmd_sentinel(config_path: str, out_dir: str, curve: int | None = None,
 
     plan = []
     if curve is not None:
-        plan.append(("--curve", "curve.csv", _write_csv, ("f", "supply", "fit"),
-                     (f"{f},{s!r},{sentinel.fit_cell(value)}\n"
-                      for f, s, value in sentinel.supply_fit_curve(curve))))
+        plan.append(("--curve", "curve.csv", _write_csv, sentinel.CURVE_CSV_HEADER,
+                     sentinel.curve_csv_rows(curve)))
     if runs is not None:
         batch = sentinel.survival_rate(scenario, steps, runs, base_seed=seed)
         baseline = sentinel.survival_rate(replace(scenario, pool_size=0), steps, runs,

@@ -44,6 +44,11 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
+def _monitor(figures: frozenset[str], social: bool = False) -> BehaviorDescriptor:
+    """The monitor behavior of a system that purposefully perceives ``figures``."""
+    return BehaviorDescriptor(BehaviorClass.PURPOSEFUL, FigureSpec.named(figures), social)
+
+
 @dataclass(frozen=True)
 class CoalMine:
     """Randomly behaving ambient with a threat figure in its context set."""
@@ -82,9 +87,7 @@ class Miner:
 
     @property
     def monitor_behavior(self) -> BehaviorDescriptor:
-        return BehaviorDescriptor(
-            BehaviorClass.PURPOSEFUL, FigureSpec.named(self.figures), social=False
-        )
+        return _monitor(self.figures)
 
 
 @dataclass(frozen=True)
@@ -102,9 +105,7 @@ class Canary:
 
     @property
     def monitor_behavior(self) -> BehaviorDescriptor:
-        return BehaviorDescriptor(
-            BehaviorClass.PURPOSEFUL, FigureSpec.named(self.figures), social=False
-        )
+        return _monitor(self.figures)
 
 
 @dataclass(frozen=True)
@@ -121,11 +122,7 @@ class CollectiveMC:
 
     @property
     def monitor_behavior(self) -> BehaviorDescriptor:
-        return BehaviorDescriptor(
-            BehaviorClass.PURPOSEFUL,
-            FigureSpec.named(self.miner.figures | self.canary.figures),
-            social=True,
-        )
+        return _monitor(self.miner.figures | self.canary.figures, social=True)
 
 
 @dataclass(frozen=True)
@@ -220,11 +217,16 @@ class CanaryPool:
         self.alive_count -= deaths
 
 
+def _supply(size: int, failed: int) -> float:
+    """The pool's supply estimate |c|/2 - failed; the one place that states it."""
+    return size / 2.0 - failed
+
+
 def estimate_supply(pool: CanaryPool) -> float:
     """Probabilistic supply estimate from canary failures: |c|/2 - failed."""
     if pool.size < 1:
         raise EmptyPool("supply estimation needs at least one canary")
-    return pool.size / 2.0 - pool.failed
+    return _supply(pool.size, pool.failed)
 
 
 def estimate_fit(pool: CanaryPool) -> float:
@@ -239,9 +241,10 @@ def fit_of_supply(s: float) -> float:
     return 1.0 / (1.0 + s) if s >= 0 else FLOAT_MIN
 
 
-def fit_cell(value: float) -> str:
-    """A fit value as CSV text, with ``float_min`` for the undersupply sentinel."""
-    return FLOAT_MIN_LABEL if value == FLOAT_MIN else repr(value)
+def _with_estimate(head: int | str, supply_est: float, fit: float, tail: str) -> str:
+    """``head``, the ``supply,fit`` cells (repr, or ``float_min``), then ``tail``."""
+    fit_text = FLOAT_MIN_LABEL if fit == FLOAT_MIN else repr(fit)
+    return f"{head},{supply_est!r},{fit_text}{tail}"
 
 
 def supply_fit_curve(pool_size: int) -> Iterator[tuple[int, float, float]]:
@@ -250,7 +253,7 @@ def supply_fit_curve(pool_size: int) -> Iterator[tuple[int, float, float]]:
     if pool_size < 1:
         raise EmptyPool("the curve needs at least one canary")
     return ((f, s, fit_of_supply(s))
-            for f in range(pool_size + 1) for s in (pool_size / 2.0 - f,))
+            for f in range(pool_size + 1) for s in (_supply(pool_size, f),))
 
 
 @dataclass
@@ -294,6 +297,7 @@ class ScenarioRun:
 SCENARIO_CSV_HEADER = (
     "t", "mine_state", "canaries_alive", "supply", "fit", "miner_alive", "evacuated",
 )
+CURVE_CSV_HEADER = ("f", "supply", "fit")
 
 
 def scenario_csv_rows(run: ScenarioRun) -> Iterator[str]:
@@ -310,12 +314,18 @@ def scenario_csv_rows(run: ScenarioRun) -> Iterator[str]:
         tail = tails.get(key)
         if tail is None:
             mine_state, canaries, *flags = key
-            supply_est = pool_size / 2.0 - (pool_size - canaries)
-            estimates = (f"{supply_est!r},{fit_cell(fit_of_supply(supply_est))}"
-                         if pool_size >= 1 else ",")
-            flag_text = ",".join("true" if flag else "false" for flag in flags)
-            tail = tails[key] = f",{mine_state},{canaries},{estimates},{flag_text}\n"
+            head = f",{mine_state},{canaries}"
+            rest = "".join(",true" if flag else ",false" for flag in flags) + "\n"
+            supply_est = _supply(pool_size, pool_size - canaries)
+            tail = tails[key] = (
+                _with_estimate(head, supply_est, fit_of_supply(supply_est), rest)
+                if pool_size >= 1 else f"{head},,{rest}")
         yield f"{t}{tail}"
+
+
+def curve_csv_rows(pool_size: int) -> Iterator[str]:
+    """The curve CSV's lines after the header, one per ``supply_fit_curve`` row."""
+    return (_with_estimate(f, s, v, "\n") for f, s, v in supply_fit_curve(pool_size))
 
 
 def simulate(

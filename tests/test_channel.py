@@ -164,7 +164,7 @@ class TestRunElastic:
         run = run_elastic([2, 5, 2], 3)
         assert run.undershoot_count == 1
         assert run.y[1] > run.yields[1]  # undershoot
-        assert run.delivered_at[1] is None
+        assert run.delivered[1] == 0
         assert csv_rows(run)[1][3:5] == ("false", "undershoot")
 
     def test_above_supremum_never_undershoots(self):
@@ -177,7 +177,7 @@ class TestRunElastic:
     def test_yield_constant_across_run(self):
         run = run_elastic([1, 2, 3], 4)
         assert set(run.yields) == {4}
-        assert run.cost == run.yields
+        assert list(run.costs()) == list(run.yields)
 
     @pytest.mark.parametrize("demand", [3.5, True, "3"])
     def test_rejects_non_integer_demand(self, demand):
@@ -200,7 +200,7 @@ class TestRunEntelechial:
         # The yield lags one step behind the demand: after the bootstrap
         # step, the chosen yield exactly meets the new demand and strict
         # delivery fails.
-        assert list(run.delivered_at) == [0, None, None, None]
+        assert list(run.delivered) == [1, 0, 0, 0]
         assert list(run.yields[1:]) == list(run.y[1:])  # exact
         assert [row[4:6] for row in csv_rows(run)[1:]] == [("exact", "0")] * 3
 
@@ -228,10 +228,13 @@ class TestRunAntifragile:
         antifragile = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         entelechial = run_entelechial(trace, WindowMax(8), 1.5)
         assert antifragile.mutations == []
-        assert list(antifragile.algorithm) == ["repetition"] * 300
-        for column in ("y", "yields", "delivered_at", "cost"):
+        assert list(antifragile.algorithms()) == ["repetition"] * 300
+        for column in ("y", "yields", "delivered"):
             assert list(getattr(antifragile, column)) == \
                 list(getattr(entelechial, column)), column
+        for derived in ("arrivals", "costs"):
+            assert list(getattr(antifragile, derived)()) == \
+                list(getattr(entelechial, derived)()), derived
 
     def test_bursty_channel_mutates_and_learns(self):
         trace = generate_trace(BURSTY, 1000)
@@ -277,8 +280,7 @@ class TestRunAntifragile:
         }])
         run = run_antifragile(trace, antifragile_config(), store)
         assert run.mutations == []
-        assert len(run.algorithm) == 1000
-        assert all(a == "repetition" for a in run.algorithm)
+        assert list(run.algorithms()) == ["repetition"] * 1000
 
     def test_uncorrelated_bursts_defeat_interleaving(self):
         model = BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5,
@@ -294,10 +296,12 @@ class TestRunAntifragile:
         first = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         second = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         assert first.y is second.y is trace.y
-        for column in ("yields", "cost", "delivered_at", "algorithm", "prediction",
-                       "margin_warning"):
+        for column in ("yields", "delivered", "prediction", "margin_warning"):
             assert list(getattr(first, column)) == list(getattr(second, column)), column
             assert len(getattr(first, column)) == 500
+        for derived in ("costs", "arrivals", "algorithms"):
+            assert list(getattr(first, derived)()) == list(getattr(second, derived)())
+            assert len(list(getattr(first, derived)())) == 500
         for part in ("header", "mutations"):
             assert json.dumps(getattr(first, part), sort_keys=True) == \
                 json.dumps(getattr(second, part), sort_keys=True)

@@ -189,10 +189,11 @@ def assert_run_matches_records(run, records):
     """Every column, aggregate and CSV row equals the one read from the records."""
     assert run.y == tuple(s.y for s in records)
     assert list(run.yields) == [s.yield_point for s in records]
-    assert list(run.cost) == [s.cost for s in records]
-    assert list(run.delivered_at) == [s.delivered_at for s in records]
-    assert [dt is not None for dt in run.delivered_at] == [s.delivered for s in records]
-    assert list(run.algorithm) == [s.algorithm for s in records]
+    assert list(run.costs()) == [s.cost for s in records]
+    assert list(run.delivered) == [int(s.delivered) for s in records]
+    assert [t if d else None for t, d in zip(run.arrivals(), run.delivered)] == \
+        [s.delivered_at for s in records]
+    assert list(run.algorithms()) == [s.algorithm for s in records]
     if all(s.prediction is None for s in records):  # elastic: no predictor
         assert run.prediction is None and run.margin_warning is None
     else:
@@ -466,7 +467,7 @@ def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
     assert run.mutations == mutations
     assert_run_matches_records(run, records)
     assert store.to_dict() == oracle_store.to_dict()
-    delivered = [dt for dt in run.delivered_at if dt is not None]
+    delivered = list(itertools.compress(run.arrivals(), run.delivered))
     assert delivered == sorted(delivered)
 
 
@@ -488,9 +489,10 @@ def test_derived_columns_agree(trace, predictor, epsilon, review_every, profile,
         interleave_depth=depth,
     )
     run = run_antifragile(trace, config, KnowledgeStore(lessons))
-    assert run.delivery_times == [dt for dt in run.delivered_at if dt is not None]
-    assert run.delivered == bytes(dt is not None for dt in run.delivered_at)
-    assert run.total_cost == sum(run.cost)
+    arrivals = list(run.arrivals())
+    assert len(arrivals) == len(list(run.costs())) == len(run.delivered)
+    assert run.delivery_times == list(itertools.compress(arrivals, run.delivered))
+    assert run.total_cost == sum(run.costs())
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
@@ -533,9 +535,10 @@ def test_run_antifragile_starts_entelechial(trace, predictor, epsilon, review_ev
         "burstiness_threshold": threshold,
     }
     until = run.mutations[0]["step"] if run.mutations else len(run.y)
-    for column in ("delivered_at", "cost", "algorithm"):
-        assert list(getattr(run, column))[:until] == \
-            list(getattr(entelechial, column))[:until]
+    assert run.delivered[:until] == entelechial.delivered[:until]
+    for derived in ("arrivals", "costs", "algorithms"):
+        assert list(getattr(run, derived)())[:until] == \
+            list(getattr(entelechial, derived)())[:until]
 
 
 def test_bursty_readme_trace_matches_oracle():
@@ -621,7 +624,7 @@ def test_run_elastic_matches_oracle(trace, yield_point, variant):
     records = oracle_run_elastic(trace, yield_point)
     assert_run_matches_records(run, records)
     assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
-    delivered = [dt for dt in run.delivered_at if dt is not None]
+    delivered = list(itertools.compress(run.arrivals(), run.delivered))
     assert delivered == sorted(delivered)
 
 
@@ -635,7 +638,7 @@ def test_run_entelechial_matches_oracle(trace, predictor, epsilon, variant):
     records = oracle_run_entelechial(trace, predictor, epsilon)
     assert_run_matches_records(run, records)
     assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
-    delivered = [dt for dt in run.delivered_at if dt is not None]
+    delivered = list(itertools.compress(run.arrivals(), run.delivered))
     assert delivered == sorted(delivered)
 
 

@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resilsim.behavior import commensurable, precedes
 from resilsim.errors import EmptyPool
@@ -13,9 +15,11 @@ from resilsim.sentinel import (
     EvacuationPolicy,
     Miner,
     Scenario,
+    curve_csv_rows,
     detect_need_for_social,
     estimate_fit,
     estimate_supply,
+    fit_of_supply,
     scenario_csv_rows,
     simulate,
     supply_fit_curve,
@@ -136,6 +140,32 @@ class TestSupplyFitCurve:
     def test_needs_a_canary(self):
         with pytest.raises(EmptyPool):
             supply_fit_curve(0)
+        with pytest.raises(EmptyPool):
+            curve_csv_rows(0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pool_size=st.integers(1, 60))
+@example(pool_size=1)
+@example(pool_size=60)
+def test_trace_and_curve_write_one_estimate(pool_size):
+    """Every trace line carries the ``supply,fit`` cells of the curve row at
+    failed = pool - canaries, and both are the pool's own estimates."""
+    curve = list(csv.reader(curve_csv_rows(pool_size)))
+    assert len(curve) == pool_size + 1
+    scenario = Scenario(mine=CoalMine(p_enter_ts=0.2), pool_size=pool_size)
+    seen = set()
+    for seed in (0, 1, 2):
+        for _, _, alive, supply_text, fit_text, _, _ in csv_rows(
+                simulate(scenario, 300, seed)):
+            failed = pool_size - int(alive)
+            assert curve[failed] == [str(failed), supply_text, fit_text]
+            supply_est = estimate_supply(pool_with_failures(pool_size, failed))
+            fit = fit_of_supply(supply_est)
+            assert supply_text == repr(supply_est)
+            assert fit_text == ("float_min" if fit == FLOAT_MIN else repr(fit))
+            seen.add(fit == FLOAT_MIN)
+    assert seen == {False, True}  # both the supplied and the undersupplied text
 
 
 class TestSimulate:
