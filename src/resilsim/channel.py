@@ -29,15 +29,13 @@ import shutil
 import sys
 from array import array
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InvalidBounds, NoObservations, StoreCorrupt, TraceMismatch
+from .errors import InvalidBounds, StoreCorrupt, TraceMismatch
 from .fitness import BASELINE, fit, shooting
-from .organs import FeedbackKind
 
 
 # ---------------------------------------------------------------------------
@@ -178,32 +176,25 @@ def generate_trace(model: ChannelModel, steps: int) -> ChannelTrace:
 # Predictors
 
 
+@dataclass(frozen=True)
 class WindowMax:
-    """Predicts the maximum of the most recent observations."""
+    """Predicts the maximum of the most recent ``window`` samples."""
+
+    window: int = 8
 
     kind = "window_max"
 
-    def __init__(self, window: int = 8):
-        if window < 1:
+    def __post_init__(self) -> None:
+        if self.window < 1:
             raise ValueError("window must be a positive integer")
-        self.window = window
-        self._recent: deque[int] = deque(maxlen=window)
-
-    def observe(self, y: float) -> None:
-        self._recent.append(y)
-
-    def predict(self) -> float:
-        if not self._recent:
-            raise NoObservations("predictor has no observations yet")
-        return float(max(self._recent))
 
     def predictions(self, ys: Sequence[int]) -> array:
-        """The prediction before each step of ``ys`` of a fresh predictor
-        primed with ``ys[0]``: ``ys[0]``, then the maximum of the last
-        ``window`` samples of ``ys[:t]``, a running maximum up to ``window``
-        steps and then the maximum of the spans ``span[j] = max(ys[j:j +
-        width])`` at offsets 0, width, ... and ``window - width``, where each
-        doubling of ``width`` is one pass: O(log window) per step."""
+        """The prediction before each step of ``ys``: ``ys[0]``, then the
+        maximum of the last ``window`` samples of ``ys[:t]``, a running
+        maximum up to ``window`` steps and then the maximum of the spans
+        ``span[j] = max(ys[j:j + width])`` at offsets 0, width, ... and
+        ``window - width``, where each doubling of ``width`` is one pass:
+        O(log window) per step."""
         n, window = len(ys), self.window
         columns = array("d", chain(islice(ys, 1),
                                    accumulate(islice(ys, min(window, n) - 1), max)))
@@ -218,43 +209,32 @@ class WindowMax:
         return columns
 
 
+@dataclass(frozen=True)
 class EwmaPlusSlope:
-    """Exponentially weighted level plus slope, extrapolated ahead.
+    """Exponentially weighted level plus slope, extrapolated ``horizon``
+    steps ahead.
 
     Suited to drifting channels where the demand trends rather than
     jumping between levels.
     """
 
+    alpha: float = 0.3
+    horizon: int = 1
+
     kind = "ewma_slope"
 
-    def __init__(self, alpha: float = 0.3, horizon: int = 1):
-        if not 0.0 < alpha <= 1.0:
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if horizon < 1:
+        if self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
-        self.alpha = alpha
-        self.horizon = horizon
-        self._level: float | None = None
-        self._slope = 0.0
-        self._last: float | None = None
-
-    def observe(self, y: float) -> None:
-        if self._level is None:
-            self._level = float(y)
-        else:
-            self._slope = self.alpha * (y - self._last) + (1 - self.alpha) * self._slope
-            self._level = self.alpha * y + (1 - self.alpha) * self._level
-        self._last = float(y)
-
-    def predict(self) -> float:
-        if self._level is None:
-            raise NoObservations("predictor has no observations yet")
-        return self._level + self.horizon * self._slope
 
     def predictions(self, ys: Sequence[int]) -> array:
-        """The prediction before each step of ``ys`` of a fresh predictor
-        primed with ``ys[0]``, then fed ``ys[:t]``: the float operations of
-        :meth:`observe` and :meth:`predict`, in their order, over locals."""
+        """The prediction before each step of ``ys``: level + horizon *
+        slope, where level and slope start at ``ys[0]`` and 0, and each
+        sample y of ``ys[1:t]`` takes the slope to alpha * (y - the sample
+        before) + (1 - alpha) * slope, then the level to alpha * y + (1 -
+        alpha) * level."""
         alpha, beta, horizon = self.alpha, 1 - self.alpha, self.horizon
         level = last = float(ys[0])
         slope = 0.0
@@ -268,17 +248,7 @@ class EwmaPlusSlope:
         return columns
 
 
-def choose_yield(predictor, epsilon: float) -> tuple[int, bool]:
-    """Smallest integer yielding point strictly above the prediction.
-
-    The second element warns that the safety-margin inequality
-    0 < Y - prediction < epsilon could not be met at integer granularity.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    prediction = predictor.predict()
-    y = max(1, math.floor(prediction) + 1)
-    return y, (y - prediction) >= epsilon
+Predictor = WindowMax | EwmaPlusSlope
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +296,10 @@ class AntifragileEvolving:
     """Configuration of the evolving protocol.
 
     ``epochs_per_review`` is the number of steps between reviews by the
-    analysis organ. A run reads only the predictor's parameters, never its
-    observed history.
+    analysis organ.
     """
 
-    predictor: object
+    predictor: Predictor
     epsilon: float
     epochs_per_review: int = 50
     identity_profile: IdentityProfile = FileTransfer()
@@ -356,8 +325,8 @@ class ProtocolRun:
     * ``yields``: the provisioned yielding point Y;
     * ``delivered``: 1 if the packet got through, else 0, one byte a step;
     * ``prediction`` and ``margin_warning``: the predictor's output, an
-      ``array("d")``, and the epsilon-margin flag of ``choose_yield``, one
-      byte a step; shared, with ``yields``, by the runs of one predictor
+      ``array("d")``, and the epsilon-margin flag (see :func:`_entelechial`),
+      one byte a step; shared, with ``yields``, by the runs of one predictor
       pass (see :func:`_entelechial`). An elastic run has no predictor, so
       both are None.
 
@@ -582,17 +551,20 @@ def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> Protoc
 
 
 def _entelechial(
-    trace: ChannelTrace, predictor, epsilon: float
+    trace: ChannelTrace, predictor: Predictor, epsilon: float
 ) -> tuple[dict, tuple[int, ...], array, bytes]:
     """The entelechial header and its per-step yield, prediction and
     margin-warning columns.
 
-    Step 0 bootstraps from the first sample itself (the predictor is primed
-    with y(0), so Y(0) = y(0) + 1); every later step only sees samples up
-    to the previous one. The columns are one ``predictor.predictions`` pass,
-    which reads the predictor's parameters only. The trace keeps the last
-    columns, so a call with equal parameters and epsilon shares them, and
-    they are immutable: the yields a tuple, the warnings one byte a step.
+    Y(t) is the smallest integer strictly above the prediction, and at
+    least 1. The warning flags a step where Y(t) - prediction >= epsilon:
+    the safety margin 0 < Y - prediction < epsilon cannot be met at integer
+    granularity. Step 0 bootstraps from the first sample itself (the
+    prediction is y(0), so Y(0) = y(0) + 1); every later step only sees
+    samples up to the previous one. The columns are one
+    ``predictor.predictions`` pass. The trace keeps the last columns, so a
+    call with an equal predictor and epsilon shares them, and they are
+    immutable: the yields a tuple, the warnings one byte a step.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -602,7 +574,7 @@ def _entelechial(
         "epsilon": epsilon,
         "bootstrap_yield": trace.y[0] + 1,
     }
-    key = (header["predictor"], epsilon)
+    key = (predictor, epsilon)
     if trace._columns is None or trace._columns[0] != key:
         predictions = predictor.predictions(trace.y)
         yields = tuple(map(max, repeat(1), map(operator.add, map(math.floor, predictions),
@@ -614,7 +586,7 @@ def _entelechial(
 
 
 def run_entelechial(
-    trace: ChannelTrace | Sequence[int], predictor, epsilon: float
+    trace: ChannelTrace | Sequence[int], predictor: Predictor, epsilon: float
 ) -> ProtocolRun:
     """Adaptive yielding point chosen each step from the predictor."""
     trace = as_trace(trace)
@@ -671,6 +643,8 @@ def run_antifragile(
     lesson are adopted instead of being relearned. No file is read or
     written.
     """
+    from .organs import FeedbackKind  # only this protocol records feedback
+
     trace = as_trace(trace)
     ys = trace.y
     n = len(ys)

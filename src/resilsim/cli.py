@@ -10,8 +10,9 @@ explicitly named knowledge store. Both ``channel`` and ``sentinel`` check
 every input and output name and run every simulation before the first
 write, so a config error or a failed simulation leaves no file. Each
 command imports only the modules it runs, when it runs: ``--version`` and
-``--help`` load no study, ``channel`` never loads the sentinel study, and
-``sentinel`` never the channel study or the organs.
+``--help`` load no study, ``channel`` never loads the sentinel study (nor
+the organs, without an antifragile protocol), and ``sentinel`` never the
+channel study, ``fitness`` or the organs.
 
 Exit codes: 0 success, 2 config error (a corrupt knowledge store included),
 3 I/O error, 4 internal error.
@@ -239,10 +240,15 @@ def _protocol_name(config, path: str, index: int, taken) -> str:
 
 
 def _write_csv(path: str, header: Sequence[str], lines: Iterable[str]) -> None:
-    """The header, then ``lines``: finished CSV lines, written as they come."""
+    """The header, then ``lines``: finished CSV lines, each ending in a line
+    end, joined and written 4 096 at a time (faster than a write per line)."""
+    from itertools import islice
+
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(lines)
+        while chunk := "".join(islice(lines, 4096)):
+            handle.write(chunk)
 
 
 def _write_rows(path: str, header: Sequence[str], rows) -> None:
@@ -481,7 +487,7 @@ def cmd_compare(path_a: str, path_b: str, organs: bool = False,
         print(_json_text(comparison.to_dict()))
         return EXIT_OK
     from .behavior import BehaviorDescriptor, commensurable, distance, precedes
-    from .fitness import FitVariant, fit, supply
+    from .fitness import IDENTITY_LOSS_LABEL, FitVariant, fit, supply
 
     variant = fit_variant or FitVariant()
     a = _load(BehaviorDescriptor, path_a)
@@ -497,7 +503,7 @@ def cmd_compare(path_a: str, path_b: str, organs: bool = False,
         s = supply(a, b)
         outcome = fit(s, variant)
         result["supply"] = s
-        result["fit"] = outcome.value if not outcome.lost_identity else "-inf"
+        result["fit"] = IDENTITY_LOSS_LABEL if outcome.lost_identity else outcome.value
         result["marker"] = ""
     except IncommensurableBehaviors:
         result["supply"] = None

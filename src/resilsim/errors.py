@@ -29,10 +29,6 @@ class InvalidBounds(ResilienceError):
     """Channel model parameters are out of range."""
 
 
-class NoObservations(ResilienceError):
-    """A predictor was asked for a prediction before any observation."""
-
-
 class StoreCorrupt(ResilienceError):
     """The knowledge store file exists but cannot be parsed."""
 

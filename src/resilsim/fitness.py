@@ -77,12 +77,16 @@ def supply(system: BehaviorDescriptor, environment: BehaviorDescriptor) -> int:
     return d if direction is Direction.SYSTEM_DOMINATES else -d
 
 
+# The identity-loss sentinel as text; it is never a floating infinity.
+IDENTITY_LOSS_LABEL = "-inf"
+
+
 @dataclass(frozen=True)
 class FitOutcome:
     """Fit value in (0, 1], or the identity-loss sentinel.
 
     ``value`` is None exactly when supply was negative. The sentinel
-    serializes as the string "-inf"; it is never a floating infinity.
+    serializes as ``IDENTITY_LOSS_LABEL``.
     """
 
     value: float | None
@@ -92,7 +96,7 @@ class FitOutcome:
         return self.value is None
 
     def serialized(self) -> str:
-        return "-inf" if self.value is None else repr(self.value)
+        return IDENTITY_LOSS_LABEL if self.value is None else repr(self.value)
 
 
 IDENTITY_LOSS = FitOutcome(None)

@@ -23,7 +23,6 @@ from typing import Iterator
 
 from .behavior import BehaviorClass, BehaviorDescriptor, FigureSpec, commensurable
 from .errors import EmptyPool
-from .fitness import supply
 
 # Smallest positive normal double; the estimation sentinel for outright
 # undersupply. Serializes as the string "float_min".
@@ -183,6 +182,8 @@ def detect_need_for_social(
     situate itself; undersupply means it is losing identity. Either way,
     augmenting perception through another system is the way out.
     """
+    from .fitness import supply  # no command runs this test
+
     if not commensurable(system_behavior, environment_behavior):
         return True
     if system_behavior == environment_behavior:

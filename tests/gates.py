@@ -11,7 +11,14 @@ options. Each gate runs in a fresh child of the same interpreter, with
 * memory: the ``tracemalloc`` peak of a 10^5-step ``channel-walk`` run is
   at most 12 MB;
 * golden digests: ``tests/golden_cases.py`` under ``PYTHONHASHSEED`` 0 and
-  12345, so byte-identical outputs do not depend on string hashing.
+  12345, so byte-identical outputs do not depend on string hashing;
+* predictor kernels: the column kernels of both predictors, and the yields
+  and margin warnings of a run, equal the per-step forms of
+  ``tests/oracles.py`` bit for bit on fixed traces;
+* benchmark outputs: ``perfbench/run.py --seconds 0`` on each of its four
+  workloads, plain and traced, reports ``"correct": true``, so every output
+  matches ``perfbench/golden.json`` at benchmark size (10^5-step CSVs, the
+  100 001-row curve) and every layer the benchmark names is found.
 
 It prints one line per gate and exits 1 if any gate fails.
 """
@@ -20,7 +27,9 @@ import os
 import sys
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(TESTS), "src")
+ROOT = os.path.dirname(TESTS)
+SRC = os.path.join(ROOT, "src")
+WORKLOADS = ("channel-bursty", "channel-walk", "sentinel-batch", "sentinel-pool")
 
 
 def no_runtime_dependency() -> None:
@@ -75,10 +84,11 @@ def tracemalloc_peak() -> None:
     under ``tracemalloc``. Per step the trace keeps 8 bytes (its demand), an
     elastic run 9 (yields and delivery) and an entelechial or antifragile run
     18 (yields, predictions, margin warnings and delivery), and the CSVs are
-    streamed. ``cli.main`` imports the channel study once it knows the
-    command, so the peak includes loading it: 5.5 MB on Python 3.10, 5.2 MB
-    on 3.11 and 5.9 MB on 3.12 and 3.13. Per-step int or float objects,
-    or a list of rows, would pass 12 MB."""
+    streamed, 4 096 lines at a time (about 0.5 MB). ``cli.main`` imports
+    the channel study once it knows the command, so the peak includes
+    loading it: 6.0 MB on Python 3.10, 5.7 MB on 3.11 and 6.3–6.4 MB on
+    3.12 and 3.13. Per-step int or float objects, or a list of rows, would
+    pass 12 MB."""
     import json
     import tempfile
     import tracemalloc
@@ -110,6 +120,70 @@ def tracemalloc_peak() -> None:
         sys.exit(f"tracemalloc peak {peak_mb:.2f} MB exceeds 12 MB")
 
 
+def predictor_oracle() -> None:
+    """``predictions`` of each predictor equals the per-step oracle's floats
+    bit for bit (``float.hex``), and an entelechial run's yields and margin
+    warnings equal the oracle's yield rule, on three traces: the README's
+    bursty channel and the benchmark's random walk, 2 000 steps each, and
+    ``[1, 5, 2, 2, 6, 1]``. ``WindowMax`` runs at windows 1, 2, 8, n - 1, n
+    and n + 1 of an n-step trace, ``EwmaPlusSlope`` at its defaults and at
+    alpha 0.5 with horizon 3."""
+    from oracles import predict_yields
+    from resilsim.channel import (BurstyChannel, EwmaPlusSlope, RandomWalkChannel,
+                                  WindowMax, generate_trace, run_entelechial)
+
+    traces = {
+        "bursty": generate_trace(BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1,
+                                               y_burst=5, seed=17), 2_000).y,
+        "walk": generate_trace(RandomWalkChannel(y0=3, step_prob=0.2, y_min=1,
+                                                 y_max=6, seed=5), 2_000).y,
+        "short": (1, 5, 2, 2, 6, 1),
+    }
+    checked, wrong = 0, []
+    for name, ys in traces.items():
+        n = len(ys)
+        windows = sorted({1, 2, 8, n - 1, n, n + 1})
+        for predictor in (*map(WindowMax, windows), EwmaPlusSlope(),
+                          EwmaPlusSlope(alpha=0.5, horizon=3)):
+            yields, predictions, warns = predict_yields(ys, predictor, 1.5)
+            run = run_entelechial(ys, predictor, 1.5)
+            checked += 1
+            if ([p.hex() for p in predictor.predictions(ys)] != [p.hex() for p in predictions]
+                    or list(run.yields) != yields or list(run.margin_warning) != warns):
+                wrong.append(f"{predictor} on the {name} trace")
+    if wrong:
+        sys.exit(f"columns differ from tests/oracles.py: {'; '.join(wrong)}")
+    print(f"{checked} predictor columns equal tests/oracles.py bit for bit")
+
+
+def benchmark_correct(workload: str, trace: str) -> None:
+    """``perfbench/run.py --workload WORKLOAD --seconds 0 --trace TRACE``
+    exits 0 and the last line of its standard output reports ``"correct":
+    true``. Otherwise the failures it lists are printed."""
+    import json
+    import subprocess
+
+    argv = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+            "--workload", workload, "--seconds", "0", "--trace", trace]
+    done = subprocess.run(argv, cwd=ROOT, text=True, capture_output=True)
+    *report, last = done.stdout.splitlines() or [""]
+    try:
+        result = json.loads(last)
+        correct = result["correct"] is True
+    except (ValueError, KeyError, TypeError):
+        correct = False
+    if done.returncode == 0 and correct:
+        print(f"correct: true, {result['attempted']} invocations")
+        return
+    try:
+        shown = json.loads("\n".join(report))["failures"]
+    except (ValueError, KeyError, TypeError):
+        shown = report[-20:]
+    print(*shown, *done.stderr.splitlines()[-20:], sep="\n")
+    sys.exit(f"exit {done.returncode}, not correct: an output differs from "
+             "perfbench/golden.json, or a traced layer was not found")
+
+
 def main() -> int:
     import subprocess
 
@@ -129,6 +203,11 @@ def main() -> int:
                  "-c", "import gates; gates.tracemalloc_peak()"))]
     gates += [(f"golden digests under PYTHONHASHSEED={seed}",
                child(golden, PYTHONHASHSEED=seed)) for seed in ("0", "12345")]
+    gates.append(("predictor kernels match the per-step oracle", child(
+                     "-c", "import gates; gates.predictor_oracle()")))
+    gates += [(f"benchmark {workload} --trace {trace} correct", child(
+                  "-c", f"import gates; gates.benchmark_correct({workload!r}, {trace!r})"))
+              for workload in WORKLOADS for trace in ("0", "1")]
     print(f"Python {sys.version.split()[0]}")
     failed = 0
     for name, (status, output) in gates:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -16,7 +17,6 @@ from resilsim.channel import (
     Teleconferencing,
     WindowMax,
     burstiness,
-    choose_yield,
     compare_runs,
     generate_trace,
     run_antifragile,
@@ -26,7 +26,6 @@ from resilsim.channel import (
 )
 from resilsim.errors import (
     InvalidBounds,
-    NoObservations,
     StoreCorrupt,
     TraceMismatch,
 )
@@ -86,62 +85,51 @@ class TestGenerateTrace:
             generate_trace(ConstantChannel(1), 0)
 
 
-class _FixedPredictor:
-    def __init__(self, value):
-        self.value = value
-
-    def predict(self):
-        return self.value
-
-
 class TestChooseYield:
+    """The entelechial yield rule: Y is the smallest integer strictly above
+    the prediction, with a warning where Y - prediction >= epsilon."""
+
+    # EwmaPlusSlope() predicts 3.6 for the step after 3 and 4.
+    RAMP = [3, 4, 1]
+
     def test_within_margin(self):
-        assert choose_yield(_FixedPredictor(3.2), 1.0) == (4, False)
+        run = run_entelechial(self.RAMP, EwmaPlusSlope(), 1.0)
+        assert run.prediction[2] == pytest.approx(3.6)
+        assert (run.yields[2], run.margin_warning[2]) == (4, False)
 
     def test_tight_margin_warns(self):
-        assert choose_yield(_FixedPredictor(3.9), 0.05) == (4, True)
+        run = run_entelechial(self.RAMP, EwmaPlusSlope(), 0.05)
+        assert (run.yields[2], run.margin_warning[2]) == (4, True)
 
     def test_integer_prediction_forces_next_integer(self):
-        assert choose_yield(_FixedPredictor(3.0), 0.5) == (4, True)
-
-    def test_no_observations(self):
-        with pytest.raises(NoObservations):
-            choose_yield(WindowMax(4), 1.0)
+        run = run_entelechial([3, 3, 3], WindowMax(4), 0.5)
+        assert list(run.prediction) == [3.0, 3.0, 3.0]
+        assert run.yields == (4, 4, 4)
+        assert run.margin_warning == bytes([True] * 3)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
-            choose_yield(_FixedPredictor(2.0), 0.0)
+            run_entelechial([2], WindowMax(4), 0.0)
 
 
 class TestPredictors:
     def test_window_max_tracks_recent_maximum(self):
-        predictor = WindowMax(3)
-        for y in (1, 5, 2, 2, 2):
-            predictor.observe(y)
-        assert predictor.predict() == 2.0  # the 5 fell out of the window
+        # the prediction after 1, 5, 2, 2, 2: the 5 fell out of the window
+        assert WindowMax(3).predictions((1, 5, 2, 2, 2, 1))[-1] == 2.0
 
     def test_window_max_at_least_latest(self):
-        predictor = WindowMax(8)
-        for y in (1, 2, 6, 3):
-            predictor.observe(y)
-        assert predictor.predict() >= 6.0
+        assert WindowMax(8).predictions((1, 2, 6, 3, 1))[-1] >= 6.0
 
     def test_ewma_constant_series(self):
-        predictor = EwmaPlusSlope(alpha=0.5, horizon=2)
-        for _ in range(20):
-            predictor.observe(4)
-        assert predictor.predict() == pytest.approx(4.0)
+        predictions = EwmaPlusSlope(alpha=0.5, horizon=2).predictions((4,) * 21)
+        assert predictions[-1] == pytest.approx(4.0)
 
     def test_ewma_extrapolates_trend(self):
         # On a steady ramp the slope term compensates the level's lag; a
-        # longer horizon extrapolates past the last observation.
-        near = EwmaPlusSlope(alpha=0.5, horizon=1)
-        far = EwmaPlusSlope(alpha=0.5, horizon=3)
-        for y in range(1, 11):
-            near.observe(y)
-            far.observe(y)
-        assert near.predict() >= 10.0
-        assert far.predict() > 10.0
+        # longer horizon extrapolates past the last observation, 10.
+        ramp = tuple(range(1, 12))
+        assert EwmaPlusSlope(alpha=0.5, horizon=1).predictions(ramp)[-1] >= 10.0
+        assert EwmaPlusSlope(alpha=0.5, horizon=3).predictions(ramp)[-1] > 10.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -150,6 +138,13 @@ class TestPredictors:
             EwmaPlusSlope(alpha=0.0)
         with pytest.raises(ValueError):
             EwmaPlusSlope(alpha=0.5, horizon=0)
+
+    def test_predictors_are_frozen_values(self):
+        assert {WindowMax(8), WindowMax(), EwmaPlusSlope(0.3, 1), EwmaPlusSlope()} == \
+            {WindowMax(8), EwmaPlusSlope()}
+        assert WindowMax(8) != WindowMax(7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            WindowMax(8).window = 4
 
 
 class TestRunElastic:

@@ -1059,13 +1059,14 @@ IMPORT_CASES = {
     "--version": (["--version"], set(), STUDIES),
     "--help": (["--help"], set(), STUDIES),
     "sentinel": (SENTINEL_ARGS, {"resilsim.sentinel"},
-                 {"resilsim.channel", "resilsim.organs"}),
+                 {"resilsim.channel", "resilsim.organs", "resilsim.fitness"}),
     "sentinel --curve": ([*SENTINEL_ARGS, "--curve", "10"], {"resilsim.sentinel"},
-                         {"resilsim.channel", "resilsim.organs"}),
+                         {"resilsim.channel", "resilsim.organs", "resilsim.fitness"}),
     "sentinel --runs": ([*SENTINEL_ARGS, "--runs", "3"], {"resilsim.sentinel"},
-                        {"resilsim.channel", "resilsim.organs"}),
+                        {"resilsim.channel", "resilsim.organs", "resilsim.fitness"}),
+    # WALK_CONFIG runs no antifragile protocol, the only one that needs organs.
     "channel": (["channel", "-c", "channel.json", "-o", "out"], {"resilsim.channel"},
-                {"resilsim.sentinel"}),
+                {"resilsim.sentinel", "resilsim.organs"}),
     "compare": (["compare", "miner.json", "mine.json"], {"resilsim.fitness"},
                 {"resilsim.channel", "resilsim.sentinel"}),
 }
@@ -1074,7 +1075,8 @@ IMPORT_CASES = {
 @pytest.mark.parametrize("case", list(IMPORT_CASES))
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, case):
     """``--version`` and ``--help`` load no study module, ``sentinel`` never
-    loads the channel study and ``channel`` never the sentinel study."""
+    loads the channel study or ``fitness``, and ``channel`` never the
+    sentinel study, nor ``organs`` without an antifragile protocol."""
     argv, loaded, absent = IMPORT_CASES[case]
     write_json(tmp_path / "sentinel.json", SENTINEL_CONFIG)
     write_json(tmp_path / "channel.json", WALK_CONFIG)

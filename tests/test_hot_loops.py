@@ -3,9 +3,9 @@
 The oracles below are the earlier implementations, kept verbatim in
 substance: the per-step ``StepRecord``/``shooting`` builders of the three
 protocol runs (the antifragile one with its prefix-rescanning review pass
-and per-epoch rescanning identity accounting), with their own copy of the
-prediction loop and their own exact jitter reference so that they do not
-share either with the code under test; the step CSV rows and mean step fit
+and per-epoch rescanning identity accounting), with the per-step
+prediction loop of ``oracles.py`` and their own exact jitter reference so
+that they share neither with the code under test; the step CSV rows and mean step fit
 read from those records, the canary pool that keeps one flag per canary,
 the sentinel simulation that built one
 ``ScenarioStep`` per step, and the set checks of the scenario premise. The
@@ -16,7 +16,6 @@ tuple and dict row builders, written through ``csv.writer`` as the command
 line used to write them.
 """
 
-import copy
 import csv
 import decimal
 import io
@@ -81,6 +80,8 @@ from resilsim.sentinel import (
     survival_rate,
 )
 
+from oracles import predict_yields
+
 
 def csv_text(rows):
     """``rows`` as the command line wrote them before lines were streamed."""
@@ -133,30 +134,10 @@ def oracle_run_elastic(trace, yield_point):
     return records
 
 
-def oracle_predict_yields(ys, predictor, epsilon):
-    """The original prediction loop: per-step yield choices from the
-    predictor over the observed history, step 0 primed with y(0)."""
-    yields = []
-    predictions = []
-    warnings_ = []
-    for t, y in enumerate(ys):
-        if t == 0:
-            predictor.observe(y)
-        prediction = predictor.predict()
-        chosen = max(1, math.floor(prediction) + 1)
-        yields.append(chosen)
-        predictions.append(prediction)
-        warnings_.append((chosen - prediction) >= epsilon)
-        if t > 0:
-            predictor.observe(y)
-    return yields, predictions, warnings_
-
-
 def oracle_run_entelechial(trace, predictor, epsilon):
     """The original run_entelechial's step records."""
     ys = as_trace(trace).y
-    yields, predictions, warns = oracle_predict_yields(
-        ys, copy.deepcopy(predictor), epsilon)
+    yields, predictions, warns = predict_yields(ys, predictor, epsilon)
     records = []
     for t, y in enumerate(ys):
         delivered = yields[t] > y
@@ -216,8 +197,7 @@ def oracle_run_antifragile(trace, config, store):
     ys = trace.y
     n = len(ys)
     review_every = config.epochs_per_review
-    predictor = copy.deepcopy(config.predictor)
-    yields, predictions, warns = oracle_predict_yields(ys, predictor, config.epsilon)
+    yields, predictions, warns = predict_yields(ys, config.predictor, config.epsilon)
 
     algorithm = "repetition"
     depth = 0
@@ -676,24 +656,10 @@ def test_predictions_match_the_observe_predict_loop(ys, predictor):
     n = len(ys)
     windows = {w for w in (1, n // 2, n - 1, n, n + 1) if w >= 1}
     for predictor in (predictor, *map(WindowMax, sorted(windows))):
-        _, expected, _ = oracle_predict_yields(ys, copy.deepcopy(predictor), 1.0)
+        _, expected, _ = predict_yields(ys, predictor, 1.0)
         columns = predictor.predictions(tuple(ys))
         assert type(columns) is array and columns.typecode == "d"
         assert [p.hex() for p in columns] == [p.hex() for p in expected]
-
-
-def test_a_primed_predictor_runs_as_a_fresh_one():
-    """A run reads the predictor's parameters, not its observed history."""
-    primed = WindowMax(8)
-    for y in (9, 9, 9):
-        primed.observe(y)
-    trace = list(generate_trace(  # a list: each run gets a trace of its own
-        BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=17), 2_000).y)
-    assert run_entelechial(trace, primed, 1.5) == run_entelechial(trace, WindowMax(8), 1.5)
-    config = AntifragileEvolving(predictor=WindowMax(8), epsilon=1.5)
-    run = run_antifragile(trace, config, KnowledgeStore())
-    assert run.mutations
-    assert run_antifragile(trace, replace(config, predictor=primed), KnowledgeStore()) == run
 
 
 def test_a_trace_keeps_the_columns_of_its_last_predictor_pass():
@@ -703,7 +669,7 @@ def test_a_trace_keeps_the_columns_of_its_last_predictor_pass():
         BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=17), 2_000)
     runs = [run_entelechial(trace, WindowMax(8), epsilon) for epsilon in (0.5, 1.0, 1.5)]
     key, columns = trace._columns
-    assert key == (config_dict(WindowMax(8)), 1.5)
+    assert key == (WindowMax(8), 1.5)
     assert columns == (runs[-1].yields, runs[-1].prediction, runs[-1].margin_warning)
     assert isinstance(runs[-1].yields, tuple) and isinstance(runs[-1].margin_warning, bytes)
     fresh = replace(trace)
