@@ -324,11 +324,9 @@ class ProtocolRun:
     * ``y``: the channel demand, the trace's own tuple (shared, not copied);
     * ``yields``: the provisioned yielding point Y;
     * ``delivered``: 1 if the packet got through, else 0, one byte a step;
-    * ``prediction`` and ``margin_warning``: the predictor's output, an
-      ``array("d")``, and the epsilon-margin flag (see :func:`_entelechial`),
+    * ``margin_warning``: the epsilon-margin flag (see :func:`_entelechial`),
       one byte a step; shared, with ``yields``, by the runs of one predictor
-      pass (see :func:`_entelechial`). An elastic run has no predictor, so
-      both are None.
+      pass. An elastic run has no predictor, so it is None.
 
     With ``mutation_step`` (None if the run never mutates) and the
     interleaving ``depth`` they fix what is derived on read, each in one
@@ -344,7 +342,6 @@ class ProtocolRun:
     y: tuple[int, ...]
     yields: Sequence[int]
     delivered: bytes
-    prediction: Sequence[float] | None
     margin_warning: bytes | None
     mutation_step: int | None = None
     depth: int = 0
@@ -492,7 +489,6 @@ def _protocol_run(
     trace: ChannelTrace,
     header: dict,
     yields: Sequence[int],
-    predictions: Sequence[float] | None,
     warns: bytes | None,
     mutation_step: int | None = None,
     depth: int = 0,
@@ -531,8 +527,8 @@ def _protocol_run(
                 second = start + (r + offset) % length
                 delivered[mutation_step + start + r:mutation_step + stop:length] = bytes(
                     map(operator.or_, ok[start + r:stop:length], ok[second:stop:length]))
-    return ProtocolRun(header, trace.y, yields, bytes(delivered), predictions, warns,
-                       mutation_step, depth)
+    return ProtocolRun(header, trace.y, yields, bytes(delivered), warns, mutation_step,
+                       depth)
 
 
 def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> ProtocolRun:
@@ -541,30 +537,30 @@ def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> Protoc
     Delivery at step t succeeds iff yield_point strictly exceeds y(t); with
     a yield above the trace supremum no undershooting is ever experienced,
     at the price of paying for the worst case at every step. There is no
-    predictor, so the run has no prediction or margin-warning column.
+    predictor, so the run has no margin-warning column.
     """
     trace = as_trace(trace)
     if yield_point < 1:
         raise ValueError("yield point must be a positive integer")
     header = {"protocol": "elastic", "yield_point": yield_point}
-    return _protocol_run(trace, header, (yield_point,) * len(trace.y), None, None)
+    return _protocol_run(trace, header, (yield_point,) * len(trace.y), None)
 
 
 def _entelechial(
     trace: ChannelTrace, predictor: Predictor, epsilon: float
-) -> tuple[dict, tuple[int, ...], array, bytes]:
-    """The entelechial header and its per-step yield, prediction and
-    margin-warning columns.
+) -> tuple[dict, tuple[int, ...], bytes]:
+    """The entelechial header and its per-step yield and margin-warning
+    columns.
 
     Y(t) is the smallest integer strictly above the prediction, and at
     least 1. The warning flags a step where Y(t) - prediction >= epsilon:
     the safety margin 0 < Y - prediction < epsilon cannot be met at integer
     granularity. Step 0 bootstraps from the first sample itself (the
     prediction is y(0), so Y(0) = y(0) + 1); every later step only sees
-    samples up to the previous one. The columns are one
-    ``predictor.predictions`` pass. The trace keeps the last columns, so a
-    call with an equal predictor and epsilon shares them, and they are
-    immutable: the yields a tuple, the warnings one byte a step.
+    samples up to the previous one. The columns come from one
+    ``predictor.predictions`` pass, which is not kept. The trace keeps the
+    last columns, so a call with an equal predictor and epsilon shares them,
+    and they are immutable: the yields a tuple, the warnings one byte a step.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -581,7 +577,7 @@ def _entelechial(
                                                repeat(1))))
         warns = bytes(map(operator.ge, map(operator.sub, yields, predictions),
                           repeat(epsilon)))
-        object.__setattr__(trace, "_columns", (key, (yields, predictions, warns)))
+        object.__setattr__(trace, "_columns", (key, (yields, warns)))
     return (header, *trace._columns[1])
 
 
@@ -631,9 +627,9 @@ def run_antifragile(
 ) -> ProtocolRun:
     """Evolving protocol: the entelechial run plus a mutation point.
 
-    It starts entelechial: its yields, predictions and margin warnings are
-    those of :func:`run_entelechial` with the same predictor and epsilon,
-    and so is its delivery up to the mutation point. Every
+    It starts entelechial: its yields and margin warnings are those of
+    :func:`run_entelechial` with the same predictor and epsilon, and so is
+    its delivery up to the mutation point. Every
     ``epochs_per_review`` steps the analysis organ estimates channel
     burstiness over the last epoch. When it exceeds the configured
     threshold the protocol mutates its algorithm to block interleaving
@@ -649,8 +645,7 @@ def run_antifragile(
     ys = trace.y
     n = len(ys)
     review_every = config.epochs_per_review
-    header, yields, predictions, warns = _entelechial(
-        trace, config.predictor, config.epsilon)
+    header, yields, warns = _entelechial(trace, config.predictor, config.epsilon)
     header.update(
         protocol="antifragile",
         epochs_per_review=review_every,
@@ -697,7 +692,7 @@ def run_antifragile(
         })
         break  # a genotypical change is permanent: nothing is left to review
 
-    run = _protocol_run(trace, header, yields, predictions, warns, mutation_step, depth)
+    run = _protocol_run(trace, header, yields, warns, mutation_step, depth)
     run.mutations = mutations
 
     # Identity accounting: jitter per review epoch. The delivery times never

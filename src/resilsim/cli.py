@@ -50,34 +50,14 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # Config parsing
 
-# The config sections whose ``kind`` key selects a class of the channel
-# module, by name. A protocol's kind selects a runner or a class there too.
-_KIND_CLASSES = {
-    "channel": ("ConstantChannel", "RandomWalkChannel", "BurstyChannel"),
-    "predictor": ("WindowMax", "EwmaPlusSlope"),
-    "identity_profile": ("FileTransfer", "Teleconferencing"),
-}
+# A protocol's ``kind`` names its runner (or the antifragile config class) in
+# the channel module, looked up once per command so that a wrapper installed
+# on the module attribute (as a tracer does) is the one that runs. The other
+# sections' kinds are the members of their unions there (see :func:`_value`).
 _PROTOCOL_KINDS = {"elastic": "run_elastic", "entelechial": "run_entelechial",
                    "antifragile": "AntifragileEvolving"}
 
-# The constructor names of each section by kind, built on first use (which
-# loads the channel study) from each class's ``kind``. A constructor is looked
-# up by name when called, so that a wrapper installed on a module attribute
-# (as a tracer does) is the one that runs.
-_KINDS: dict[str, dict[str, str]] = {}
-
 _CHANNEL_KEYS = ("channel", "steps", "seed", "protocols", "protocol", "knowledge_store")
-
-
-def _kinds(section: str) -> dict[str, str]:
-    """The constructor names of the config ``section`` by kind."""
-    if not _KINDS:
-        from . import channel
-
-        _KINDS.update({name: {getattr(channel, cls).kind: cls for cls in classes}
-                       for name, classes in _KIND_CLASSES.items()},
-                      protocol=_PROTOCOL_KINDS)
-    return _KINDS[section]
 
 
 def _load_json(path: str):
@@ -138,14 +118,17 @@ def _section(config, path: str, allowed=None) -> dict:
     return config
 
 
-def _value(name: str, annotation, value, path: str):
-    """``value`` checked against the annotation of parameter ``name``."""
+def _value(annotation, value, path: str):
+    """``value`` checked against a parameter's ``annotation``: a dataclass is
+    a nested section, a type of ``_TYPES`` a checked value, and any other
+    annotation a union of classes that each declare ``kind``, whose section's
+    ``kind`` key picks the member."""
     from dataclasses import is_dataclass
 
-    if name in _KIND_CLASSES:
-        return _build_kind(name, value, path)
     if is_dataclass(annotation):
         return _build(annotation, value, path)
+    if annotation not in _TYPES:
+        return _build_kind({cls.kind: cls for cls in annotation.__args__}, value, path)
     expected, check = _TYPES[annotation]
     if not check(value):
         raise ConfigError(f"{path} must be {expected}, got {value!r}")
@@ -171,7 +154,7 @@ def _build(target, config, path: str, extra=(), **fixed):
     arguments = {name: value for name, value in fixed.items() if name in parameters}
     for key, name in keys.items():
         if key in config:
-            arguments[name] = _value(name, parameters[name].annotation, config[key],
+            arguments[name] = _value(parameters[name].annotation, config[key],
                                      _join(path, key))
         elif parameters[name].default is inspect.Parameter.empty:
             raise ConfigError(f"{_join(path, key)}: missing required key")
@@ -181,24 +164,22 @@ def _build(target, config, path: str, extra=(), **fixed):
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
 
 
-def _build_kind(section: str, config, path: str, extra=(), **fixed):
-    """:func:`_build` with the constructor that the ``kind`` key names."""
-    from . import channel
-
-    kinds = _kinds(section)
+def _build_kind(kinds: dict, config, path: str, extra=(), **fixed):
+    """:func:`_build` with the constructor in ``kinds`` that the ``kind`` key
+    names; an unknown kind lists those of ``kinds``, in order."""
     kind = _section(config, path).get("kind")
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(
             f"{_join(path, 'kind')} must be one of {', '.join(kinds)}, got {kind!r}"
         )
-    return _build(getattr(channel, kinds[kind]), config, path, ("kind", *extra), **fixed)
+    return _build(kinds[kind], config, path, ("kind", *extra), **fixed)
 
 
 def _integer(config: dict, key: str, default: int | None = None) -> int:
     """Top-level integer ``config[key]``; required when there is no default."""
     if key not in config and default is None:
         raise ConfigError(f"{key}: missing required key")
-    return _value(key, int, config.get(key, default), key)
+    return _value(int, config.get(key, default), key)
 
 
 def _steps_and_seed(config: dict, seed_override: int | None,
@@ -211,7 +192,7 @@ def _steps_and_seed(config: dict, seed_override: int | None,
         raise ConfigError(f"steps must be a positive integer, got {steps}")
     seed = _integer(config, "seed", default_seed if seed_override is None else 0)
     for name, value in (("seed", seed), ("--seed", seed_override)):
-        if value is not None and _value(name, int, value, name) < 0:
+        if value is not None and _value(int, value, name) < 0:
             raise ConfigError(f"{name} must not be negative, got {value}")
     return steps, seed if seed_override is None else seed_override
 
@@ -384,7 +365,8 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
         )
     if "channel" not in config:
         raise ConfigError("channel: missing required key")
-    model = _build_kind("channel", config["channel"], "channel", seed=seed)
+    model = _build_kind({cls.kind: cls for cls in channel.ChannelModel.__args__},
+                        config["channel"], "channel", seed=seed)
     trace = channel.generate_trace(model, steps)
     try:
         store = channel.KnowledgeStore.load(store_path)
@@ -393,11 +375,12 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
     lessons = len(store)
 
     variant = fit_variant or FitVariant()
+    protocol_kinds = {kind: getattr(channel, name) for kind, name in _PROTOCOL_KINDS.items()}
     runs, plan, protocols = {}, [], {}
     for index, protocol_config in enumerate(protocol_configs):
         path = f"protocol #{index}"
         name = _protocol_name(protocol_config, path, index, runs)
-        run = _build_kind("protocol", protocol_config, path, ("name",), trace=trace)
+        run = _build_kind(protocol_kinds, protocol_config, path, ("name",), trace=trace)
         if isinstance(run, channel.AntifragileEvolving):
             run = channel.run_antifragile(trace, run, store)
         runs[name] = run

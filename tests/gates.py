@@ -15,6 +15,9 @@ options. Each gate runs in a fresh child of the same interpreter, with
 * predictor kernels: the column kernels of both predictors, and the yields
   and margin warnings of a run, equal the per-step forms of
   ``tests/oracles.py`` bit for bit on fixed traces;
+* sentinel simulation: ``simulate``'s columns, decisions and summary equal
+  those of the per-step oracle of ``tests/oracles.py``, whose pool keeps one
+  flag per canary, on fixed scenarios and seeds;
 * benchmark outputs: ``perfbench/run.py --seconds 0`` on each of its four
   workloads, plain and traced, reports ``"correct": true``, so every output
   matches ``perfbench/golden.json`` at benchmark size (10^5-step CSVs, the
@@ -83,12 +86,12 @@ def tracemalloc_peak() -> None:
     and entelechial, seed 5) through the command line peaks at most 12 MB
     under ``tracemalloc``. Per step the trace keeps 8 bytes (its demand), an
     elastic run 9 (yields and delivery) and an entelechial or antifragile run
-    18 (yields, predictions, margin warnings and delivery), and the CSVs are
-    streamed, 4 096 lines at a time (about 0.5 MB). ``cli.main`` imports
-    the channel study once it knows the command, so the peak includes
-    loading it: 6.0 MB on Python 3.10, 5.7 MB on 3.11 and 6.3–6.4 MB on
-    3.12 and 3.13. Per-step int or float objects, or a list of rows, would
-    pass 12 MB."""
+    10 (yields, margin warnings and delivery; the 8-byte predictions live
+    only during the predictor pass), and the CSVs are streamed, 4 096 lines
+    at a time (about 0.5 MB). ``cli.main`` imports the channel study once it
+    knows the command, so the peak includes loading it: 5.1 MB on Python
+    3.10, 4.8 MB on 3.11 and 5.5–5.6 MB on 3.12 and 3.13. Per-step int or
+    float objects, or a list of rows, would pass 12 MB."""
     import json
     import tempfile
     import tracemalloc
@@ -156,6 +159,44 @@ def predictor_oracle() -> None:
     print(f"{checked} predictor columns equal tests/oracles.py bit for bit")
 
 
+def sentinel_oracle() -> None:
+    """``sentinel.simulate`` equals ``oracle_simulate`` of ``tests/oracles.py``,
+    with ``until_decided`` off and on: the ``mine_state`` and
+    ``canaries_alive`` columns, the survival and the two decision steps, and
+    ``to_dict()`` as JSON. So it draws the same random numbers, and
+    ``CanaryPool`` counts the deaths of the oracle's one flag per canary. The
+    scenarios run 500 steps at seeds 0 to 19: the README's (the defaults, a
+    pool of 100), no canaries, and ``ODD_POOL_FIT_POLICY`` (x.5 supplies, then
+    the undersupply fit); and ``sentinel-pool``'s pool of 10 000 runs 2 000
+    steps at its seed 3."""
+    import json
+
+    from oracles import ODD_POOL_FIT_POLICY, oracle_simulate
+    from resilsim.sentinel import Scenario, simulate
+
+    scenarios = {"README": Scenario(), "no-canary": Scenario(pool_size=0),
+                 "odd-pool": ODD_POOL_FIT_POLICY}
+    cases = [(name, scenario, 500, seed) for name, scenario in scenarios.items()
+             for seed in range(20)]
+    cases.append(("pool-10000", Scenario(pool_size=10_000), 2_000, 3))
+    checked, wrong = 0, []
+    for name, scenario, steps, seed in cases:
+        for until_decided in (False, True):
+            run = simulate(scenario, steps, seed, until_decided=until_decided)
+            oracle = oracle_simulate(scenario, steps, seed, until_decided)
+            checked += 1
+            if (run.mine_state != [s.mine_state for s in oracle.steps]
+                    or run.canaries_alive != [s.canaries_alive for s in oracle.steps]
+                    or (run.survived, run.evacuation_step, run.miner_failed_step)
+                    != (oracle.survived, oracle.evacuation_step, oracle.miner_failed_step)
+                    or json.dumps(run.to_dict(), sort_keys=True)
+                    != json.dumps(oracle.to_dict(), sort_keys=True)):
+                wrong.append(f"{name} seed {seed} until_decided={until_decided}")
+    if wrong:
+        sys.exit(f"runs differ from tests/oracles.py: {'; '.join(wrong)}")
+    print(f"{checked} sentinel runs equal tests/oracles.py")
+
+
 def benchmark_correct(workload: str, trace: str) -> None:
     """``perfbench/run.py --workload WORKLOAD --seconds 0 --trace TRACE``
     exits 0 and the last line of its standard output reports ``"correct":
@@ -205,6 +246,8 @@ def main() -> int:
                child(golden, PYTHONHASHSEED=seed)) for seed in ("0", "12345")]
     gates.append(("predictor kernels match the per-step oracle", child(
                      "-c", "import gates; gates.predictor_oracle()")))
+    gates.append(("simulate matches the per-step oracle", child(
+                     "-c", "import gates; gates.sentinel_oracle()")))
     gates += [(f"benchmark {workload} --trace {trace} correct", child(
                   "-c", f"import gates; gates.benchmark_correct({workload!r}, {trace!r})"))
               for workload in WORKLOADS for trace in ("0", "1")]

@@ -202,9 +202,10 @@ def test_criterion_07_margin_compliance():
     for seed in range(100):
         trace = generate_trace(RandomWalkChannel(seed=seed, **WALK), 1000)
         run = run_entelechial(trace, WindowMax(8), epsilon)
-        assert len(run.yields) == len(run.prediction) == len(run.margin_warning) == 1000
+        predictions = WindowMax(8).predictions(trace.y)
+        assert len(run.yields) == len(predictions) == len(run.margin_warning) == 1000
         for yield_point, prediction, margin_warning in zip(
-                run.yields, run.prediction, run.margin_warning):
+                run.yields, predictions, run.margin_warning):
             gap = yield_point - prediction
             if margin_warning:
                 assert gap >= epsilon

@@ -94,7 +94,7 @@ class TestChooseYield:
 
     def test_within_margin(self):
         run = run_entelechial(self.RAMP, EwmaPlusSlope(), 1.0)
-        assert run.prediction[2] == pytest.approx(3.6)
+        assert EwmaPlusSlope().predictions(run.y)[2] == pytest.approx(3.6)
         assert (run.yields[2], run.margin_warning[2]) == (4, False)
 
     def test_tight_margin_warns(self):
@@ -103,7 +103,7 @@ class TestChooseYield:
 
     def test_integer_prediction_forces_next_integer(self):
         run = run_entelechial([3, 3, 3], WindowMax(4), 0.5)
-        assert list(run.prediction) == [3.0, 3.0, 3.0]
+        assert list(WindowMax(4).predictions(run.y)) == [3.0, 3.0, 3.0]
         assert run.yields == (4, 4, 4)
         assert run.margin_warning == bytes([True] * 3)
 
@@ -203,7 +203,7 @@ class TestRunEntelechial:
         run = run_entelechial([4, 1, 1], WindowMax(8), 1.5)
         assert run.yields[0] == 5
         assert run.header["bootstrap_yield"] == 5
-        assert run.prediction[0] == 4.0
+        assert WindowMax(8).predictions(run.y)[0] == 4.0
 
     def test_margin_compliance_flags(self):
         run = run_entelechial([2] * 10, WindowMax(4), 0.5)
@@ -291,7 +291,7 @@ class TestRunAntifragile:
         first = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         second = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         assert first.y is second.y is trace.y
-        for column in ("yields", "delivered", "prediction", "margin_warning"):
+        for column in ("yields", "delivered", "margin_warning"):
             assert list(getattr(first, column)) == list(getattr(second, column)), column
             assert len(getattr(first, column)) == 500
         for derived in ("costs", "arrivals", "algorithms"):

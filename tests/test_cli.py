@@ -17,7 +17,7 @@ from resilsim.behavior import MAX_CARDINALITY
 import resilsim.channel as channel
 import resilsim.sentinel as sentinel
 from resilsim.channel import WindowMax, config_dict
-from resilsim.cli import _build_kind, _kinds, main
+from resilsim.cli import _build_kind, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -229,6 +229,19 @@ class TestChannelCommand:
         (WALK_CONFIG, ("protocols", 0, "name"), "../escape", "protocol #0"),
         (WALK_CONFIG, ("stpes",), 100, "stpes"),
         (WALK_CONFIG, ("protocol",), {"kind": "elastic", "yield_point": 7}, "protocol"),
+        # An unknown kind lists the known ones, in the order of their table or
+        # union in the channel module.
+        (WALK_CONFIG, ("protocols", 0, "kind"), "Elastic",
+         "protocol #0.kind must be one of elastic, entelechial, antifragile, "
+         "got 'Elastic'"),
+        (WALK_CONFIG, ("channel", "kind"), "walk",
+         "channel.kind must be one of constant, random_walk, bursty, got 'walk'"),
+        (WALK_CONFIG, ("protocols", 0, "predictor", "kind"), "ewma",
+         "protocol #0.predictor.kind must be one of window_max, ewma_slope, "
+         "got 'ewma'"),
+        (CHANNEL_CONFIG, ("protocols", 2, "identity_profile", "kind"), None,
+         "protocol #2.identity_profile.kind must be one of teleconferencing, "
+         "file_transfer, got None"),
     ])
     def test_malformed_value_exits_2_naming_key_path(self, tmp_path, capsys, base,
                                                      path, value, where):
@@ -754,16 +767,24 @@ SECTIONS = [
 ]
 
 
+# Each section's kinds: the members of its union in the channel module.
+UNIONS = {"channel": channel.ChannelModel, "predictor": channel.Predictor,
+          "identity_profile": channel.IdentityProfile}
+
+
+def kinds_of(section):
+    return {cls.kind: cls for cls in UNIONS[section].__args__}
+
+
 def test_sections_cover_every_kind():
     assert sorted((section, config["kind"]) for section, config in SECTIONS) == \
-        sorted((section, kind) for section in ("channel", "predictor", "identity_profile")
-               for kind in _kinds(section))
+        sorted((section, kind) for section in UNIONS for kind in kinds_of(section))
 
 
 @pytest.mark.parametrize("section, config", SECTIONS)
 def test_config_dict_writes_back_the_loaded_section(section, config):
     fixed = {"seed": 23} if section == "channel" else {}
-    built = _build_kind(section, config, section, **fixed)
+    built = _build_kind(kinds_of(section), config, section, **fixed)
     for name, parameter in inspect.signature(type(built)).parameters.items():
         assert getattr(built, name) != parameter.default, name
     assert config_dict(built) == {**config, **fixed}

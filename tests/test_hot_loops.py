@@ -1,16 +1,16 @@
 """Equivalence of the linear, columnar hot loops with the original code.
 
-The oracles below are the earlier implementations, kept verbatim in
-substance: the per-step ``StepRecord``/``shooting`` builders of the three
+The oracles are the earlier implementations, kept verbatim in substance.
+Below: the per-step ``StepRecord``/``shooting`` builders of the three
 protocol runs (the antifragile one with its prefix-rescanning review pass
 and per-epoch rescanning identity accounting), with the per-step
 prediction loop of ``oracles.py`` and their own exact jitter reference so
-that they share neither with the code under test; the step CSV rows and mean step fit
-read from those records, the canary pool that keeps one flag per canary,
-the sentinel simulation that built one
-``ScenarioStep`` per step, and the set checks of the scenario premise. The
-current code must agree with them exactly, including the random draws
-consumed and the float sums.
+that they share neither with the code under test; the step CSV rows and
+mean step fit read from those records, and the set checks of the scenario
+premise. From ``oracles.py``: the canary pool that keeps one flag per
+canary and the sentinel simulation that built one ``ScenarioStep`` per
+step. The current code must agree with them exactly, including the random
+draws consumed and the float sums.
 The CSV producers stream finished lines; their oracles are the earlier
 tuple and dict row builders, written through ``csv.writer`` as the command
 line used to write them.
@@ -28,7 +28,6 @@ import sys
 import tracemalloc
 from array import array
 from dataclasses import dataclass, replace
-from enum import Enum
 from fractions import Fraction
 
 import pytest
@@ -80,7 +79,12 @@ from resilsim.sentinel import (
     survival_rate,
 )
 
-from oracles import predict_yields
+from oracles import (
+    ODD_POOL_FIT_POLICY,
+    OraclePool,
+    oracle_simulate,
+    predict_yields,
+)
 
 
 def csv_text(rows):
@@ -166,8 +170,9 @@ def oracle_mean_step_fit(records, variant):
     return total / len(records)
 
 
-def assert_run_matches_records(run, records):
-    """Every column, aggregate and CSV row equals the one read from the records."""
+def assert_run_matches_records(run, records, predictor=None):
+    """Every column, aggregate and CSV row equals the one read from the
+    records, and so do the predictions of ``predictor``, the run's own."""
     assert run.y == tuple(s.y for s in records)
     assert list(run.yields) == [s.yield_point for s in records]
     assert list(run.costs()) == [s.cost for s in records]
@@ -176,9 +181,9 @@ def assert_run_matches_records(run, records):
         [s.delivered_at for s in records]
     assert list(run.algorithms()) == [s.algorithm for s in records]
     if all(s.prediction is None for s in records):  # elastic: no predictor
-        assert run.prediction is None and run.margin_warning is None
+        assert predictor is None and run.margin_warning is None
     else:
-        assert list(run.prediction) == [s.prediction for s in records]
+        assert list(predictor.predictions(run.y)) == [s.prediction for s in records]
         assert list(run.margin_warning) == [s.margin_warning for s in records]
     assert run.undershoot_count == sum(
         1 for s in records if s.shoot.kind is ShootKind.UNDERSHOOT)
@@ -287,22 +292,6 @@ def oracle_run_antifragile(trace, config, store):
             if exact_jitter(epoch_times) > bound:
                 violations += 1
     return records, violations, mutations
-
-
-class OraclePool:
-    """The original canary pool: one alive flag per canary."""
-
-    def __init__(self, size):
-        self.alive = [True] * size
-
-    @property
-    def alive_count(self):
-        return sum(1 for a in self.alive if a)
-
-    def step_threatened(self, rng, hazard):
-        for i, is_alive in enumerate(self.alive):
-            if is_alive and rng.random() < hazard:
-                self.alive[i] = False
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +434,7 @@ def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
     records, violations, mutations = oracle_run_antifragile(trace, config, oracle_store)
     assert run.identity_violations == violations
     assert run.mutations == mutations
-    assert_run_matches_records(run, records)
+    assert_run_matches_records(run, records, predictor)
     assert store.to_dict() == oracle_store.to_dict()
     delivered = list(itertools.compress(run.arrivals(), run.delivered))
     assert delivered == sorted(delivered)
@@ -506,7 +495,7 @@ def test_run_antifragile_starts_entelechial(trace, predictor, epsilon, review_ev
     )
     run = run_antifragile(trace, config, KnowledgeStore(lessons))
     entelechial = run_entelechial(trace, predictor, epsilon)
-    for column in ("yields", "prediction", "margin_warning"):
+    for column in ("yields", "margin_warning"):
         assert list(getattr(run, column)) == list(getattr(entelechial, column))
     assert run.header == entelechial.header | {
         "protocol": "antifragile",
@@ -535,7 +524,7 @@ def test_bursty_readme_trace_matches_oracle():
         trace, config, KnowledgeStore())
     assert mutations and violations > 0
     assert (run.identity_violations, run.mutations) == (violations, mutations)
-    assert_run_matches_records(run, records)
+    assert_run_matches_records(run, records, config.predictor)
     for variant in FIT_VARIANTS:
         assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
 
@@ -616,7 +605,7 @@ def test_run_elastic_matches_oracle(trace, yield_point, variant):
 def test_run_entelechial_matches_oracle(trace, predictor, epsilon, variant):
     run = run_entelechial(trace, predictor, epsilon)
     records = oracle_run_entelechial(trace, predictor, epsilon)
-    assert_run_matches_records(run, records)
+    assert_run_matches_records(run, records, predictor)
     assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
     delivered = list(itertools.compress(run.arrivals(), run.delivered))
     assert delivered == sorted(delivered)
@@ -626,14 +615,14 @@ def test_oracle_examples_undershoot_and_lose_identity():
     """The strategies reach identity loss; the float sums are not trivial."""
     trace = generate_trace(
         RandomWalkChannel(y0=3, step_prob=0.2, y_min=1, y_max=6, seed=5), 20_000)
-    for run, records in (
-        (run_elastic(trace, 4), oracle_run_elastic(trace, 4)),
+    for run, records, predictor in (
+        (run_elastic(trace, 4), oracle_run_elastic(trace, 4), None),
         (run_entelechial(trace, EwmaPlusSlope(), 1.5),
-         oracle_run_entelechial(trace, EwmaPlusSlope(), 1.5)),
+         oracle_run_entelechial(trace, EwmaPlusSlope(), 1.5), EwmaPlusSlope()),
     ):
         assert run.undershoot_count > 0
         assert any(fit(s.yield_point - s.y).lost_identity for s in records)
-        assert_run_matches_records(run, records)
+        assert_run_matches_records(run, records, predictor)
         for variant in FIT_VARIANTS:
             assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
 
@@ -670,7 +659,7 @@ def test_a_trace_keeps_the_columns_of_its_last_predictor_pass():
     runs = [run_entelechial(trace, WindowMax(8), epsilon) for epsilon in (0.5, 1.0, 1.5)]
     key, columns = trace._columns
     assert key == (WindowMax(8), 1.5)
-    assert columns == (runs[-1].yields, runs[-1].prediction, runs[-1].margin_warning)
+    assert columns == (runs[-1].yields, runs[-1].margin_warning)
     assert isinstance(runs[-1].yields, tuple) and isinstance(runs[-1].margin_warning, bytes)
     fresh = replace(trace)
     assert fresh._columns is None
@@ -711,8 +700,8 @@ TELECONFERENCING = AntifragileEvolving(
     lambda trace: run_antifragile(trace, TELECONFERENCING, KnowledgeStore()),
 ], ids=["elastic", "entelechial-ewma_slope", "entelechial-window_max", "antifragile"])
 def test_runs_keep_at_most_32_bytes_per_step(make_run):
-    """A run stores a byte of delivery and three one-word columns per step
-    (yields, predictions, margin flags); the trace's ``y`` is shared. Per-step
+    """A run stores a byte of delivery and at most a one-word yields column
+    and a byte of margin flags per step; the trace's ``y`` is shared. Per-step
     int, float or string objects would take 72 bytes or more."""
     run, retained, peak = traced_bytes_per_step(make_run, MEMORY_TRACE)
     assert retained <= 32
@@ -736,9 +725,9 @@ def test_a_trace_keeps_at_most_9_bytes_per_step():
 
 def test_an_elastic_run_keeps_at_most_10_bytes_per_step():
     """An elastic run has no predictor: it stores its yields column and a
-    byte of delivery per step, and no prediction or margin-warning column."""
+    byte of delivery per step, and no margin-warning column."""
     run, retained, _ = traced_bytes_per_step(lambda trace: run_elastic(trace, 7), WALK_TRACE)
-    assert run.prediction is None and run.margin_warning is None
+    assert run.margin_warning is None
     assert retained <= 10
 
 
@@ -768,128 +757,6 @@ def test_pool_matches_oracle_count_and_rng_state(size, seed, hazards):
 # simulate
 
 
-class MineState(Enum):
-    NEUTRAL = "NS"
-    THREATENING = "TS"
-
-
-@dataclass(frozen=True)
-class ScenarioStep:
-    """The original per-step record of a scenario run."""
-
-    t: int
-    mine_state: str
-    canaries_alive: int
-    supply: float | None
-    fit: float | None
-    miner_alive: bool
-    evacuated: bool
-
-
-@dataclass
-class OracleScenarioRun:
-    """The original scenario run: a list of step records plus the outcome."""
-
-    steps: list[ScenarioStep]
-    survived: bool
-    evacuation_step: int | None
-    miner_failed_step: int | None
-    pool_size: int
-    seed: int
-    header: dict
-
-    @property
-    def ts_steps(self):
-        return sum(1 for s in self.steps if s.mine_state == MineState.THREATENING.value)
-
-    def to_dict(self):
-        return {
-            "header": self.header,
-            "survived": self.survived,
-            "evacuation_step": self.evacuation_step,
-            "miner_failed_step": self.miner_failed_step,
-            "pool_size": self.pool_size,
-            "seed": self.seed,
-            "ts_steps": self.ts_steps,
-            "final_failed_canaries": (
-                self.pool_size - self.steps[-1].canaries_alive if self.steps else 0
-            ),
-        }
-
-
-def oracle_simulate(scenario, steps, seed, until_decided=False):
-    """The original simulate, which built one ScenarioStep per step."""
-    rng = random.Random(seed)
-    pool = CanaryPool(scenario.pool_size)
-    state = MineState.NEUTRAL
-    miner_alive = True
-    evacuated = False
-    evacuation_step = None
-    miner_failed_step = None
-    records = []
-    for t in range(steps):
-        if state is MineState.NEUTRAL:
-            if rng.random() < scenario.mine.p_enter_ts:
-                state = MineState.THREATENING
-        else:
-            if rng.random() < scenario.mine.p_exit_ts:
-                state = MineState.NEUTRAL
-
-        if state is MineState.THREATENING:
-            pool.step_threatened(rng, scenario.canary.hazard_ts)
-
-        supply_est = None
-        fit_est = None
-        if pool.size >= 1:
-            supply_est = pool.size / 2.0 - pool.failed
-            fit_est = 1.0 / (1.0 + supply_est) if supply_est >= 0 else FLOAT_MIN
-            if miner_alive and not evacuated:
-                trigger = supply_est < scenario.miner.evacuation_threshold
-                if scenario.policy.fit_threshold is not None:
-                    trigger = trigger or fit_est < scenario.policy.fit_threshold
-                if trigger:
-                    evacuated = True
-                    evacuation_step = t
-
-        if state is MineState.THREATENING and miner_alive and not evacuated:
-            if rng.random() < scenario.miner.hazard_ts:
-                miner_alive = False
-                miner_failed_step = t
-
-        records.append(ScenarioStep(
-            t=t,
-            mine_state=state.value,
-            canaries_alive=pool.alive_count,
-            supply=supply_est,
-            fit=fit_est,
-            miner_alive=miner_alive,
-            evacuated=evacuated,
-        ))
-        if until_decided and (evacuated or not miner_alive):
-            break
-
-    header = {
-        "pool_size": scenario.pool_size,
-        "p_enter_ts": scenario.mine.p_enter_ts,
-        "p_exit_ts": scenario.mine.p_exit_ts,
-        "canary_hazard_ts": scenario.canary.hazard_ts,
-        "miner_hazard_ts": scenario.miner.hazard_ts,
-        "evacuation_threshold": scenario.miner.evacuation_threshold,
-        "fit_threshold": scenario.policy.fit_threshold,
-        "steps": steps,
-        "seed": seed,
-    }
-    return OracleScenarioRun(
-        steps=records,
-        survived=miner_alive,
-        evacuation_step=evacuation_step,
-        miner_failed_step=miner_failed_step,
-        pool_size=scenario.pool_size,
-        seed=seed,
-        header=header,
-    )
-
-
 scenarios = st.builds(
     lambda p_enter, p_exit, miner_hazard, threshold, canary_hazard, pool,
     fit_threshold: Scenario(
@@ -902,17 +769,6 @@ scenarios = st.builds(
     st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.5),
     st.floats(-60.0, 40.0), st.floats(0.0, 1.0), st.integers(0, 61),
     st.one_of(st.none(), st.just(1e-20), st.floats(0.0, 1.0)),
-)
-
-
-
-# An odd pool under constant threat with a fit policy: x.5 supplies, then
-# the FLOAT_MIN sentinel of undersupply.
-ODD_POOL_FIT_POLICY = Scenario(
-    mine=CoalMine(p_enter_ts=1.0, p_exit_ts=0.0),
-    miner=Miner(hazard_ts=0.0, evacuation_threshold=-1000.0),
-    canary=Canary(hazard_ts=0.5), pool_size=7,
-    policy=EvacuationPolicy(fit_threshold=1e-20),
 )
 
 
