@@ -707,13 +707,12 @@ def run_antifragile(
     return run
 
 
-def mean_step_fit(run: ProtocolRun, variant=None) -> float:
+def mean_step_fit(run: ProtocolRun, variant=BASELINE) -> float:
     """Average per-step fit of a run, from supply = Y - y.
 
     Identity-loss steps contribute 0.0 so the mean stays bounded; the
     overall value summarizes how tightly the protocol tracked the demand.
     """
-    variant = variant or BASELINE
     fits: dict[int, float] = {}  # fit depends on the supply alone
     total = 0.0
     for supply in map(operator.sub, run.yields, run.y):

@@ -340,10 +340,9 @@ def _write_outputs(out_dir: str, command: str, config_path: str, seed: int,
 # Subcommands
 
 
-def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None,
-                fit_variant=None) -> int:
+def cmd_channel(config_path: str, out_dir: str, seed_override: int | None,
+                variant) -> int:
     from . import channel
-    from .fitness import FitVariant
 
     config = _section(_load_json(config_path), "", _CHANNEL_KEYS)
     steps, seed = _steps_and_seed(config, seed_override)
@@ -374,7 +373,6 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
         raise ConfigError(f"knowledge_store: {store_path!r} is a directory") from exc
     lessons = len(store)
 
-    variant = fit_variant or FitVariant()
     protocol_kinds = {kind: getattr(channel, name) for kind, name in _PROTOCOL_KINDS.items()}
     runs, plan, protocols = {}, [], {}
     for index, protocol_config in enumerate(protocol_configs):
@@ -399,20 +397,10 @@ def cmd_channel(config_path: str, out_dir: str, seed_override: int | None = None
         "protocols": protocols,
     }))
     if len(runs) > 1:
-        header = channel.COMPARE_CSV_HEADER
-        plan.append(("-o", "compare.csv", _write_rows, header,
-                     [[_csv_cell(row[column]) for column in header]
-                      for row in channel.compare_runs(runs)]))
+        plan.append(("-o", "compare.csv", _write_rows, channel.COMPARE_CSV_HEADER,
+                     [row.values() for row in channel.compare_runs(runs)]))
     return _write_outputs(out_dir, "channel", config_path, seed, plan,
                           (store_path, store, len(store) > lessons))
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def cmd_sentinel(config_path: str, out_dir: str, curve: int | None = None,
@@ -460,8 +448,7 @@ def _load(cls, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def cmd_compare(path_a: str, path_b: str, organs: bool = False,
-                fit_variant=None) -> int:
+def cmd_compare(path_a: str, path_b: str, organs: bool, variant) -> int:
     if organs:
         from .organs import CyberneticClass, compare_classes
 
@@ -470,9 +457,8 @@ def cmd_compare(path_a: str, path_b: str, organs: bool = False,
         print(_json_text(comparison.to_dict()))
         return EXIT_OK
     from .behavior import BehaviorDescriptor, commensurable, distance, precedes
-    from .fitness import IDENTITY_LOSS_LABEL, FitVariant, fit, supply
+    from .fitness import IDENTITY_LOSS_LABEL, fit, supply
 
-    variant = fit_variant or FitVariant()
     a = _load(BehaviorDescriptor, path_a)
     b = _load(BehaviorDescriptor, path_b)
     result = {
@@ -502,7 +488,9 @@ def cmd_compare(path_a: str, path_b: str, organs: bool = False,
 
 def _fit_variant(text: str):
     """The ``--fit-variant`` value, a ``fitness.FitVariant``: the fitness
-    module is loaded when the flag is given, not when the parser is built."""
+    module is loaded when a command that has the flag is parsed (argparse
+    passes its string default through here too), not when the parser is
+    built."""
     from .fitness import FitVariant
 
     try:
@@ -523,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     channel.add_argument("-c", "--config", required=True)
     channel.add_argument("-o", "--out-dir", required=True)
     channel.add_argument("--seed", type=int, default=None)
-    channel.add_argument("--fit-variant", type=_fit_variant, default=None)
+    channel.add_argument("--fit-variant", type=_fit_variant, default="baseline")
 
     sentinel = subparsers.add_parser("sentinel", help="run the sentinel scenario")
     sentinel.add_argument("-c", "--config", required=True)
@@ -539,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("descriptor_b")
     compare.add_argument("--organs", action="store_true",
                          help="inputs are organ tuples, compare organ-wise")
-    compare.add_argument("--fit-variant", type=_fit_variant, default=None)
+    compare.add_argument("--fit-variant", type=_fit_variant, default="baseline")
 
     return parser
 

@@ -12,12 +12,12 @@ options. Each gate runs in a fresh child of the same interpreter, with
   at most 12 MB;
 * golden digests: ``tests/golden_cases.py`` under ``PYTHONHASHSEED`` 0 and
   12345, so byte-identical outputs do not depend on string hashing;
-* predictor kernels: the column kernels of both predictors, and the yields
-  and margin warnings of a run, equal the per-step forms of
-  ``tests/oracles.py`` bit for bit on fixed traces;
-* sentinel simulation: ``simulate``'s columns, decisions and summary equal
-  those of the per-step oracle of ``tests/oracles.py``, whose pool keeps one
-  flag per canary, on fixed scenarios and seeds;
+* oracles: fixed cases of both studies equal the reference models of
+  ``tests/oracles.py``, through the same comparisons the tests make: the
+  predictor columns bit for bit, the channel runs (the interleaving edge
+  cases included) with their CSV rows and mean step fit, the sentinel runs
+  with their CSV lines, header and summary, the curve, and the scenario
+  premise;
 * benchmark outputs: ``perfbench/run.py --seconds 0`` on each of its four
   workloads, plain and traced, reports ``"correct": true``, so every output
   matches ``perfbench/golden.json`` at benchmark size (10^5-step CSVs, the
@@ -123,78 +123,113 @@ def tracemalloc_peak() -> None:
         sys.exit(f"tracemalloc peak {peak_mb:.2f} MB exceeds 12 MB")
 
 
-def predictor_oracle() -> None:
-    """``predictions`` of each predictor equals the per-step oracle's floats
-    bit for bit (``float.hex``), and an entelechial run's yields and margin
-    warnings equal the oracle's yield rule, on three traces: the README's
-    bursty channel and the benchmark's random walk, 2 000 steps each, and
-    ``[1, 5, 2, 2, 6, 1]``. ``WindowMax`` runs at windows 1, 2, 8, n - 1, n
-    and n + 1 of an n-step trace, ``EwmaPlusSlope`` at its defaults and at
-    alpha 0.5 with horizon 3."""
-    from oracles import predict_yields
-    from resilsim.channel import (BurstyChannel, EwmaPlusSlope, RandomWalkChannel,
-                                  WindowMax, generate_trace, run_entelechial)
+def oracles_agree() -> None:
+    """Both studies equal their reference models in ``tests/oracles.py`` on
+    fixed cases, compared only through its ``assert_*`` helpers:
 
-    traces = {
-        "bursty": generate_trace(BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1,
-                                               y_burst=5, seed=17), 2_000).y,
-        "walk": generate_trace(RandomWalkChannel(y0=3, step_prob=0.2, y_min=1,
-                                                 y_max=6, seed=5), 2_000).y,
-        "short": (1, 5, 2, 2, 6, 1),
-    }
-    checked, wrong = 0, []
-    for name, ys in traces.items():
-        n = len(ys)
-        windows = sorted({1, 2, 8, n - 1, n, n + 1})
-        for predictor in (*map(WindowMax, windows), EwmaPlusSlope(),
-                          EwmaPlusSlope(alpha=0.5, horizon=3)):
-            yields, predictions, warns = predict_yields(ys, predictor, 1.5)
-            run = run_entelechial(ys, predictor, 1.5)
-            checked += 1
-            if ([p.hex() for p in predictor.predictions(ys)] != [p.hex() for p in predictions]
-                    or list(run.yields) != yields or list(run.margin_warning) != warns):
-                wrong.append(f"{predictor} on the {name} trace")
-    if wrong:
-        sys.exit(f"columns differ from tests/oracles.py: {'; '.join(wrong)}")
-    print(f"{checked} predictor columns equal tests/oracles.py bit for bit")
+    * predictors: an entelechial run (epsilon 1.5) against the per-step
+      predictor and yield rule, predictions bit for bit (``float.hex``), on
+      the README's bursty channel and the benchmark's random walk, 2 000
+      steps each, and ``[1, 5, 2, 2, 6, 1]``; ``WindowMax`` at windows 1, 2,
+      8, n - 1, n and n + 1 of an n-step trace, ``EwmaPlusSlope`` at its
+      defaults and at alpha 0.5 with horizon 3;
+    * channel runs, with the mean step fit under the three fit variants:
+      the six interleaving edge cases, and on the two 2 000-step traces the
+      elastic run at yields 4 and 6, and the entelechial and antifragile
+      runs (``FileTransfer`` and ``Teleconferencing(0.5)``) with
+      ``WindowMax(8)`` and ``EwmaPlusSlope()``; and the README antifragile
+      run over 5 000 bursty steps, which mutates and violates identity;
+    * sentinel runs, with ``until_decided`` off and on: the CSV lines, the
+      columns, the decisions, the header and the summary, for the README
+      scenario, no canaries and ``ODD_POOL_FIT_POLICY`` at seeds 0 to 19
+      over 500 steps, and ``sentinel-pool``'s pool of 10 000 over 2 000
+      steps at its seed 3;
+    * the supply/fit curve and ``curve.csv`` for pools 1 to 50, and the
+      three example figure sets of the scenario premise.
 
+    The first 20 failed cases are printed, each with the line of
+    ``tests/oracles.py`` that failed."""
+    import traceback
 
-def sentinel_oracle() -> None:
-    """``sentinel.simulate`` equals ``oracle_simulate`` of ``tests/oracles.py``,
-    with ``until_decided`` off and on: the ``mine_state`` and
-    ``canaries_alive`` columns, the survival and the two decision steps, and
-    ``to_dict()`` as JSON. So it draws the same random numbers, and
-    ``CanaryPool`` counts the deaths of the oracle's one flag per canary. The
-    scenarios run 500 steps at seeds 0 to 19: the README's (the defaults, a
-    pool of 100), no canaries, and ``ODD_POOL_FIT_POLICY`` (x.5 supplies, then
-    the undersupply fit); and ``sentinel-pool``'s pool of 10 000 runs 2 000
-    steps at its seed 3."""
-    import json
+    from oracles import (EDGE_CASES, FIT_VARIANTS, ODD_POOL_FIT_POLICY, PREMISE_EXAMPLES,
+                         assert_antifragile_matches_oracle, assert_curve_matches_oracle,
+                         assert_elastic_matches_oracle, assert_entelechial_matches_oracle,
+                         assert_premise_matches_oracle, assert_run_matches_oracle)
+    from resilsim.channel import (AntifragileEvolving, BurstyChannel, EwmaPlusSlope,
+                                  FileTransfer, RandomWalkChannel, Teleconferencing,
+                                  WindowMax, generate_trace)
+    from resilsim.sentinel import Scenario
 
-    from oracles import ODD_POOL_FIT_POLICY, oracle_simulate
-    from resilsim.sentinel import Scenario, simulate
+    def bursty(steps):
+        return generate_trace(BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1,
+                                            y_burst=5, seed=17), steps)
+
+    traces = {"bursty": bursty(2_000),
+              "walk": generate_trace(RandomWalkChannel(y0=3, step_prob=0.2, y_min=1,
+                                                       y_max=6, seed=5), 2_000)}
+    checked, wrong = {}, []
+
+    def check(kind, name, compare, *args, **kwargs):
+        checked[kind] = checked.get(kind, 0) + 1
+        try:
+            compare(*args, **kwargs)
+        except AssertionError as exc:
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            wrong.append(f"{name} (oracles.py line {frame.lineno}: {frame.line})")
+
+    for name, trace in (*traces.items(), ("short", (1, 5, 2, 2, 6, 1))):
+        n = len(trace)
+        for predictor in (*map(WindowMax, sorted({1, 2, 8, n - 1, n, n + 1})),
+                          EwmaPlusSlope(), EwmaPlusSlope(alpha=0.5, horizon=3)):
+            check("predictor columns", f"{predictor} on the {name} trace",
+                  assert_entelechial_matches_oracle, trace, predictor, 1.5)
+
+    for name, (case, _) in EDGE_CASES.items():
+        config = AntifragileEvolving(
+            predictor=WindowMax(1), epsilon=1.0, epochs_per_review=case["review_every"],
+            burstiness_threshold=0.0, interleave_depth=case["depth"])
+        check("channel runs", f"antifragile edge case {name!r}",
+              assert_antifragile_matches_oracle, case["trace"], config, case["lessons"],
+              FIT_VARIANTS)
+    for name, trace in traces.items():
+        for yield_point in (4, 6):
+            check("channel runs", f"elastic Y={yield_point} on the {name} trace",
+                  assert_elastic_matches_oracle, trace, yield_point, FIT_VARIANTS)
+        for predictor in (WindowMax(8), EwmaPlusSlope()):
+            check("channel runs", f"entelechial {predictor} on the {name} trace",
+                  assert_entelechial_matches_oracle, trace, predictor, 1.5, FIT_VARIANTS)
+            for profile in (FileTransfer(), Teleconferencing(jitter_bound=0.5)):
+                config = AntifragileEvolving(predictor=predictor, epsilon=1.5,
+                                             identity_profile=profile)
+                check("channel runs", f"antifragile {predictor} {profile} on the {name} trace",
+                      assert_antifragile_matches_oracle, trace, config,
+                      variants=FIT_VARIANTS)
+    readme = AntifragileEvolving(predictor=WindowMax(8), epsilon=1.5, epochs_per_review=50,
+                                 identity_profile=Teleconferencing(jitter_bound=0.5))
+    check("channel runs", "antifragile README run over 5 000 bursty steps",
+          assert_antifragile_matches_oracle, bursty(5_000), readme, variants=FIT_VARIANTS)
 
     scenarios = {"README": Scenario(), "no-canary": Scenario(pool_size=0),
                  "odd-pool": ODD_POOL_FIT_POLICY}
     cases = [(name, scenario, 500, seed) for name, scenario in scenarios.items()
              for seed in range(20)]
     cases.append(("pool-10000", Scenario(pool_size=10_000), 2_000, 3))
-    checked, wrong = 0, []
     for name, scenario, steps, seed in cases:
         for until_decided in (False, True):
-            run = simulate(scenario, steps, seed, until_decided=until_decided)
-            oracle = oracle_simulate(scenario, steps, seed, until_decided)
-            checked += 1
-            if (run.mine_state != [s.mine_state for s in oracle.steps]
-                    or run.canaries_alive != [s.canaries_alive for s in oracle.steps]
-                    or (run.survived, run.evacuation_step, run.miner_failed_step)
-                    != (oracle.survived, oracle.evacuation_step, oracle.miner_failed_step)
-                    or json.dumps(run.to_dict(), sort_keys=True)
-                    != json.dumps(oracle.to_dict(), sort_keys=True)):
-                wrong.append(f"{name} seed {seed} until_decided={until_decided}")
+            check("sentinel runs", f"{name} seed {seed} until_decided={until_decided}",
+                  assert_run_matches_oracle, scenario, steps, seed, until_decided)
+
+    for pool in range(1, 51):
+        check("curves", f"curve of a pool of {pool}", assert_curve_matches_oracle, pool)
+    for name, figure_sets in PREMISE_EXAMPLES.items():
+        check("premise cases", f"premise example {name!r}",
+              assert_premise_matches_oracle, **figure_sets)
+
     if wrong:
-        sys.exit(f"runs differ from tests/oracles.py: {'; '.join(wrong)}")
-    print(f"{checked} sentinel runs equal tests/oracles.py")
+        print(*wrong[:20], sep="\n")
+        sys.exit(f"{len(wrong)} cases differ from tests/oracles.py")
+    print(", ".join(f"{count} {kind}" for kind, count in checked.items())
+          + " equal tests/oracles.py")
 
 
 def benchmark_correct(workload: str, trace: str) -> None:
@@ -244,10 +279,8 @@ def main() -> int:
                  "-c", "import gates; gates.tracemalloc_peak()"))]
     gates += [(f"golden digests under PYTHONHASHSEED={seed}",
                child(golden, PYTHONHASHSEED=seed)) for seed in ("0", "12345")]
-    gates.append(("predictor kernels match the per-step oracle", child(
-                     "-c", "import gates; gates.predictor_oracle()")))
-    gates.append(("simulate matches the per-step oracle", child(
-                     "-c", "import gates; gates.sentinel_oracle()")))
+    gates.append(("both studies match the oracles of tests/oracles.py", child(
+                     "-c", "import gates; gates.oracles_agree()")))
     gates += [(f"benchmark {workload} --trace {trace} correct", child(
                   "-c", f"import gates; gates.benchmark_correct({workload!r}, {trace!r})"))
               for workload in WORKLOADS for trace in ("0", "1")]

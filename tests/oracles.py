@@ -1,29 +1,84 @@
-"""Reference models of both studies, defined one step at a time.
+"""Reference models of both studies, defined one step at a time, and the
+comparisons that check the library against them.
 
 ``resilsim.channel`` computes the predictors and the yield rule as whole
 columns at once (``WindowMax.predictions``, ``EwmaPlusSlope.predictions``
 and the yield and margin-warning columns of ``_entelechial``). The per-step
 forms below are the reference those columns must equal bit for bit: a
 predictor observes the demand one sample at a time and predicts the next
-from what it holds.
+from what it holds. On them stand the earlier protocol runs, which built
+one ``StepRecord`` per step (the antifragile one with its prefix-rescanning
+review pass and per-epoch rescanning identity accounting), with their own
+exact jitter reference, so that they share neither the prediction loop nor
+``_jitter`` with the code under test; the step CSV rows and mean step fit
+are read from those records.
 
 ``resilsim.sentinel.simulate`` keeps two columns and two decision steps,
 and its pool only a count of live canaries. ``oracle_simulate`` is the
 earlier simulation that built one ``ScenarioStep`` per step over a pool of
 one alive flag per canary; a run must equal it, random draws included.
+The curve and the set checks of the scenario premise have their earlier
+forms too.
 
-They need no pytest, so ``tests/gates.py`` checks the library with them on
+The CSV producers stream finished lines; their oracles are the earlier
+tuple and dict row builders, written through ``csv.writer`` as the command
+line used to write them.
+
+Each ``assert_*`` helper is the one statement of a comparison. They need
+no pytest, so ``tests/gates.py`` runs fixed cases through them on
 interpreters without the test dependencies, and ``tests/test_hot_loops.py``
-builds its oracles on them.
+runs its properties and examples through them.
 """
 
+import csv
+import decimal
+import io
+import itertools
+import json
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
-from resilsim.sentinel import FLOAT_MIN, Canary, CoalMine, EvacuationPolicy, Miner, Scenario
+from resilsim.channel import (
+    ChannelTrace,
+    KnowledgeStore,
+    Teleconferencing,
+    _signature,
+    as_trace,
+    burstiness,
+    mean_step_fit,
+    run_antifragile,
+    run_elastic,
+    run_entelechial,
+    step_csv_rows,
+)
+from resilsim.fitness import BASELINE, QUADRATIC, FitVariant, ShootKind, fit, shooting
+from resilsim.organs import FeedbackKind
+from resilsim.sentinel import (
+    CURVE_CSV_HEADER,
+    FLOAT_MIN,
+    FLOAT_MIN_LABEL,
+    Canary,
+    CoalMine,
+    EvacuationPolicy,
+    Miner,
+    Scenario,
+    curve_csv_rows,
+    scenario_csv_rows,
+    simulate,
+    supply_fit_curve,
+)
+
+
+def csv_text(rows):
+    """``rows`` as the command line wrote them before lines were streamed."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
 
 
 class WindowMaxSteps:
@@ -95,6 +150,284 @@ def predict_yields(ys, predictor, epsilon):
         if t > 0:
             steps.observe(y)
     return yields, predictions, warnings
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """The original per-step record of a protocol run."""
+
+    t: int
+    y: int
+    yield_point: int
+    delivered: bool
+    shoot: object
+    cost: int
+    algorithm: str
+    prediction: float | None = None
+    margin_warning: bool = False
+    delivered_at: int | None = None
+
+
+def exact_jitter(times):
+    """The population standard deviation of the gaps between ``times``, not
+    using ``_jitter``: the exact variance as a Fraction, from the deviations
+    from the exact mean, and its root by ``decimal`` at 80 digits, then
+    ``float``."""
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    if not gaps:
+        return 0.0
+    mean = Fraction(sum(gaps), len(gaps))
+    variance = sum((gap - mean) ** 2 for gap in gaps) / len(gaps)
+    context = decimal.Context(prec=80)
+    return float(context.sqrt(context.divide(
+        decimal.Decimal(variance.numerator), decimal.Decimal(variance.denominator))))
+
+
+def oracle_run_elastic(trace, yield_point):
+    """The original run_elastic's step records."""
+    records = []
+    for t, y in enumerate(as_trace(trace).y):
+        delivered = yield_point > y
+        records.append(StepRecord(
+            t=t, y=y, yield_point=yield_point, delivered=delivered,
+            shoot=shooting(y, yield_point, t), cost=yield_point,
+            algorithm="repetition", delivered_at=t if delivered else None,
+        ))
+    return records
+
+
+def oracle_run_entelechial(trace, predictor, epsilon):
+    """The original run_entelechial's step records."""
+    ys = as_trace(trace).y
+    yields, predictions, warns = predict_yields(ys, predictor, epsilon)
+    records = []
+    for t, y in enumerate(ys):
+        delivered = yields[t] > y
+        records.append(StepRecord(
+            t=t, y=y, yield_point=yields[t], delivered=delivered,
+            shoot=shooting(y, yields[t], t), cost=yields[t], algorithm="repetition",
+            prediction=predictions[t], margin_warning=warns[t],
+            delivered_at=t if delivered else None,
+        ))
+    return records
+
+
+def oracle_step_csv_rows(records):
+    return [
+        (str(s.t), str(s.y), str(s.yield_point), "true" if s.delivered else "false",
+         s.shoot.kind.value, str(s.shoot.magnitude), str(s.cost), s.algorithm)
+        for s in records
+    ]
+
+
+def oracle_mean_step_fit(records, variant):
+    total = 0.0
+    for step in records:
+        outcome = fit(step.yield_point - step.y, variant)
+        total += 0.0 if outcome.lost_identity else outcome.value
+    return total / len(records)
+
+
+def assert_run_matches_records(run, records, predictor=None, variants=()):
+    """Every column, aggregate and CSV row equals the one read from the
+    records, and so do the predictions of ``predictor``, the run's own, bit
+    for bit, and the mean step fit under each of ``variants``. The delivery
+    times ascend."""
+    assert run.y == tuple(s.y for s in records)
+    assert list(run.yields) == [s.yield_point for s in records]
+    assert list(run.costs()) == [s.cost for s in records]
+    assert list(run.delivered) == [int(s.delivered) for s in records]
+    assert [t if d else None for t, d in zip(run.arrivals(), run.delivered)] == \
+        [s.delivered_at for s in records]
+    delivered = list(itertools.compress(run.arrivals(), run.delivered))
+    assert delivered == sorted(delivered)
+    assert list(run.algorithms()) == [s.algorithm for s in records]
+    if all(s.prediction is None for s in records):  # elastic: no predictor
+        assert predictor is None and run.margin_warning is None
+    else:
+        assert [p.hex() for p in predictor.predictions(run.y)] == \
+            [s.prediction.hex() for s in records]
+        assert list(run.margin_warning) == [s.margin_warning for s in records]
+    for variant in variants:
+        assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
+    assert run.undershoot_count == sum(
+        1 for s in records if s.shoot.kind is ShootKind.UNDERSHOOT)
+    assert run.cumulative_overshoot == float(sum(
+        s.shoot.magnitude for s in records if s.shoot.kind is ShootKind.OVERSHOOT))
+    assert run.total_cost == sum(s.cost for s in records)
+    assert run.delivered_fraction == sum(1 for s in records if s.delivered) / len(records)
+    assert run.jitter == exact_jitter(
+        sorted(s.delivered_at for s in records if s.delivered_at is not None))
+    assert "".join(step_csv_rows(run)) == csv_text(oracle_step_csv_rows(records))
+
+
+def oracle_run_antifragile(trace, config, store):
+    """The original run_antifragile, with its quadratic review and accounting."""
+    trace = as_trace(trace)
+    ys = trace.y
+    n = len(ys)
+    review_every = config.epochs_per_review
+    yields, predictions, warns = predict_yields(ys, config.predictor, config.epsilon)
+
+    algorithm = "repetition"
+    depth = 0
+    mutation_step = None
+    mutations = []
+    for k in range(1, n // review_every + 1):
+        review_at = k * review_every
+        window = range(review_at - review_every, review_at)
+        estimate = burstiness(ys, window, min(ys[:review_at]))
+        if algorithm == "repetition" and estimate > config.burstiness_threshold:
+            signature = _signature(estimate)
+            entry = store.get(signature)
+            if entry is None:
+                entry = {
+                    "signature": signature,
+                    "algorithm": "interleaved",
+                    "depth": config.interleave_depth,
+                    "epoch_learned": k,
+                }
+                store.put(entry)
+            if entry["algorithm"] != "interleaved":
+                continue
+            algorithm = "interleaved"
+            depth = entry.get("depth", config.interleave_depth)
+            if depth < 2:
+                depth = config.interleave_depth
+            mutation_step = review_at
+            mutations.append({
+                "step": review_at,
+                "epoch": k,
+                "algorithm": "interleaved",
+                "depth": depth,
+                "signature": signature,
+                "burstiness": estimate,
+                "feedback": FeedbackKind.GENOTYPICAL.value,
+            })
+
+    delivered = [False] * n
+    delivered_at = [None] * n
+    step_cost = [0] * n
+    step_algorithm = ["repetition"] * n
+    repetition_until = n if mutation_step is None else mutation_step
+    for t in range(repetition_until):
+        step_cost[t] += yields[t]
+        if yields[t] > ys[t]:
+            delivered[t] = True
+            delivered_at[t] = t
+    if mutation_step is not None:
+        for block_start in range(mutation_step, n, depth):
+            block = list(range(block_start, min(block_start + depth, n)))
+            length = len(block)
+            offset = max(1, length // 2)
+            for i, t in enumerate(block):
+                step_algorithm[t] = "interleaved"
+                copies = [t]
+                if length >= 2:
+                    copies.append(block[(i + offset) % length])
+                for s in copies:
+                    step_cost[s] += 1
+                if trace.burst_correlated:
+                    ok = any(yields[s] > ys[s] for s in copies)
+                else:
+                    ok = yields[t] > ys[t]
+                if ok:
+                    delivered[t] = True
+                    delivered_at[t] = block[-1]
+
+    records = [
+        StepRecord(
+            t=t, y=y, yield_point=yields[t], delivered=delivered[t],
+            shoot=shooting(y, yields[t], t), cost=step_cost[t],
+            algorithm=step_algorithm[t], prediction=predictions[t],
+            margin_warning=warns[t], delivered_at=delivered_at[t],
+        )
+        for t, y in enumerate(ys)
+    ]
+
+    violations = 0
+    if isinstance(config.identity_profile, Teleconferencing):
+        bound = config.identity_profile.jitter_bound
+        epoch_count = math.ceil(n / review_every)
+        times = [dt for dt in delivered_at if dt is not None]
+        for k in range(epoch_count):
+            start = k * review_every
+            end = min((k + 1) * review_every, n)
+            epoch_times = sorted(dt for dt in times if start <= dt < end)
+            if exact_jitter(epoch_times) > bound:
+                violations += 1
+    return records, violations, mutations
+
+
+def assert_elastic_matches_oracle(trace, yield_point, variants=()):
+    """``run_elastic`` equals ``oracle_run_elastic`` as
+    ``assert_run_matches_records`` checks it. Returns the run and the
+    records."""
+    run, records = run_elastic(trace, yield_point), oracle_run_elastic(trace, yield_point)
+    assert_run_matches_records(run, records, None, variants)
+    return run, records
+
+
+def assert_entelechial_matches_oracle(trace, predictor, epsilon, variants=()):
+    """``run_entelechial`` equals ``oracle_run_entelechial`` as
+    ``assert_run_matches_records`` checks it, predictions bit for bit.
+    Returns the run and the records."""
+    run = run_entelechial(trace, predictor, epsilon)
+    records = oracle_run_entelechial(trace, predictor, epsilon)
+    assert_run_matches_records(run, records, predictor, variants)
+    return run, records
+
+
+def assert_antifragile_matches_oracle(trace, config, lessons=(), variants=()):
+    """``run_antifragile`` equals ``oracle_run_antifragile``, each with a
+    store of ``lessons``: the identity violations, the mutations, the stores
+    after the run, and the records as ``assert_run_matches_records`` checks
+    them. Returns the run and the records."""
+    store, oracle_store = KnowledgeStore(lessons), KnowledgeStore(lessons)
+    run = run_antifragile(trace, config, store)
+    records, violations, mutations = oracle_run_antifragile(trace, config, oracle_store)
+    assert (run.identity_violations, run.mutations) == (violations, mutations)
+    assert store.to_dict() == oracle_store.to_dict()
+    assert_run_matches_records(run, records, config.predictor, variants)
+    return run, records
+
+
+FIT_VARIANTS = (BASELINE, QUADRATIC, FitVariant.parse("plateau:2"))
+
+# Interleaving edge cases, each with the mutation (step, signature, depth)
+# it reaches. BURST_ONSET reviewed every 3 steps reads burstiness 1.0 at
+# step 3; with depth 3 the blocks after it are [3, 4, 5] and [6], a trailing
+# one-step block. Under WindowMax(1) step 5 undershoots (Y = 2, y = 5) and
+# only its copy on step 3 delivers it, which uncorrelated losses forbid.
+# Two more steps make the blocks [3, 4, 5] and [6, 7, 8], no trailing block;
+# with depth 6 the four steps after step 3 are one trailing block.
+# LOW_THEN_HIGH reviewed every 6 steps reads 0.5 ("bursty-low") at step 6
+# and 1.0 ("bursty-high") at step 12.
+BURST_ONSET = (1, 5, 5, 5, 1, 5, 5)
+LOW_THEN_HIGH = (5, 5, 1, 5, 1, 5, 5, 5, 5, 5, 1, 1, 5, 1, 5, 5, 1)
+EDGE_CASES = {
+    "trailing one-step block": (
+        dict(trace=list(BURST_ONSET), review_every=3, depth=3, lessons=[]),
+        (3, "bursty-high", 3)),
+    "uncorrelated bursts": (
+        dict(trace=ChannelTrace(BURST_ONSET, burst_correlated=False),
+             review_every=3, depth=3, lessons=[]),
+        (3, "bursty-high", 3)),
+    "stored repetition, then a mutation": (
+        dict(trace=list(LOW_THEN_HIGH), review_every=6, depth=4, lessons=[
+            {"signature": "bursty-low", "algorithm": "repetition", "depth": 4}]),
+        (12, "bursty-high", 4)),
+    "stored depth below 2": (
+        dict(trace=list(BURST_ONSET), review_every=3, depth=3, lessons=[
+            {"signature": "bursty-high", "algorithm": "interleaved", "depth": 1}]),
+        (3, "bursty-high", 3)),
+    "full blocks only": (
+        dict(trace=[*BURST_ONSET, 1, 5], review_every=3, depth=3, lessons=[]),
+        (3, "bursty-high", 3)),
+    "fewer steps than the depth": (
+        dict(trace=list(BURST_ONSET), review_every=3, depth=6, lessons=[]),
+        (3, "bursty-high", 6)),
+}
 
 
 class OraclePool:
@@ -245,3 +578,115 @@ ODD_POOL_FIT_POLICY = Scenario(
     canary=Canary(hazard_ts=0.5), pool_size=7,
     policy=EvacuationPolicy(fit_threshold=1e-20),
 )
+
+
+def oracle_scenario_csv_rows(records):
+    """The earlier scenario_csv_rows over the oracle's ``ScenarioStep``
+    records: one tuple of cells per step."""
+    rows = []
+    for step in records:
+        if step.supply is None:
+            supply_text = ""
+            fit_text = ""
+        else:
+            supply_text = repr(step.supply)
+            fit_text = FLOAT_MIN_LABEL if step.fit == FLOAT_MIN else repr(step.fit)
+        rows.append((
+            str(step.t),
+            step.mine_state,
+            str(step.canaries_alive),
+            supply_text,
+            fit_text,
+            "true" if step.miner_alive else "false",
+            "true" if step.evacuated else "false",
+        ))
+    return rows
+
+
+def assert_run_matches_oracle(scenario, steps, seed, until_decided):
+    """The run's CSV lines equal those of the oracle's own step records,
+    and its columns, decisions, header and summary equal the oracle's."""
+    run = simulate(scenario, steps, seed, until_decided=until_decided)
+    oracle = oracle_simulate(scenario, steps, seed, until_decided)
+    assert run.steps == range(len(oracle.steps))
+    assert "".join(scenario_csv_rows(run)) == \
+        csv_text(oracle_scenario_csv_rows(oracle.steps))
+    assert run.mine_state == [s.mine_state for s in oracle.steps]
+    assert run.canaries_alive == [s.canaries_alive for s in oracle.steps]
+    assert (run.survived, run.evacuation_step, run.miner_failed_step) == \
+        (oracle.survived, oracle.evacuation_step, oracle.miner_failed_step)
+    assert run.header == oracle.header
+    assert json.dumps(run.to_dict(), sort_keys=True) == \
+        json.dumps(oracle.to_dict(), sort_keys=True)
+
+
+def oracle_supply_fit_curve(pool_size):
+    """The earlier supply_fit_curve: a list of dicts."""
+    rows = []
+    for f in range(pool_size + 1):
+        s = pool_size / 2.0 - f
+        fit_value = 1.0 / (1.0 + s) if s >= 0 else FLOAT_MIN
+        rows.append({"f": f, "supply": s, "fit": fit_value})
+    return rows
+
+
+def oracle_curve_csv(pool_size):
+    """curve.csv as the command line wrote it from the list of dicts."""
+    return csv_text([("f", "supply", "fit")] + [
+        (
+            str(row["f"]),
+            repr(row["supply"]),
+            FLOAT_MIN_LABEL if row["fit"] == FLOAT_MIN else repr(row["fit"]),
+        )
+        for row in oracle_supply_fit_curve(pool_size)
+    ])
+
+
+def assert_curve_matches_oracle(pool_size):
+    """``supply_fit_curve`` gives the oracle's rows, and the header and
+    ``curve_csv_rows`` give ``curve.csv`` as the command line wrote it."""
+    assert list(supply_fit_curve(pool_size)) == [
+        (row["f"], row["supply"], row["fit"]) for row in oracle_supply_fit_curve(pool_size)
+    ]
+    assert csv_text([CURVE_CSV_HEADER]) + "".join(curve_csv_rows(pool_size)) == \
+        oracle_curve_csv(pool_size)
+
+
+def oracle_premise_error(mine, miner, canary):
+    """The message of the set checks ``Scenario`` made on its figure sets
+    before it asked the calculus, or None when they accept. The last check
+    cannot reject once the first accepts: the miner then holds a figure
+    outside the mine, and the canary holds the threat figure."""
+    if not (mine - {"t"}) < miner:
+        return "miner must strictly cover the mine's context besides the threat figure"
+    if miner <= canary or canary <= miner:
+        return "miner and canary perceptions must be mutually non-nested"
+    if not mine < (miner | canary):
+        return "the joint perception must strictly cover the mine's context set"
+    return None
+
+
+# The figure sets of the premise examples, before the threat figure "t" is
+# added to the mine and the canary.
+PREMISE_EXAMPLES = {
+    "accepted": dict(mine=frozenset({"gas_level"}), miner=frozenset({"gas_level", "x"}),
+                     canary=frozenset({"noise"})),
+    "the miner does not cover the mine": dict(
+        mine=frozenset({"gas_level"}), miner=frozenset({"x"}), canary=frozenset()),
+    "nested perceptions": dict(
+        mine=frozenset(), miner=frozenset({"x"}), canary=frozenset({"x"})),
+}
+
+
+def assert_premise_matches_oracle(mine, miner, canary):
+    """``Scenario`` accepts the figure sets, with the threat figure added to
+    the mine and the canary, exactly when the set checks do, and otherwise
+    raises ``ValueError`` with their message."""
+    mine, canary = mine | {"t"}, canary | {"t"}
+    expected = oracle_premise_error(mine, miner, canary)
+    try:
+        Scenario(mine=CoalMine(mine), miner=Miner(miner), canary=Canary(canary))
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None

@@ -1,34 +1,28 @@
 """Equivalence of the linear, columnar hot loops with the original code.
 
-The oracles are the earlier implementations, kept verbatim in substance.
-Below: the per-step ``StepRecord``/``shooting`` builders of the three
-protocol runs (the antifragile one with its prefix-rescanning review pass
-and per-epoch rescanning identity accounting), with the per-step
-prediction loop of ``oracles.py`` and their own exact jitter reference so
-that they share neither with the code under test; the step CSV rows and
-mean step fit read from those records, and the set checks of the scenario
-premise. From ``oracles.py``: the canary pool that keeps one flag per
-canary and the sentinel simulation that built one ``ScenarioStep`` per
-step. The current code must agree with them exactly, including the random
-draws consumed and the float sums.
-The CSV producers stream finished lines; their oracles are the earlier
-tuple and dict row builders, written through ``csv.writer`` as the command
-line used to write them.
+The oracles are the earlier implementations, kept verbatim in substance,
+and the comparisons against them, all from ``oracles.py``: the per-step
+prediction loop and the per-step ``StepRecord``/``shooting`` builders of
+the three protocol runs, with their own exact jitter reference; the step
+CSV rows and mean step fit read from those records; the canary pool that
+keeps one flag per canary and the sentinel simulation that built one
+``ScenarioStep`` per step; the earlier curve and CSV row builders; and the
+set checks of the scenario premise. The current code must agree with them
+exactly, including the random draws consumed and the float sums. Below are
+the properties and examples that drive them; ``tests/gates.py`` runs fixed
+cases through the same comparisons without pytest.
 """
 
 import csv
-import decimal
 import io
 import itertools
 import json
-import math
 import random
 import statistics
 import sys
 import tracemalloc
 from array import array
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,26 +40,19 @@ from resilsim.channel import (
     RandomWalkChannel,
     Teleconferencing,
     WindowMax,
-    ChannelTrace,
     _jitter,
-    _signature,
-    as_trace,
     burstiness,
     compare_runs,
     config_dict,
     generate_trace,
-    mean_step_fit,
     run_antifragile,
     run_elastic,
     run_entelechial,
     step_csv_rows,
 )
-from resilsim.cli import _csv_cell, main
-from resilsim.fitness import BASELINE, QUADRATIC, FitVariant, ShootKind, fit, shooting
-from resilsim.organs import FeedbackKind
+from resilsim.cli import main
+from resilsim.fitness import BASELINE, QUADRATIC, fit
 from resilsim.sentinel import (
-    FLOAT_MIN,
-    FLOAT_MIN_LABEL,
     Canary,
     CanaryPool,
     CoalMine,
@@ -80,218 +67,22 @@ from resilsim.sentinel import (
 )
 
 from oracles import (
+    EDGE_CASES,
+    FIT_VARIANTS,
     ODD_POOL_FIT_POLICY,
+    PREMISE_EXAMPLES,
     OraclePool,
-    oracle_simulate,
+    assert_antifragile_matches_oracle,
+    assert_curve_matches_oracle,
+    assert_premise_matches_oracle,
+    assert_elastic_matches_oracle,
+    assert_entelechial_matches_oracle,
+    assert_run_matches_oracle,
+    csv_text,
+    exact_jitter,
+    oracle_curve_csv,
     predict_yields,
 )
-
-
-def csv_text(rows):
-    """``rows`` as the command line wrote them before lines were streamed."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """The original per-step record of a protocol run."""
-
-    t: int
-    y: int
-    yield_point: int
-    delivered: bool
-    shoot: object
-    cost: int
-    algorithm: str
-    prediction: float | None = None
-    margin_warning: bool = False
-    delivered_at: int | None = None
-
-
-def exact_jitter(times):
-    """The population standard deviation of the gaps between ``times``, not
-    using ``_jitter``: the exact variance as a Fraction, from the deviations
-    from the exact mean, and its root by ``decimal`` at 80 digits, then
-    ``float``."""
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    if not gaps:
-        return 0.0
-    mean = Fraction(sum(gaps), len(gaps))
-    variance = sum((gap - mean) ** 2 for gap in gaps) / len(gaps)
-    context = decimal.Context(prec=80)
-    return float(context.sqrt(context.divide(
-        decimal.Decimal(variance.numerator), decimal.Decimal(variance.denominator))))
-
-
-def oracle_run_elastic(trace, yield_point):
-    """The original run_elastic's step records."""
-    records = []
-    for t, y in enumerate(as_trace(trace).y):
-        delivered = yield_point > y
-        records.append(StepRecord(
-            t=t, y=y, yield_point=yield_point, delivered=delivered,
-            shoot=shooting(y, yield_point, t), cost=yield_point,
-            algorithm="repetition", delivered_at=t if delivered else None,
-        ))
-    return records
-
-
-def oracle_run_entelechial(trace, predictor, epsilon):
-    """The original run_entelechial's step records."""
-    ys = as_trace(trace).y
-    yields, predictions, warns = predict_yields(ys, predictor, epsilon)
-    records = []
-    for t, y in enumerate(ys):
-        delivered = yields[t] > y
-        records.append(StepRecord(
-            t=t, y=y, yield_point=yields[t], delivered=delivered,
-            shoot=shooting(y, yields[t], t), cost=yields[t], algorithm="repetition",
-            prediction=predictions[t], margin_warning=warns[t],
-            delivered_at=t if delivered else None,
-        ))
-    return records
-
-
-def oracle_step_csv_rows(records):
-    return [
-        (str(s.t), str(s.y), str(s.yield_point), "true" if s.delivered else "false",
-         s.shoot.kind.value, str(s.shoot.magnitude), str(s.cost), s.algorithm)
-        for s in records
-    ]
-
-
-def oracle_mean_step_fit(records, variant):
-    total = 0.0
-    for step in records:
-        outcome = fit(step.yield_point - step.y, variant)
-        total += 0.0 if outcome.lost_identity else outcome.value
-    return total / len(records)
-
-
-def assert_run_matches_records(run, records, predictor=None):
-    """Every column, aggregate and CSV row equals the one read from the
-    records, and so do the predictions of ``predictor``, the run's own."""
-    assert run.y == tuple(s.y for s in records)
-    assert list(run.yields) == [s.yield_point for s in records]
-    assert list(run.costs()) == [s.cost for s in records]
-    assert list(run.delivered) == [int(s.delivered) for s in records]
-    assert [t if d else None for t, d in zip(run.arrivals(), run.delivered)] == \
-        [s.delivered_at for s in records]
-    assert list(run.algorithms()) == [s.algorithm for s in records]
-    if all(s.prediction is None for s in records):  # elastic: no predictor
-        assert predictor is None and run.margin_warning is None
-    else:
-        assert list(predictor.predictions(run.y)) == [s.prediction for s in records]
-        assert list(run.margin_warning) == [s.margin_warning for s in records]
-    assert run.undershoot_count == sum(
-        1 for s in records if s.shoot.kind is ShootKind.UNDERSHOOT)
-    assert run.cumulative_overshoot == float(sum(
-        s.shoot.magnitude for s in records if s.shoot.kind is ShootKind.OVERSHOOT))
-    assert run.total_cost == sum(s.cost for s in records)
-    assert run.delivered_fraction == sum(1 for s in records if s.delivered) / len(records)
-    assert run.jitter == exact_jitter(
-        sorted(s.delivered_at for s in records if s.delivered_at is not None))
-    assert "".join(step_csv_rows(run)) == csv_text(oracle_step_csv_rows(records))
-
-
-def oracle_run_antifragile(trace, config, store):
-    """The original run_antifragile, with its quadratic review and accounting."""
-    trace = as_trace(trace)
-    ys = trace.y
-    n = len(ys)
-    review_every = config.epochs_per_review
-    yields, predictions, warns = predict_yields(ys, config.predictor, config.epsilon)
-
-    algorithm = "repetition"
-    depth = 0
-    mutation_step = None
-    mutations = []
-    for k in range(1, n // review_every + 1):
-        review_at = k * review_every
-        window = range(review_at - review_every, review_at)
-        estimate = burstiness(ys, window, min(ys[:review_at]))
-        if algorithm == "repetition" and estimate > config.burstiness_threshold:
-            signature = _signature(estimate)
-            entry = store.get(signature)
-            if entry is None:
-                entry = {
-                    "signature": signature,
-                    "algorithm": "interleaved",
-                    "depth": config.interleave_depth,
-                    "epoch_learned": k,
-                }
-                store.put(entry)
-            if entry["algorithm"] != "interleaved":
-                continue
-            algorithm = "interleaved"
-            depth = entry.get("depth", config.interleave_depth)
-            if depth < 2:
-                depth = config.interleave_depth
-            mutation_step = review_at
-            mutations.append({
-                "step": review_at,
-                "epoch": k,
-                "algorithm": "interleaved",
-                "depth": depth,
-                "signature": signature,
-                "burstiness": estimate,
-                "feedback": FeedbackKind.GENOTYPICAL.value,
-            })
-
-    delivered = [False] * n
-    delivered_at = [None] * n
-    step_cost = [0] * n
-    step_algorithm = ["repetition"] * n
-    repetition_until = n if mutation_step is None else mutation_step
-    for t in range(repetition_until):
-        step_cost[t] += yields[t]
-        if yields[t] > ys[t]:
-            delivered[t] = True
-            delivered_at[t] = t
-    if mutation_step is not None:
-        for block_start in range(mutation_step, n, depth):
-            block = list(range(block_start, min(block_start + depth, n)))
-            length = len(block)
-            offset = max(1, length // 2)
-            for i, t in enumerate(block):
-                step_algorithm[t] = "interleaved"
-                copies = [t]
-                if length >= 2:
-                    copies.append(block[(i + offset) % length])
-                for s in copies:
-                    step_cost[s] += 1
-                if trace.burst_correlated:
-                    ok = any(yields[s] > ys[s] for s in copies)
-                else:
-                    ok = yields[t] > ys[t]
-                if ok:
-                    delivered[t] = True
-                    delivered_at[t] = block[-1]
-
-    records = [
-        StepRecord(
-            t=t, y=y, yield_point=yields[t], delivered=delivered[t],
-            shoot=shooting(y, yields[t], t), cost=step_cost[t],
-            algorithm=step_algorithm[t], prediction=predictions[t],
-            margin_warning=warns[t], delivered_at=delivered_at[t],
-        )
-        for t, y in enumerate(ys)
-    ]
-
-    violations = 0
-    if isinstance(config.identity_profile, Teleconferencing):
-        bound = config.identity_profile.jitter_bound
-        epoch_count = math.ceil(n / review_every)
-        times = [dt for dt in delivered_at if dt is not None]
-        for k in range(epoch_count):
-            start = k * review_every
-            end = min((k + 1) * review_every, n)
-            epoch_times = sorted(dt for dt in times if start <= dt < end)
-            if exact_jitter(epoch_times) > bound:
-                violations += 1
-    return records, violations, mutations
 
 
 # ---------------------------------------------------------------------------
@@ -361,42 +152,6 @@ stored_lessons = st.lists(
 )
 
 
-# Interleaving edge cases, each with the mutation (step, signature, depth)
-# it reaches. BURST_ONSET reviewed every 3 steps reads burstiness 1.0 at
-# step 3; with depth 3 the blocks after it are [3, 4, 5] and [6], a trailing
-# one-step block. Under WindowMax(1) step 5 undershoots (Y = 2, y = 5) and
-# only its copy on step 3 delivers it, which uncorrelated losses forbid.
-# Two more steps make the blocks [3, 4, 5] and [6, 7, 8], no trailing block;
-# with depth 6 the four steps after step 3 are one trailing block.
-# LOW_THEN_HIGH reviewed every 6 steps reads 0.5 ("bursty-low") at step 6
-# and 1.0 ("bursty-high") at step 12.
-BURST_ONSET = (1, 5, 5, 5, 1, 5, 5)
-LOW_THEN_HIGH = (5, 5, 1, 5, 1, 5, 5, 5, 5, 5, 1, 1, 5, 1, 5, 5, 1)
-EDGE_CASES = {
-    "trailing one-step block": (
-        dict(trace=list(BURST_ONSET), review_every=3, depth=3, lessons=[]),
-        (3, "bursty-high", 3)),
-    "uncorrelated bursts": (
-        dict(trace=ChannelTrace(BURST_ONSET, burst_correlated=False),
-             review_every=3, depth=3, lessons=[]),
-        (3, "bursty-high", 3)),
-    "stored repetition, then a mutation": (
-        dict(trace=list(LOW_THEN_HIGH), review_every=6, depth=4, lessons=[
-            {"signature": "bursty-low", "algorithm": "repetition", "depth": 4}]),
-        (12, "bursty-high", 4)),
-    "stored depth below 2": (
-        dict(trace=list(BURST_ONSET), review_every=3, depth=3, lessons=[
-            {"signature": "bursty-high", "algorithm": "interleaved", "depth": 1}]),
-        (3, "bursty-high", 3)),
-    "full blocks only": (
-        dict(trace=[*BURST_ONSET, 1, 5], review_every=3, depth=3, lessons=[]),
-        (3, "bursty-high", 3)),
-    "fewer steps than the depth": (
-        dict(trace=list(BURST_ONSET), review_every=3, depth=6, lessons=[]),
-        (3, "bursty-high", 6)),
-}
-
-
 def edge_case_example(name):
     return example(predictor=WindowMax(1), epsilon=1.0, profile=FileTransfer(),
                    threshold=0.0, **EDGE_CASES[name][0])
@@ -429,15 +184,7 @@ def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
         identity_profile=profile, burstiness_threshold=threshold,
         interleave_depth=depth,
     )
-    store, oracle_store = KnowledgeStore(lessons), KnowledgeStore(lessons)
-    run = run_antifragile(trace, config, store)
-    records, violations, mutations = oracle_run_antifragile(trace, config, oracle_store)
-    assert run.identity_violations == violations
-    assert run.mutations == mutations
-    assert_run_matches_records(run, records, predictor)
-    assert store.to_dict() == oracle_store.to_dict()
-    delivered = list(itertools.compress(run.arrivals(), run.delivered))
-    assert delivered == sorted(delivered)
+    assert_antifragile_matches_oracle(trace, config, lessons)
 
 
 @settings(max_examples=300, deadline=None)
@@ -519,14 +266,8 @@ def test_bursty_readme_trace_matches_oracle():
         predictor=WindowMax(8), epsilon=1.5, epochs_per_review=50,
         identity_profile=Teleconferencing(jitter_bound=0.5),
     )
-    run = run_antifragile(trace, config, KnowledgeStore())
-    records, violations, mutations = oracle_run_antifragile(
-        trace, config, KnowledgeStore())
-    assert mutations and violations > 0
-    assert (run.identity_violations, run.mutations) == (violations, mutations)
-    assert_run_matches_records(run, records, config.predictor)
-    for variant in FIT_VARIANTS:
-        assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
+    run, _ = assert_antifragile_matches_oracle(trace, config, variants=FIT_VARIANTS)
+    assert run.mutations and run.identity_violations > 0
 
 
 def test_review_stops_at_the_mutation(monkeypatch):
@@ -571,8 +312,6 @@ def test_cached_aggregates_match_fresh_computation():
 # run_elastic and run_entelechial
 
 
-FIT_VARIANTS = (BASELINE, QUADRATIC, FitVariant.parse("plateau:2"))
-
 walk_traces = st.builds(
     lambda y0, step_prob, seed, steps: generate_trace(
         RandomWalkChannel(y0=y0, step_prob=step_prob, y_min=1, y_max=6, seed=seed),
@@ -589,12 +328,7 @@ channel_traces = st.one_of(plain_traces, walk_traces, bursty_traces)
        variant=st.sampled_from(FIT_VARIANTS))
 @example(trace=[2, 5, 2, 6], yield_point=3, variant=BASELINE)  # undershoots
 def test_run_elastic_matches_oracle(trace, yield_point, variant):
-    run = run_elastic(trace, yield_point)
-    records = oracle_run_elastic(trace, yield_point)
-    assert_run_matches_records(run, records)
-    assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
-    delivered = list(itertools.compress(run.arrivals(), run.delivered))
-    assert delivered == sorted(delivered)
+    assert_elastic_matches_oracle(trace, yield_point, (variant,))
 
 
 @settings(max_examples=200, deadline=None)
@@ -603,28 +337,19 @@ def test_run_elastic_matches_oracle(trace, yield_point, variant):
 @example(trace=[1, 2, 3, 6, 1], predictor=WindowMax(1), epsilon=2.0,
          variant=QUADRATIC)  # undershoots
 def test_run_entelechial_matches_oracle(trace, predictor, epsilon, variant):
-    run = run_entelechial(trace, predictor, epsilon)
-    records = oracle_run_entelechial(trace, predictor, epsilon)
-    assert_run_matches_records(run, records, predictor)
-    assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
-    delivered = list(itertools.compress(run.arrivals(), run.delivered))
-    assert delivered == sorted(delivered)
+    assert_entelechial_matches_oracle(trace, predictor, epsilon, (variant,))
 
 
 def test_oracle_examples_undershoot_and_lose_identity():
     """The strategies reach identity loss; the float sums are not trivial."""
     trace = generate_trace(
         RandomWalkChannel(y0=3, step_prob=0.2, y_min=1, y_max=6, seed=5), 20_000)
-    for run, records, predictor in (
-        (run_elastic(trace, 4), oracle_run_elastic(trace, 4), None),
-        (run_entelechial(trace, EwmaPlusSlope(), 1.5),
-         oracle_run_entelechial(trace, EwmaPlusSlope(), 1.5), EwmaPlusSlope()),
+    for run, records in (
+        assert_elastic_matches_oracle(trace, 4, FIT_VARIANTS),
+        assert_entelechial_matches_oracle(trace, EwmaPlusSlope(), 1.5, FIT_VARIANTS),
     ):
         assert run.undershoot_count > 0
         assert any(fit(s.yield_point - s.y).lost_identity for s in records)
-        assert_run_matches_records(run, records, predictor)
-        for variant in FIT_VARIANTS:
-            assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -772,23 +497,6 @@ scenarios = st.builds(
 )
 
 
-def assert_run_matches_oracle(scenario, steps, seed, until_decided):
-    """The run's CSV lines equal those of the oracle's own step records,
-    and its columns, decisions, header and summary equal the oracle's."""
-    run = simulate(scenario, steps, seed, until_decided=until_decided)
-    oracle = oracle_simulate(scenario, steps, seed, until_decided)
-    assert run.steps == range(len(oracle.steps))
-    assert "".join(scenario_csv_rows(run)) == \
-        csv_text(oracle_scenario_csv_rows(oracle.steps))
-    assert run.mine_state == [s.mine_state for s in oracle.steps]
-    assert run.canaries_alive == [s.canaries_alive for s in oracle.steps]
-    assert (run.survived, run.evacuation_step, run.miner_failed_step) == \
-        (oracle.survived, oracle.evacuation_step, oracle.miner_failed_step)
-    assert run.header == oracle.header
-    assert json.dumps(run.to_dict(), sort_keys=True) == \
-        json.dumps(oracle.to_dict(), sort_keys=True)
-
-
 @settings(max_examples=300, deadline=None)
 @given(scenario=scenarios, steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
        until_decided=st.booleans())
@@ -872,51 +580,6 @@ def test_survival_rate_calls_simulate_through_module_global(monkeypatch):
 # Streamed CSV lines
 
 
-def oracle_scenario_csv_rows(records):
-    """The earlier scenario_csv_rows over the oracle's ``ScenarioStep``
-    records: one tuple of cells per step."""
-    rows = []
-    for step in records:
-        if step.supply is None:
-            supply_text = ""
-            fit_text = ""
-        else:
-            supply_text = repr(step.supply)
-            fit_text = FLOAT_MIN_LABEL if step.fit == FLOAT_MIN else repr(step.fit)
-        rows.append((
-            str(step.t),
-            step.mine_state,
-            str(step.canaries_alive),
-            supply_text,
-            fit_text,
-            "true" if step.miner_alive else "false",
-            "true" if step.evacuated else "false",
-        ))
-    return rows
-
-
-def oracle_supply_fit_curve(pool_size):
-    """The earlier supply_fit_curve: a list of dicts."""
-    rows = []
-    for f in range(pool_size + 1):
-        s = pool_size / 2.0 - f
-        fit_value = 1.0 / (1.0 + s) if s >= 0 else FLOAT_MIN
-        rows.append({"f": f, "supply": s, "fit": fit_value})
-    return rows
-
-
-def oracle_curve_csv(pool_size):
-    """curve.csv as the command line wrote it from the list of dicts."""
-    return csv_text([("f", "supply", "fit")] + [
-        (
-            str(row["f"]),
-            repr(row["supply"]),
-            FLOAT_MIN_LABEL if row["fit"] == FLOAT_MIN else repr(row["fit"]),
-        )
-        for row in oracle_supply_fit_curve(pool_size)
-    ])
-
-
 @settings(max_examples=200, deadline=None)
 @given(scenario=scenarios, steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
        until_decided=st.booleans())
@@ -936,9 +599,7 @@ def test_supply_fit_curve_and_curve_csv_match_oracle(tmp_path):
     config.write_text('{"steps": 1}')
     out = tmp_path / "out"
     for pool in range(1, 301):
-        assert list(supply_fit_curve(pool)) == [
-            (row["f"], row["supply"], row["fit"]) for row in oracle_supply_fit_curve(pool)
-        ]
+        assert_curve_matches_oracle(pool)
         assert main(["sentinel", "-c", str(config), "-o", str(out),
                      "--curve", str(pool)]) == 0
         assert (out / "curve.csv").read_text(encoding="utf-8") == oracle_curve_csv(pool)
@@ -962,7 +623,7 @@ def test_compare_csv_quotes_protocol_names(tmp_path):
     runs = {name: run_elastic(trace, 3 + i) for i, name in enumerate(names)}
     text = (out / "compare.csv").read_text(encoding="utf-8")
     assert text == csv_text([COMPARE_CSV_HEADER] + [
-        [_csv_cell(row[column]) for column in COMPARE_CSV_HEADER]
+        [row[column] for column in COMPARE_CSV_HEADER]
         for row in compare_runs(runs)
     ])
     assert [row[0] for row in csv.reader(io.StringIO(text))] == \
@@ -1004,38 +665,13 @@ def test_simulate_estimates_supply_once_per_step(monkeypatch):
 # The scenario premise
 
 
-def oracle_premise_error(mine, miner, canary):
-    """The message of the set checks ``Scenario`` made on its figure sets
-    before it asked the calculus, or None when they accept. The last check
-    cannot reject once the first accepts: the miner then holds a figure
-    outside the mine, and the canary holds the threat figure."""
-    if not (mine - {"t"}) < miner:
-        return "miner must strictly cover the mine's context besides the threat figure"
-    if miner <= canary or canary <= miner:
-        return "miner and canary perceptions must be mutually non-nested"
-    if not mine < (miner | canary):
-        return "the joint perception must strictly cover the mine's context set"
-    return None
-
-
 figure_sets = st.frozensets(st.sampled_from(["gas_level", "humidity", "noise", "x"]))
 
 
 @settings(max_examples=500, deadline=None)
 @given(mine=figure_sets, miner=figure_sets, canary=figure_sets)
-@example(mine=frozenset({"gas_level"}), miner=frozenset({"gas_level", "x"}),
-         canary=frozenset({"noise"}))  # accepted
-@example(mine=frozenset({"gas_level"}), miner=frozenset({"x"}),
-         canary=frozenset())  # the miner does not cover the mine
-@example(mine=frozenset(), miner=frozenset({"x"}),
-         canary=frozenset({"x"}))  # nested perceptions
+@example(**PREMISE_EXAMPLES["accepted"])
+@example(**PREMISE_EXAMPLES["the miner does not cover the mine"])
+@example(**PREMISE_EXAMPLES["nested perceptions"])
 def test_scenario_premise_matches_set_checks(mine, miner, canary):
-    mine, canary = mine | {"t"}, canary | {"t"}
-    expected = oracle_premise_error(mine, miner, canary)
-    parts = dict(mine=CoalMine(mine), miner=Miner(miner), canary=Canary(canary))
-    if expected is None:
-        Scenario(**parts)
-    else:
-        with pytest.raises(ValueError) as raised:
-            Scenario(**parts)
-        assert str(raised.value) == expected
+    assert_premise_matches_oracle(mine, miner, canary)
