@@ -34,17 +34,12 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InvalidBounds, StoreCorrupt, TraceMismatch
+from .errors import StoreCorrupt, TraceMismatch, check_probability
 from .fitness import BASELINE, fit, shooting
 
 
 # ---------------------------------------------------------------------------
 # Channel models
-
-
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise InvalidBounds(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +53,7 @@ class ConstantChannel:
 
     def __post_init__(self) -> None:
         if self.y < 1:
-            raise InvalidBounds(f"y must be a positive integer, got {self.y}")
+            raise ValueError(f"y must be a positive integer, got {self.y}")
 
     def _generate(self, steps: int, rng: random.Random) -> Sequence[int]:
         return (self.y,) * steps
@@ -81,12 +76,12 @@ class RandomWalkChannel:
 
     def __post_init__(self) -> None:
         if self.y_min > self.y_max:
-            raise InvalidBounds(f"min {self.y_min} exceeds max {self.y_max}")
+            raise ValueError(f"min {self.y_min} exceeds max {self.y_max}")
         if self.y_min < 1:
-            raise InvalidBounds("y_min must be a positive integer")
+            raise ValueError("y_min must be a positive integer")
         if not self.y_min <= self.y0 <= self.y_max:
-            raise InvalidBounds(f"y0 {self.y0} outside [{self.y_min}, {self.y_max}]")
-        _check_probability("step_prob", self.step_prob)
+            raise ValueError(f"y0 {self.y0} outside [{self.y_min}, {self.y_max}]")
+        check_probability("step_prob", self.step_prob)
 
     def _generate(self, steps: int, rng: random.Random) -> Sequence[int]:
         ys = [self.y0]
@@ -113,12 +108,12 @@ class BurstyChannel:
     kind = "bursty"
 
     def __post_init__(self) -> None:
-        _check_probability("p_enter", self.p_enter)
-        _check_probability("p_exit", self.p_exit)
+        check_probability("p_enter", self.p_enter)
+        check_probability("p_exit", self.p_exit)
         if self.y_calm < 1:
-            raise InvalidBounds("y_calm must be a positive integer")
+            raise ValueError("y_calm must be a positive integer")
         if self.y_burst < self.y_calm:
-            raise InvalidBounds("y_burst must be at least y_calm")
+            raise ValueError("y_burst must be at least y_calm")
 
     def _generate(self, steps: int, rng: random.Random) -> Sequence[int]:
         ys: list[int] = []
@@ -155,16 +150,16 @@ def as_trace(trace: ChannelTrace | Sequence[int]) -> ChannelTrace:
         return trace
     ys = tuple(trace)
     if not ys:
-        raise InvalidBounds("trace must contain at least one step")
+        raise ValueError("trace must contain at least one step")
     if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in ys):
-        raise InvalidBounds("y values must be positive integers")
+        raise ValueError("y values must be positive integers")
     return ChannelTrace(y=ys)
 
 
 def generate_trace(model: ChannelModel, steps: int) -> ChannelTrace:
     """Deterministically generate a channel model's demand, a word a step."""
     if steps < 1:
-        raise InvalidBounds(f"steps must be at least 1, got {steps}")
+        raise ValueError(f"steps must be at least 1, got {steps}")
     rng = random.Random(model.seed)
     return ChannelTrace(
         y=tuple(model._generate(steps, rng)),
@@ -807,8 +802,10 @@ class KnowledgeStore:
 
     @staticmethod
     def temp_path(path: str) -> str:
-        """The temp file that :meth:`save` writes and then renames to ``path``."""
-        return f"{path}.{os.getpid()}.tmp"
+        """The temp file that :meth:`save` writes and then renames to ``path``.
+        The process id is padded to 7 digits (Linux allows at most 4 194 304),
+        so the name's length, which the CLI checks, is the same for every id."""
+        return f"{path}.{os.getpid():07d}.tmp"
 
     def save(self, path: str) -> None:
         """Write to ``path`` with the mode ``open(path, "w")`` would give it.

@@ -30,12 +30,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 
 from . import __version__
-from .errors import (
-    IncommensurableBehaviors,
-    InvalidBounds,
-    ResilienceError,
-    StoreCorrupt,
-)
+from .errors import ResilienceError, StoreCorrupt
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -160,7 +155,7 @@ def _build(target, config, path: str, extra=(), **fixed):
             raise ConfigError(f"{_join(path, key)}: missing required key")
     try:
         return target(**arguments)
-    except (ValueError, InvalidBounds) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
 
 
@@ -457,27 +452,24 @@ def cmd_compare(path_a: str, path_b: str, organs: bool, variant) -> int:
         print(_json_text(comparison.to_dict()))
         return EXIT_OK
     from .behavior import BehaviorDescriptor, commensurable, distance, precedes
-    from .fitness import IDENTITY_LOSS_LABEL, fit, supply
+    from .fitness import IDENTITY_LOSS_LABEL, TurbulenceTrace, fit_timeline
 
     a = _load(BehaviorDescriptor, path_a)
     b = _load(BehaviorDescriptor, path_b)
+    (point,) = fit_timeline(TurbulenceTrace.from_pairs([(0, a)]),
+                            TurbulenceTrace.from_pairs([(0, b)]), variant)
+    outcome = point.fit
     result = {
         "precedes_ab": precedes(a, b),
         "precedes_ba": precedes(b, a),
         "commensurable": commensurable(a, b),
         "distance": distance(a, b),
         "fit_variant": variant.label(),
+        "supply": point.supply,
+        "fit": (None if outcome is None
+                else IDENTITY_LOSS_LABEL if outcome.lost_identity else outcome.value),
+        "marker": point.marker,
     }
-    try:
-        s = supply(a, b)
-        outcome = fit(s, variant)
-        result["supply"] = s
-        result["fit"] = IDENTITY_LOSS_LABEL if outcome.lost_identity else outcome.value
-        result["marker"] = ""
-    except IncommensurableBehaviors:
-        result["supply"] = None
-        result["fit"] = None
-        result["marker"] = "incommensurable"
     print(_json_text(result))
     return EXIT_OK
 
@@ -545,10 +537,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "sentinel":
             return cmd_sentinel(args.config, args.out_dir, args.curve, args.runs,
                                 args.seed)
-        if args.command == "compare":
-            return cmd_compare(args.descriptor_a, args.descriptor_b, args.organs,
-                               args.fit_variant)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_compare(args.descriptor_a, args.descriptor_b, args.organs,
+                           args.fit_variant)
     except (ConfigError, StoreCorrupt) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -562,7 +552,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("internal error: out of memory; the run is too large for this machine",
               file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

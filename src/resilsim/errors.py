@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``check_probability``,
+the one [0, 1] check of a parameter, which both studies import from here
+without loading each other. A bad parameter raises ``ValueError``."""
+
+
+def check_probability(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 class ResilienceError(Exception):
@@ -23,10 +30,6 @@ class ContainsUndershoot(ResilienceError):
 
 class EmptyTraceOverlap(ResilienceError):
     """The system and environment traces share no time range."""
-
-
-class InvalidBounds(ResilienceError):
-    """Channel model parameters are out of range."""
 
 
 class StoreCorrupt(ResilienceError):

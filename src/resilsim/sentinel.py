@@ -22,7 +22,7 @@ from itertools import chain, repeat
 from typing import Iterator
 
 from .behavior import BehaviorClass, BehaviorDescriptor, FigureSpec, commensurable
-from .errors import EmptyPool
+from .errors import EmptyPool, check_probability
 
 # Smallest positive normal double; the estimation sentinel for outright
 # undersupply. Serializes as the string "float_min".
@@ -36,11 +36,6 @@ DEFAULT_MINER_FIGURES = frozenset(
     {"gas_level", "humidity", "temperature", "vibration"}
 )
 DEFAULT_CANARY_FIGURES = frozenset({"t", "gas_level", "noise"})
-
-
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 def _monitor(figures: frozenset[str], social: bool = False) -> BehaviorDescriptor:
@@ -60,8 +55,8 @@ class CoalMine:
         object.__setattr__(self, "figures", frozenset(self.figures))
         if THREAT_FIGURE not in self.figures:
             raise ValueError(f"mine context set must include {THREAT_FIGURE!r}")
-        _check_probability("p_enter_ts", self.p_enter_ts)
-        _check_probability("p_exit_ts", self.p_exit_ts)
+        check_probability("p_enter_ts", self.p_enter_ts)
+        check_probability("p_exit_ts", self.p_exit_ts)
 
     @property
     def behavior(self) -> BehaviorDescriptor:
@@ -82,7 +77,7 @@ class Miner:
         object.__setattr__(self, "figures", frozenset(self.figures))
         if THREAT_FIGURE in self.figures:
             raise ValueError(f"miner perception must not include {THREAT_FIGURE!r}")
-        _check_probability("hazard_ts", self.hazard_ts)
+        check_probability("hazard_ts", self.hazard_ts)
 
     @property
     def monitor_behavior(self) -> BehaviorDescriptor:
@@ -100,7 +95,7 @@ class Canary:
         object.__setattr__(self, "figures", frozenset(self.figures))
         if THREAT_FIGURE not in self.figures:
             raise ValueError(f"canary perception must include {THREAT_FIGURE!r}")
-        _check_probability("hazard_ts", self.hazard_ts)
+        check_probability("hazard_ts", self.hazard_ts)
 
     @property
     def monitor_behavior(self) -> BehaviorDescriptor:

@@ -16,12 +16,15 @@ options. Each gate runs in a fresh child of the same interpreter, with
   ``tests/oracles.py``, through the same comparisons the tests make: the
   predictor columns bit for bit, the channel runs (the interleaving edge
   cases included) with their CSV rows and mean step fit, the sentinel runs
-  with their CSV lines, header and summary, the curve, and the scenario
-  premise;
-* benchmark outputs: ``perfbench/run.py --seconds 0`` on each of its four
-  workloads, plain and traced, reports ``"correct": true``, so every output
-  matches ``perfbench/golden.json`` at benchmark size (10^5-step CSVs, the
-  100 001-row curve) and every layer the benchmark names is found.
+  with their CSV lines, header and summary, the curve, the scenario
+  premise, and the ``compare`` output of descriptor pairs;
+* store temp name: the knowledge store's temp name has one length for
+  every process id;
+* benchmark outputs: ``perfbench/run.py --seconds 0`` on each workload
+  that ``BENCHMARK.json`` lists, plain and traced, reports ``"correct":
+  true``, so every output matches ``perfbench/golden.json`` at benchmark
+  size (10^5-step CSVs, the 100 001-row curve) and every layer the
+  benchmark names is found.
 
 It prints one line per gate and exits 1 if any gate fails.
 """
@@ -32,7 +35,6 @@ import sys
 TESTS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS)
 SRC = os.path.join(ROOT, "src")
-WORKLOADS = ("channel-bursty", "channel-walk", "sentinel-batch", "sentinel-pool")
 
 
 def no_runtime_dependency() -> None:
@@ -145,14 +147,17 @@ def oracles_agree() -> None:
       over 500 steps, and ``sentinel-pool``'s pool of 10 000 over 2 000
       steps at its seed 3;
     * the supply/fit curve and ``curve.csv`` for pools 1 to 50, and the
-      three example figure sets of the scenario premise.
+      three example figure sets of the scenario premise;
+    * ``compare`` on every ordered pair of ``COMPARE_DESCRIPTORS`` under the
+      three fit variants, byte for byte.
 
     The first 20 failed cases are printed, each with the line of
     ``tests/oracles.py`` that failed."""
     import traceback
 
-    from oracles import (EDGE_CASES, FIT_VARIANTS, ODD_POOL_FIT_POLICY, PREMISE_EXAMPLES,
-                         assert_antifragile_matches_oracle, assert_curve_matches_oracle,
+    from oracles import (COMPARE_DESCRIPTORS, EDGE_CASES, FIT_VARIANTS, ODD_POOL_FIT_POLICY,
+                         PREMISE_EXAMPLES, assert_antifragile_matches_oracle,
+                         assert_compare_matches_oracle, assert_curve_matches_oracle,
                          assert_elastic_matches_oracle, assert_entelechial_matches_oracle,
                          assert_premise_matches_oracle, assert_run_matches_oracle)
     from resilsim.channel import (AntifragileEvolving, BurstyChannel, EwmaPlusSlope,
@@ -224,12 +229,34 @@ def oracles_agree() -> None:
     for name, figure_sets in PREMISE_EXAMPLES.items():
         check("premise cases", f"premise example {name!r}",
               assert_premise_matches_oracle, **figure_sets)
+    for variant in FIT_VARIANTS:
+        for a in COMPARE_DESCRIPTORS:
+            for b in COMPARE_DESCRIPTORS:
+                check("compare outputs", f"compare {a} {b} under {variant.label()}",
+                      assert_compare_matches_oracle, a, b, variant)
 
     if wrong:
         print(*wrong[:20], sep="\n")
         sys.exit(f"{len(wrong)} cases differ from tests/oracles.py")
     print(", ".join(f"{count} {kind}" for kind, count in checked.items())
           + " equal tests/oracles.py")
+
+
+def store_temp_name() -> None:
+    """The knowledge store's temp name has one length for every process id
+    that Linux gives (1 to 4 194 303), so whether it can name a file, and
+    with it a learning run's exit code, does not depend on the id."""
+    from unittest import mock
+
+    from resilsim.channel import KnowledgeStore
+
+    lengths = {}
+    for pid in (1, 4242, 4_194_303):
+        with mock.patch("os.getpid", return_value=pid):
+            lengths[pid] = len(KnowledgeStore.temp_path("store.json"))
+    if len(set(lengths.values())) != 1:
+        sys.exit(f"temp name length by process id: {lengths}")
+    print(f"temp name of store.json: {lengths[1]} characters for every process id")
 
 
 def benchmark_correct(workload: str, trace: str) -> None:
@@ -261,6 +288,7 @@ def benchmark_correct(workload: str, trace: str) -> None:
 
 
 def main() -> int:
+    import json
     import subprocess
 
     def child(*argv, **env):
@@ -272,6 +300,8 @@ def main() -> int:
                               stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
         return done.returncode, done.stdout.strip()
 
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        workloads = [workload["name"] for workload in json.load(handle)["workloads"]]
     golden = os.path.join(TESTS, "golden_cases.py")
     gates = [("no runtime dependency", child(
                  "-S", "-c", "import gates; gates.no_runtime_dependency()")),
@@ -281,9 +311,11 @@ def main() -> int:
                child(golden, PYTHONHASHSEED=seed)) for seed in ("0", "12345")]
     gates.append(("both studies match the oracles of tests/oracles.py", child(
                      "-c", "import gates; gates.oracles_agree()")))
+    gates.append(("store temp name has one length for every process id", child(
+                     "-c", "import gates; gates.store_temp_name()")))
     gates += [(f"benchmark {workload} --trace {trace} correct", child(
                   "-c", f"import gates; gates.benchmark_correct({workload!r}, {trace!r})"))
-              for workload in WORKLOADS for trace in ("0", "1")]
+              for workload in workloads for trace in ("0", "1")]
     print(f"Python {sys.version.split()[0]}")
     failed = 0
     for name, (status, output) in gates:

@@ -24,24 +24,32 @@ The CSV producers stream finished lines; their oracles are the earlier
 tuple and dict row builders, written through ``csv.writer`` as the command
 line used to write them.
 
+``compare`` reads a descriptor pair's supply, fit and marker from the one
+point of ``fit_timeline``; ``oracle_compare`` is the earlier reading, from
+``supply`` and ``fit`` one call at a time.
+
 Each ``assert_*`` helper is the one statement of a comparison. They need
 no pytest, so ``tests/gates.py`` runs fixed cases through them on
 interpreters without the test dependencies, and ``tests/test_hot_loops.py``
-runs its properties and examples through them.
+and ``tests/test_cli.py`` run their properties and examples through them.
 """
 
+import contextlib
 import csv
 import decimal
 import io
 import itertools
 import json
 import math
+import os
 import random
+import tempfile
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from resilsim.behavior import BehaviorDescriptor, commensurable, distance, precedes
 from resilsim.channel import (
     ChannelTrace,
     KnowledgeStore,
@@ -55,7 +63,10 @@ from resilsim.channel import (
     run_entelechial,
     step_csv_rows,
 )
-from resilsim.fitness import BASELINE, QUADRATIC, FitVariant, ShootKind, fit, shooting
+from resilsim.cli import main
+from resilsim.errors import IncommensurableBehaviors
+from resilsim.fitness import (BASELINE, QUADRATIC, FitVariant, ShootKind, fit, shooting,
+                              supply)
 from resilsim.organs import FeedbackKind
 from resilsim.sentinel import (
     CURVE_CSV_HEADER,
@@ -690,3 +701,48 @@ def assert_premise_matches_oracle(mine, miner, canary):
         assert str(exc) == expected
     else:
         assert expected is None
+
+
+def oracle_compare(a, b, variant):
+    """The text ``compare`` prints for the descriptor dicts ``a`` and ``b``
+    under ``variant``: supply, then fit, or the marker where supply is
+    undefined."""
+    x, y = BehaviorDescriptor.from_dict(a), BehaviorDescriptor.from_dict(b)
+    result = {"precedes_ab": precedes(x, y), "precedes_ba": precedes(y, x),
+              "commensurable": commensurable(x, y), "distance": distance(x, y),
+              "fit_variant": variant.label()}
+    try:
+        s = supply(x, y)
+    except IncommensurableBehaviors:
+        result.update(supply=None, fit=None, marker="incommensurable")
+    else:
+        outcome = fit(s, variant)
+        result.update(supply=s, fit="-inf" if outcome.lost_identity else outcome.value,
+                      marker="")
+    return json.dumps(result, indent=2, sort_keys=True) + "\n"
+
+
+# Descriptors whose ordered pairs hold equal, oversupplied, undersupplied
+# and incommensurable pairs, named and counted figure sets, social or not.
+COMPARE_DESCRIPTORS = [
+    {"class": cls, "figures": figures, "social": social}
+    for cls in ("purposeful", "antifragile")
+    for figures in ({"named": []}, {"named": ["x"]}, {"named": ["y"]},
+                    {"named": ["x", "y"]}, {"cardinality": 2})
+    for social in (False, True)
+]
+
+
+def assert_compare_matches_oracle(a, b, variant):
+    """``compare`` on files holding ``a`` and ``b`` exits 0 and prints the
+    oracle's bytes."""
+    with tempfile.TemporaryDirectory() as directory:
+        paths = [os.path.join(directory, name) for name in ("a.json", "b.json")]
+        for path, descriptor in zip(paths, (a, b)):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(descriptor, handle)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["compare", *paths, "--fit-variant", variant.label()])
+    assert code == 0
+    assert out.getvalue() == oracle_compare(a, b, variant)

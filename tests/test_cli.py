@@ -19,6 +19,8 @@ import resilsim.sentinel as sentinel
 from resilsim.channel import WindowMax, config_dict
 from resilsim.cli import _build_kind, main
 
+from oracles import COMPARE_DESCRIPTORS, FIT_VARIANTS, assert_compare_matches_oracle
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 CHANNEL_CONFIG = {
@@ -388,6 +390,23 @@ class TestChannelCommand:
         else:
             assert Path(store).read_bytes() == prior
 
+    def test_exit_code_does_not_depend_on_the_process_id(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """A 244-byte store name fits a file name with a 4-digit process id in
+        its temp name but not with a 7-digit one; the temp name has one
+        length for every id, so the exit code is the same for both."""
+        codes = []
+        for pid in (4242, 4194303):
+            monkeypatch.setattr(os, "getpid", lambda: pid)
+            work = tmp_path / str(pid)
+            work.mkdir()
+            store = str(work / ("s" * 239 + ".json"))
+            payload = {**CHANNEL_CONFIG, "knowledge_store": store,
+                       "protocols": [CHANNEL_CONFIG["protocols"][2]]}
+            config = write_json(work / "config.json", payload)
+            codes.append(main(["channel", "-c", config, "-o", str(work / "out")]))
+        assert codes == [2, 2], capsys.readouterr().err
+
     @pytest.mark.parametrize("store", ["nodir/x.json", "out/sub/x.json",
                                        "out/sub/../x.json"])
     def test_store_in_a_missing_directory_exits_2(self, tmp_path, capsys, monkeypatch,
@@ -699,6 +718,23 @@ class TestCompareCommand:
         assert result["supply"] == 0
         assert result["fit"] == 1.0
         assert result["distance"] == 0
+
+    def test_undersupplied_pair(self, tmp_path, capsys):
+        small = {**MINER_DESCRIPTOR, "figures": {"named": ["a"]}}
+        big = {**MINER_DESCRIPTOR, "figures": {"named": ["a", "b", "c"]}}
+        a = write_json(tmp_path / "a.json", small)
+        b = write_json(tmp_path / "b.json", big)
+        assert main(["compare", a, b]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["supply"] < 0
+        assert result["fit"] == "-inf"
+        assert result["marker"] == ""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.sampled_from(COMPARE_DESCRIPTORS), b=st.sampled_from(COMPARE_DESCRIPTORS),
+           variant=st.sampled_from(FIT_VARIANTS))
+    def test_compare_matches_oracle(self, a, b, variant):
+        assert_compare_matches_oracle(a, b, variant)
 
     def test_fit_variant_flag(self, tmp_path, capsys):
         big = dict(MINER_DESCRIPTOR)

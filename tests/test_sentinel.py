@@ -64,6 +64,16 @@ class TestStructuralAssertions:
             Scenario(canary=Canary(figures=frozenset(
                 {"t", "gas_level", "humidity", "temperature", "vibration"})))
 
+    @pytest.mark.parametrize("bad", [
+        lambda: CoalMine(p_enter_ts=1.5),
+        lambda: CoalMine(p_exit_ts=-0.1),
+        lambda: Miner(hazard_ts=2.0),
+        lambda: Canary(hazard_ts=-0.5),
+    ], ids=["mine-enter", "mine-exit", "miner-hazard", "canary-hazard"])
+    def test_probability_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            bad()
+
     def test_joint_perception_must_cover_mine(self):
         with pytest.raises(ValueError):
             Scenario(
