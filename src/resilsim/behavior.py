@@ -81,11 +81,6 @@ class FigureSpec:
     def cardinality(self) -> int:
         return self.count
 
-    def to_dict(self) -> dict:
-        if self.names is not None:
-            return {"named": sorted(self.names)}
-        return {"cardinality": self.count}
-
     @classmethod
     def from_dict(cls, data: dict) -> "FigureSpec":
         if not isinstance(data, dict):
@@ -117,13 +112,6 @@ class BehaviorDescriptor:
     klass: BehaviorClass
     figures: FigureSpec
     social: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "class": self.klass.value,
-            "figures": self.figures.to_dict(),
-            "social": self.social,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "BehaviorDescriptor":

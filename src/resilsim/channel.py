@@ -141,9 +141,6 @@ class ChannelTrace:
     burst_correlated: bool = True
     _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __len__(self) -> int:
-        return len(self.y)
-
 
 def as_trace(trace: ChannelTrace | Sequence[int]) -> ChannelTrace:
     if isinstance(trace, ChannelTrace):
@@ -308,6 +305,7 @@ class AntifragileEvolving:
             raise ValueError("epochs_per_review must be a positive integer")
         if self.interleave_depth < 2:
             raise ValueError("interleave depth must be at least 2")
+        check_probability("burstiness_threshold", self.burstiness_threshold)
 
 
 @dataclass
@@ -608,8 +606,6 @@ def burstiness(ys: Sequence[int], window: range, baseline: int) -> float:
 
 
 def _signature(burstiness_estimate: float) -> str:
-    if burstiness_estimate == 0.0:
-        return "calm"
     if burstiness_estimate <= 0.5:
         return "bursty-low"
     return "bursty-high"

@@ -131,8 +131,6 @@ class FitVariant:
             return cls(kind=text)
         if text.startswith("plateau:"):
             return cls(kind="plateau", plateau_width=int(text.split(":", 1)[1]))
-        if text == "plateau":
-            return cls(kind="plateau")
         raise ValueError(f"unknown fit variant {text!r}")
 
     def label(self) -> str:
@@ -256,10 +254,6 @@ class TimelinePoint:
     t: int
     supply: int | None
     fit: FitOutcome | None
-
-    @property
-    def incommensurable(self) -> bool:
-        return self.supply is None
 
     @property
     def marker(self) -> str:

@@ -91,18 +91,6 @@ class CyberneticClass:
     def organ(self, organ: Organ) -> BehaviorDescriptor | None:
         return getattr(self, _ORGAN_FIELDS[organ])
 
-    @property
-    def present(self) -> list[BehaviorDescriptor]:
-        return [d for d in map(self.organ, Organ) if d is not None]
-
-    def to_dict(self) -> dict:
-        data = {
-            organ.value: (d.to_dict() if d is not None else None)
-            for organ, d in ((o, self.organ(o)) for o in Organ)
-        }
-        data["k_stateful"] = self.k_stateful
-        return data
-
     @classmethod
     def from_dict(cls, data: dict) -> "CyberneticClass":
         if not isinstance(data, dict):
@@ -193,7 +181,7 @@ def classify(c: CyberneticClass) -> ResilienceClass:
     experiential learning) is a runtime question answered by the
     simulators, not here.
     """
-    present = c.present
+    present = [d for d in map(c.organ, Organ) if d is not None]
     if not present:
         return ResilienceClass.UNCLASSIFIED
     if _fit_aware(c.analyze) and c.knowledge is not None and c.k_stateful:

@@ -20,6 +20,9 @@ options. Each gate runs in a fresh child of the same interpreter, with
   premise, and the ``compare`` output of descriptor pairs;
 * store temp name: the knowledge store's temp name has one length for
   every process id;
+* callers: ``tests/callers.py``, so every function in ``src/resilsim`` is
+  entered by a command case or listed in README's "Calculus surface
+  without a runtime caller", and every listed one is neither;
 * benchmark outputs: ``perfbench/run.py --seconds 0`` on each workload
   that ``BENCHMARK.json`` lists, plain and traced, reports ``"correct":
   true``, so every output matches ``perfbench/golden.json`` at benchmark
@@ -183,7 +186,7 @@ def oracles_agree() -> None:
             wrong.append(f"{name} (oracles.py line {frame.lineno}: {frame.line})")
 
     for name, trace in (*traces.items(), ("short", (1, 5, 2, 2, 6, 1))):
-        n = len(trace)
+        n = len(trace) if isinstance(trace, tuple) else len(trace.y)
         for predictor in (*map(WindowMax, sorted({1, 2, 8, n - 1, n, n + 1})),
                           EwmaPlusSlope(), EwmaPlusSlope(alpha=0.5, horizon=3)):
             check("predictor columns", f"{predictor} on the {name} trace",
@@ -313,6 +316,8 @@ def main() -> int:
                      "-c", "import gates; gates.oracles_agree()")))
     gates.append(("store temp name has one length for every process id", child(
                      "-c", "import gates; gates.store_temp_name()")))
+    gates.append(("every function is entered by a command or listed in README", child(
+                     os.path.join(TESTS, "callers.py"))))
     gates += [(f"benchmark {workload} --trace {trace} correct", child(
                   "-c", f"import gates; gates.benchmark_correct({workload!r}, {trace!r})"))
               for workload in workloads for trace in ("0", "1")]

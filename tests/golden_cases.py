@@ -10,8 +10,12 @@ from the code before sentinel runs were stored as columns, and those of
 the jitter case on Python 3.11 from the code before the jitter was
 computed in integers (3.10 then wrote other bytes), and those of the
 curve-and-batch and default-store cases from the code before every output
-name was checked against one write plan; a change that alters any output
-byte fails here, unlike a rerun check.
+name was checked against one write plan, and those of the channel-walk and
+channel-constant cases, which bring the random walk, the EWMA-plus-slope
+predictor and the constant channel into the command cases of
+``tests/callers.py``, from commit dd590b2, before the functions that no
+command entered were removed; a change that alters any output byte fails
+here, unlike a rerun check.
 
 This module does not need pytest: ``PYTHONPATH=src python
 tests/golden_cases.py`` runs every case in a temporary directory, prints
@@ -77,6 +81,27 @@ CASES = {
          "steps": 500, "seed": 10, "protocol": {"kind": "elastic", "yield_point": 4}},
         ["channel"],
     ),
+    # The benchmark's channel-walk config at 2 000 steps: the random walk
+    # and the EWMA-plus-slope predictor.
+    "channel-walk": (
+        {"channel": {"kind": "random_walk", "y0": 3, "step_prob": 0.2,
+                     "min": 1, "max": 6},
+         "steps": 2000, "seed": 5,
+         "protocols": [
+             {"kind": "elastic", "yield_point": 7},
+             {"kind": "entelechial", "predictor": {"kind": "ewma_slope"},
+              "epsilon": 1.5},
+         ]},
+        ["channel"],
+    ),
+    # The constant channel under one window-max entelechial protocol.
+    "channel-constant": (
+        {"channel": {"kind": "constant", "y": 3}, "steps": 500, "seed": 0,
+         "protocol": {"kind": "entelechial",
+                      "predictor": {"kind": "window_max", "window": 8},
+                      "epsilon": 1.5}},
+        ["channel"],
+    ),
     # Evacuation through the fit threshold, at step 41.
     "sentinel-fit-policy": (
         {"miner": {"evacuation_threshold": -1000.0}, "canary": {"hazard_ts": 0.5},
@@ -108,6 +133,18 @@ GOLDEN = {
         "out/aggregates.json": "e672250ddea4863897e83e77f9f0e79b89e171b879f529b79edf5aa82950ce11",
         "out/elastic_steps.csv": "313bc7faacc12b1b3a46c770a06258eb385a7410e75db294f989af6ff68468a6",
         "out/manifest.json": "3769dc3b61648914c240e061e25aa58c337b88c2ffa8afd553de47678519a671",
+    },
+    "channel-walk": {
+        "out/aggregates.json": "616dbd6139dbba5a8ca2bbf4fb06a7e7a064d29d55fc725b2d425b72a24e43c5",
+        "out/compare.csv": "034d05f0927ca20c5f55b585e848760cc5fa8233a03ec04ee132e76089724906",
+        "out/elastic_steps.csv": "2d633fd709255c07b5839f8cf290709ce4572b7b5383fe4363537095b7dfb8f6",
+        "out/entelechial_steps.csv": "25d8dde4119573246049526ab30d0b7c47b5234dd83c8bb3aba23115fdeaaad7",
+        "out/manifest.json": "9329b645ab91a928a1aec88cd233b710d21730fd9c147cc19297aaebf4dd7452",
+    },
+    "channel-constant": {
+        "out/aggregates.json": "cfaa21a98fc154b1b257c7fc96587a4cc977fd42bda00cf23c75ca7d85346b3c",
+        "out/entelechial_steps.csv": "bb91c4d8238a6dfe24db17c846c35079ec3da732c2a4e70b32bacf790aeba504",
+        "out/manifest.json": "68b8832f1d804fec40c483e8b4c8275ed133ab7fcf64954082f0a129445a394f",
     },
     "sentinel-curve": {
         "out/curve.csv": "c0694d0b7cedd22653369ab2a57a2453da6f803762b382086e246cda28f017de",

@@ -26,7 +26,9 @@ line used to write them.
 
 ``compare`` reads a descriptor pair's supply, fit and marker from the one
 point of ``fit_timeline``; ``oracle_compare`` is the earlier reading, from
-``supply`` and ``fit`` one call at a time.
+``supply`` and ``fit`` one call at a time. The package reads descriptors
+and organ tuples from JSON but never writes them; ``oracle_dict`` is the
+writer that the round-trip tests check ``from_dict`` against.
 
 Each ``assert_*`` helper is the one statement of a comparison. They need
 no pytest, so ``tests/gates.py`` runs fixed cases through them on
@@ -49,7 +51,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from resilsim.behavior import BehaviorDescriptor, commensurable, distance, precedes
+from resilsim.behavior import (BehaviorDescriptor, FigureSpec, commensurable, distance,
+                               precedes)
 from resilsim.channel import (
     ChannelTrace,
     KnowledgeStore,
@@ -67,7 +70,7 @@ from resilsim.cli import main
 from resilsim.errors import IncommensurableBehaviors
 from resilsim.fitness import (BASELINE, QUADRATIC, FitVariant, ShootKind, fit, shooting,
                               supply)
-from resilsim.organs import FeedbackKind
+from resilsim.organs import FeedbackKind, Organ
 from resilsim.sentinel import (
     CURVE_CSV_HEADER,
     FLOAT_MIN,
@@ -701,6 +704,23 @@ def assert_premise_matches_oracle(mine, miner, canary):
         assert str(exc) == expected
     else:
         assert expected is None
+
+
+def oracle_dict(value):
+    """The JSON object that ``from_dict`` reads back into ``value``, a
+    ``FigureSpec``, ``BehaviorDescriptor`` or ``CyberneticClass`` (None for
+    an absent organ). The package only reads these objects, so the round-trip
+    tests write them with this."""
+    if value is None:
+        return None
+    if isinstance(value, FigureSpec):
+        return {"named": sorted(value.names)} if value.is_named \
+            else {"cardinality": value.count}
+    if isinstance(value, BehaviorDescriptor):
+        return {"class": value.klass.value, "figures": oracle_dict(value.figures),
+                "social": value.social}
+    return {**{organ.value: oracle_dict(value.organ(organ)) for organ in Organ},
+            "k_stateful": value.k_stateful}
 
 
 def oracle_compare(a, b, variant):

@@ -398,6 +398,25 @@ class TestKnowledgeStore:
         assert stat.S_IMODE(path.stat().st_mode) == 0o644
         assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
 
+    def test_failed_save_removes_its_temp_file_and_keeps_the_store(self, tmp_path,
+                                                                   monkeypatch):
+        path = tmp_path / "store.json"
+        KnowledgeStore([{"signature": "a", "algorithm": "interleaved"}]).save(str(path))
+        old = path.read_bytes()
+        written = []
+
+        def fail(source, target):
+            written.append(Path(source).read_text())
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        store = KnowledgeStore([{"signature": "b", "algorithm": "interleaved"}])
+        with pytest.raises(OSError, match="rename failed"):
+            store.save(str(path))
+        assert '"b"' in written[0]  # the temp file was written, then removed
+        assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
+        assert path.read_bytes() == old
+
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "store.json"
         path.write_text("{nope")

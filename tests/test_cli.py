@@ -18,6 +18,7 @@ import resilsim.channel as channel
 import resilsim.sentinel as sentinel
 from resilsim.channel import WindowMax, config_dict
 from resilsim.cli import _build_kind, main
+from resilsim.errors import TraceMismatch
 
 from oracles import COMPARE_DESCRIPTORS, FIT_VARIANTS, assert_compare_matches_oracle
 
@@ -244,6 +245,10 @@ class TestChannelCommand:
         (CHANNEL_CONFIG, ("protocols", 2, "identity_profile", "kind"), None,
          "protocol #2.identity_profile.kind must be one of teleconferencing, "
          "file_transfer, got None"),
+        # A burstiness estimate is a fraction, so a threshold outside [0, 1]
+        # is rejected where the protocol is built.
+        (CHANNEL_CONFIG, ("protocols", 2, "burstiness_threshold"), -0.1,
+         "protocol #2: burstiness_threshold must be in [0, 1], got -0.1"),
     ])
     def test_malformed_value_exits_2_naming_key_path(self, tmp_path, capsys, base,
                                                      path, value, where):
@@ -748,6 +753,11 @@ class TestCompareCommand:
         assert result["supply"] == 2
         assert result["fit"] == 1.0
 
+    def test_bare_plateau_is_not_a_fit_variant(self, tmp_path, capsys):
+        a = write_json(tmp_path / "a.json", MINER_DESCRIPTOR)
+        assert main(["compare", a, a, "--fit-variant", "plateau"]) == 2
+        assert "invalid fit variant: 'plateau'" in capsys.readouterr().err
+
     def test_organ_comparison(self, tmp_path, capsys):
         pur = {"class": "purposeful", "figures": {"cardinality": 0}, "social": False}
         pro1 = {"class": "proactive", "figures": {"cardinality": 1}, "social": False}
@@ -872,6 +882,21 @@ def test_out_of_memory_exits_4_writing_nothing(tmp_path, capsys):
     message = capsys.readouterr().err
     assert message.startswith("internal error: out of memory")
     assert "Traceback" not in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [TraceMismatch("runs were driven by different traces"),
+                                   AssertionError("an invariant broke")],
+                         ids=["TraceMismatch", "AssertionError"])
+def test_internal_error_exits_4_writing_nothing(tmp_path, capsys, monkeypatch, error):
+    def fail(model, steps):
+        raise error
+
+    monkeypatch.setattr(channel, "generate_trace", fail)
+    config = write_json(tmp_path / "config.json", WALK_CONFIG)
+    out = tmp_path / "out"
+    assert main(["channel", "-c", config, "-o", str(out)]) == 4
+    assert capsys.readouterr().err == f"internal error: {error}\n"
     assert not out.exists()
 
 

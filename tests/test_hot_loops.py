@@ -288,7 +288,7 @@ def test_review_stops_at_the_mutation(monkeypatch):
     reviews.clear()
     calm = replace(config, burstiness_threshold=1.0)  # no estimate exceeds 1
     assert run_antifragile(trace, calm, KnowledgeStore()).mutations == []
-    assert len(reviews) == len(trace) // 50
+    assert len(reviews) == len(trace.y) // 50
 
 
 def test_cached_aggregates_match_fresh_computation():
@@ -408,7 +408,8 @@ def traced_bytes_per_step(make_run, trace):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return run, (retained - before) / len(trace), (peak - before) / len(trace)
+    steps = len(trace.y)
+    return run, (retained - before) / steps, (peak - before) / steps
 
 
 MEMORY_TRACE = generate_trace(
@@ -443,7 +444,7 @@ WALK_TRACE = generate_trace(WALK, 100_000)
 def test_a_trace_keeps_at_most_9_bytes_per_step():
     """A trace is its demand: one tuple, a word a step, of cached small ints."""
     trace, retained, _ = traced_bytes_per_step(
-        lambda trace: generate_trace(WALK, len(trace)), WALK_TRACE)
+        lambda trace: generate_trace(WALK, len(trace.y)), WALK_TRACE)
     assert trace == WALK_TRACE
     assert retained <= 9
 

