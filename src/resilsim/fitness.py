@@ -126,11 +126,14 @@ class FitVariant:
 
     @classmethod
     def parse(cls, text: str) -> "FitVariant":
-        """Parse "baseline", "quadratic", or "plateau:W"."""
+        """Parse "baseline", "quadratic", or "plateau:W", spelt as ``label``
+        writes it: W is ASCII digits with no sign and no leading zero."""
         if text in ("baseline", "quadratic"):
             return cls(kind=text)
-        if text.startswith("plateau:"):
-            return cls(kind="plateau", plateau_width=int(text.split(":", 1)[1]))
+        width = text.removeprefix("plateau:")
+        if width != text and width.isascii() and width.isdigit() and \
+                str(int(width)) == width:
+            return cls(kind="plateau", plateau_width=int(width))
         raise ValueError(f"unknown fit variant {text!r}")
 
     def label(self) -> str:

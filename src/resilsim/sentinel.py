@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import sub
 from typing import Iterator
 
 from .behavior import BehaviorClass, BehaviorDescriptor, FigureSpec, commensurable
@@ -228,19 +230,14 @@ def estimate_supply(pool: CanaryPool) -> float:
 def estimate_fit(pool: CanaryPool) -> float:
     """Fit estimate from the supply estimate; FLOAT_MIN on undersupply. The
     pool's fit on the calculus surface, and a span the benchmark traces;
-    ``simulate`` and the CSV apply ``fit_of_supply`` to a supply they hold."""
+    ``simulate`` and ``trace.csv`` apply ``fit_of_supply`` to a supply they
+    hold."""
     return fit_of_supply(estimate_supply(pool))
 
 
 def fit_of_supply(s: float) -> float:
     """The fit 1/(1+s) of supply ``s``; FLOAT_MIN on undersupply (s < 0)."""
     return 1.0 / (1.0 + s) if s >= 0 else FLOAT_MIN
-
-
-def _with_estimate(head: int | str, supply_est: float, fit: float, tail: str) -> str:
-    """``head``, the ``supply,fit`` cells (repr, or ``float_min``), then ``tail``."""
-    fit_text = FLOAT_MIN_LABEL if fit == FLOAT_MIN else repr(fit)
-    return f"{head},{supply_est!r},{fit_text}{tail}"
 
 
 def supply_fit_curve(pool_size: int) -> Iterator[tuple[int, float, float]]:
@@ -310,18 +307,44 @@ def scenario_csv_rows(run: ScenarioRun) -> Iterator[str]:
         tail = tails.get(key)
         if tail is None:
             mine_state, canaries, *flags = key
-            head = f",{mine_state},{canaries}"
             rest = "".join(",true" if flag else ",false" for flag in flags) + "\n"
-            supply_est = _supply(pool_size, pool_size - canaries)
-            tail = tails[key] = (
-                _with_estimate(head, supply_est, fit_of_supply(supply_est), rest)
-                if pool_size >= 1 else f"{head},,{rest}")
+            if pool_size >= 1:
+                supply_est = _supply(pool_size, pool_size - canaries)
+                fit = fit_of_supply(supply_est)
+                fit_text = FLOAT_MIN_LABEL if fit == FLOAT_MIN else repr(fit)
+                estimate = f"{supply_est!r},{fit_text}"
+            else:
+                estimate = ","
+            tail = tails[key] = f",{mine_state},{canaries},{estimate}{rest}"
         yield f"{t}{tail}"
 
 
+def _supplied_count(pool_size: int) -> int:
+    """How many failure counts f leave the supply |c|/2 - f non-negative:
+    those whose float is at most |c|/2, since ``_supply`` subtracts f as a
+    float. That is ``pool_size // 2 + 1`` up to 2**53; above it, counts just
+    past |c|/2 round onto it, and their supply is 0.0."""
+    return bisect_right(range(pool_size), _supply(pool_size, 0), key=float)
+
+
 def curve_csv_rows(pool_size: int) -> Iterator[str]:
-    """The curve CSV's lines after the header, one per ``supply_fit_curve`` row."""
-    return (_with_estimate(f, s, v, "\n") for f, s, v in supply_fit_curve(pool_size))
+    """The curve CSV's lines after the header, one per ``supply_fit_curve``
+    row, with the cells that ``trace.csv`` writes at the same failure count,
+    made as they are read. The supplies are a ``map`` over the failure
+    counts; below ``_supplied_count`` a line writes the fit 1/(1+s), from
+    there on ``float_min``, so no line calls a Python function. An empty
+    pool raises at the call."""
+    if pool_size < 1:
+        raise EmptyPool("the curve needs at least one canary")
+    half = _supply(pool_size, 0)
+    split = _supplied_count(pool_size)
+    supplied, undersupplied = range(split), range(split, pool_size + 1)
+    tail = f",{FLOAT_MIN_LABEL}\n"
+    return chain(
+        (f"{f},{s!r},{1.0 / (1.0 + s)!r}\n"
+         for f, s in zip(supplied, map(sub, repeat(half), supplied))),
+        (f"{f},{s!r}{tail}"
+         for f, s in zip(undersupplied, map(sub, repeat(half), undersupplied))))
 
 
 def simulate(

@@ -634,26 +634,34 @@ def assert_run_matches_oracle(scenario, steps, seed, until_decided):
         json.dumps(oracle.to_dict(), sort_keys=True)
 
 
+def oracle_curve_row(pool_size, f):
+    """The earlier supply_fit_curve's row at ``f`` failures, a dict."""
+    s = pool_size / 2.0 - f
+    fit_value = 1.0 / (1.0 + s) if s >= 0 else FLOAT_MIN
+    return {"f": f, "supply": s, "fit": fit_value}
+
+
 def oracle_supply_fit_curve(pool_size):
     """The earlier supply_fit_curve: a list of dicts."""
-    rows = []
-    for f in range(pool_size + 1):
-        s = pool_size / 2.0 - f
-        fit_value = 1.0 / (1.0 + s) if s >= 0 else FLOAT_MIN
-        rows.append({"f": f, "supply": s, "fit": fit_value})
-    return rows
+    return [oracle_curve_row(pool_size, f) for f in range(pool_size + 1)]
 
 
-def oracle_curve_csv(pool_size):
-    """curve.csv as the command line wrote it from the list of dicts."""
-    return csv_text([("f", "supply", "fit")] + [
+def oracle_curve_lines(rows):
+    """The rows of ``curve.csv`` as the command line wrote them from dicts."""
+    return csv_text([
         (
             str(row["f"]),
             repr(row["supply"]),
             FLOAT_MIN_LABEL if row["fit"] == FLOAT_MIN else repr(row["fit"]),
         )
-        for row in oracle_supply_fit_curve(pool_size)
+        for row in rows
     ])
+
+
+def oracle_curve_csv(pool_size):
+    """curve.csv as the command line wrote it from the list of dicts."""
+    return csv_text([("f", "supply", "fit")]) + \
+        oracle_curve_lines(oracle_supply_fit_curve(pool_size))
 
 
 def assert_curve_matches_oracle(pool_size):
@@ -664,6 +672,14 @@ def assert_curve_matches_oracle(pool_size):
     ]
     assert csv_text([CURVE_CSV_HEADER]) + "".join(curve_csv_rows(pool_size)) == \
         oracle_curve_csv(pool_size)
+
+
+def assert_curve_rows_match_oracle(pool_size, start, stop):
+    """Lines ``start`` to ``stop`` of ``curve_csv_rows``, read lazily, are
+    the oracle's rows at those failure counts, so a pool too large to list
+    is checked where it is read."""
+    assert "".join(itertools.islice(curve_csv_rows(pool_size), start, stop)) == \
+        oracle_curve_lines(oracle_curve_row(pool_size, f) for f in range(start, stop))
 
 
 def oracle_premise_error(mine, miner, canary):

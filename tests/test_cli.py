@@ -758,6 +758,13 @@ class TestCompareCommand:
         assert main(["compare", a, a, "--fit-variant", "plateau"]) == 2
         assert "invalid fit variant: 'plateau'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["plateau: 2", "plateau:+2", "plateau:02",
+                                      "plateau:1_0", "plateau:\u0662"])
+    def test_fit_variant_off_its_label_spelling_exits_2(self, tmp_path, capsys, text):
+        a = write_json(tmp_path / "a.json", MINER_DESCRIPTOR)
+        assert main(["compare", a, a, "--fit-variant", text]) == 2
+        assert f"invalid fit variant: {text!r}" in capsys.readouterr().err
+
     def test_organ_comparison(self, tmp_path, capsys):
         pur = {"class": "purposeful", "figures": {"cardinality": 0}, "social": False}
         pro1 = {"class": "proactive", "figures": {"cardinality": 1}, "social": False}

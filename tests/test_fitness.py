@@ -132,8 +132,16 @@ class TestFit:
         assert FitVariant.parse("baseline") == BASELINE
         assert FitVariant.parse("quadratic") == QUADRATIC
         assert FitVariant.parse("plateau:4") == FitVariant("plateau", 4)
+        assert FitVariant.parse("plateau:0") == FitVariant("plateau", 0)
+        assert FitVariant.parse("plateau:10") == FitVariant("plateau", 10)
         with pytest.raises(ValueError):
             FitVariant.parse("cubic")
+
+    @pytest.mark.parametrize("text", ["plateau: 2", "plateau:+2", "plateau:02",
+                                      "plateau:1_0", "plateau:\u0662"])
+    def test_variant_parse_takes_only_the_label_spelling(self, text):
+        with pytest.raises(ValueError):
+            FitVariant.parse(text)
 
 
 class TestShooting:

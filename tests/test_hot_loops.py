@@ -53,12 +53,14 @@ from resilsim.channel import (
 from resilsim.cli import main
 from resilsim.fitness import BASELINE, QUADRATIC, fit
 from resilsim.sentinel import (
+    FLOAT_MIN,
     Canary,
     CanaryPool,
     CoalMine,
     EvacuationPolicy,
     Miner,
     Scenario,
+    curve_csv_rows,
     estimate_supply,
     scenario_csv_rows,
     simulate,
@@ -74,6 +76,7 @@ from oracles import (
     OraclePool,
     assert_antifragile_matches_oracle,
     assert_curve_matches_oracle,
+    assert_curve_rows_match_oracle,
     assert_premise_matches_oracle,
     assert_elastic_matches_oracle,
     assert_entelechial_matches_oracle,
@@ -81,6 +84,7 @@ from oracles import (
     csv_text,
     exact_jitter,
     oracle_curve_csv,
+    oracle_curve_row,
     predict_yields,
 )
 
@@ -606,6 +610,32 @@ def test_supply_fit_curve_and_curve_csv_match_oracle(tmp_path):
         assert (out / "curve.csv").read_text(encoding="utf-8") == oracle_curve_csv(pool)
 
 
+@pytest.mark.parametrize("pool", [2**53 + 1, sys.maxsize])
+def test_curve_of_a_huge_pool_starts_as_the_oracle(pool):
+    """Exponent-form supplies, far past the pools the oracle can list."""
+    assert_curve_rows_match_oracle(pool, 0, 5)
+
+
+@pytest.mark.parametrize("pool", [10_000, 10_001])
+def test_curve_turns_to_float_min_where_the_oracle_does(pool):
+    """The last line with a fit and the first ``float_min`` line."""
+    last_fit = pool // 2
+    assert oracle_curve_row(pool, last_fit)["fit"] != FLOAT_MIN
+    assert oracle_curve_row(pool, last_fit + 1)["fit"] == FLOAT_MIN
+    assert_curve_rows_match_oracle(pool, last_fit, last_fit + 2)
+
+
+@pytest.mark.parametrize("pool", [1, 2, 2**53 - 1, 2**53, 2**53 + 1, 2**54 + 1,
+                                  2**60 + 12_345, sys.maxsize])
+def test_curve_splits_where_the_supply_turns_negative(pool):
+    """Past 2**53 the failure counts just above |c|/2 round onto it, so
+    their supply is 0.0 and their line writes a fit: the split is 513
+    lines past ``pool // 2 + 1`` at ``sys.maxsize``."""
+    split = sentinel._supplied_count(pool)
+    assert oracle_curve_row(pool, split - 1)["fit"] != FLOAT_MIN
+    assert oracle_curve_row(pool, split)["fit"] == FLOAT_MIN
+
+
 def test_compare_csv_quotes_protocol_names(tmp_path):
     names = ('a,b', 'say "hi"', 'plain')
     config = tmp_path / "config.json"
@@ -635,7 +665,7 @@ def test_csv_producers_stream():
     run = run_elastic([2, 5, 2], 3)
     scenario_run = simulate(Scenario(pool_size=3), 5, seed=0)
     for produced in (step_csv_rows(run), scenario_csv_rows(scenario_run),
-                     supply_fit_curve(4)):
+                     supply_fit_curve(4), curve_csv_rows(4)):
         assert not isinstance(produced, list)
         assert iter(produced) is produced
 
