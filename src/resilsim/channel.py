@@ -83,15 +83,15 @@ class RandomWalkChannel:
             raise ValueError(f"y0 {self.y0} outside [{self.y_min}, {self.y_max}]")
         check_probability("step_prob", self.step_prob)
 
-    def _generate(self, steps: int, rng: random.Random) -> Sequence[int]:
-        ys = [self.y0]
+    def _generate(self, steps: int, rng: random.Random) -> Iterator[int]:
+        draw, choice, step_prob = rng.random, rng.choice, self.step_prob
+        low, high, y = self.y_min, self.y_max, self.y0
+        yield y
         for _ in range(steps - 1):
-            y = ys[-1]
-            if rng.random() < self.step_prob:
-                y += rng.choice((-1, 1))
-                y = min(self.y_max, max(self.y_min, y))
-            ys.append(y)
-        return ys
+            if draw() < step_prob:
+                y += choice((-1, 1))
+                y = low if y < low else high if y > high else y
+            yield y
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,12 @@ ChannelModel = ConstantChannel | RandomWalkChannel | BurstyChannel
 
 @dataclass(frozen=True)
 class ChannelTrace:
-    """The demand y(t), all a protocol perceives of the channel. ``_columns``
-    keeps the last entelechial columns run on it (see :func:`_entelechial`)."""
+    """The demand y(t), all a protocol perceives of the channel. ``_yields``
+    keeps the last entelechial yields run on it (see :func:`_entelechial`)."""
 
     y: tuple[int, ...]
     burst_correlated: bool = True
-    _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _yields: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def as_trace(trace: ChannelTrace | Sequence[int]) -> ChannelTrace:
@@ -315,11 +315,9 @@ class ProtocolRun:
     Entry t of each stored column describes step t:
 
     * ``y``: the channel demand, the trace's own tuple (shared, not copied);
-    * ``yields``: the provisioned yielding point Y;
-    * ``delivered``: 1 if the packet got through, else 0, one byte a step;
-    * ``margin_warning``: the epsilon-margin flag (see :func:`_entelechial`),
-      one byte a step; shared, with ``yields``, by the runs of one predictor
-      pass. An elastic run has no predictor, so it is None.
+    * ``yields``: the provisioned yielding point Y, a word a step, shared
+      by the runs of one predictor pass (see :func:`_entelechial`);
+    * ``delivered``: 1 if the packet got through, else 0, one byte a step.
 
     With ``mutation_step`` (None if the run never mutates) and the
     interleaving ``depth`` they fix what is derived on read, each in one
@@ -335,7 +333,6 @@ class ProtocolRun:
     y: tuple[int, ...]
     yields: Sequence[int]
     delivered: bytes
-    margin_warning: bytes | None
     mutation_step: int | None = None
     depth: int = 0
     identity_violations: int = 0
@@ -419,17 +416,24 @@ def _csv_tail(y: int, Y: int, delivered: bool, cost: int, algorithm: str) -> str
             f"{shoot.magnitude},{cost},{algorithm}\n")
 
 
+class _StepFormats(dict):
+    """A step line's ``%`` format by its (y, Y, delivered, cost, algorithm),
+    built on first lookup: ``%d`` for ``t``, then its :func:`_csv_tail`."""
+
+    def __missing__(self, key: tuple) -> str:
+        self[key] = line = "%d" + _csv_tail(*key).replace("%", "%%")
+        return line
+
+
 def step_csv_rows(run: ProtocolRun) -> Iterator[str]:
-    """The step CSV's lines after the header, one per step, made as they are
-    read. The text after ``t`` depends only on (y, Y, delivered, cost,
-    algorithm), so each distinct tail is built once."""
-    tails: dict[tuple, str] = {}
-    columns = zip(run.y, run.yields, run.delivered, run.costs(), run.algorithms())
-    for t, key in enumerate(columns):
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = _csv_tail(*key)
-        yield f"{t}{tail}"
+    """The step CSV's lines after the header, made as they are read, in
+    blocks of up to 4 096 whole lines: each block is its lines' formats
+    joined and filled with their ``t`` by one ``%``."""
+    keys = zip(run.y, run.yields, run.delivered, run.costs(), run.algorithms())
+    formats = map(_StepFormats().__getitem__, keys)
+    ts = range(len(run.y))
+    for start in range(0, len(ts), 4096):
+        yield "".join(islice(formats, 4096)) % tuple(ts[start:start + 4096])
 
 
 # Bits of the integer square root taken before the one rounding to a float.
@@ -482,7 +486,6 @@ def _protocol_run(
     trace: ChannelTrace,
     header: dict,
     yields: Sequence[int],
-    warns: bytes | None,
     mutation_step: int | None = None,
     depth: int = 0,
 ) -> ProtocolRun:
@@ -520,8 +523,7 @@ def _protocol_run(
                 second = start + (r + offset) % length
                 delivered[mutation_step + start + r:mutation_step + stop:length] = bytes(
                     map(operator.or_, ok[start + r:stop:length], ok[second:stop:length]))
-    return ProtocolRun(header, trace.y, yields, bytes(delivered), warns, mutation_step,
-                       depth)
+    return ProtocolRun(header, trace.y, yields, bytes(delivered), mutation_step, depth)
 
 
 def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> ProtocolRun:
@@ -529,31 +531,28 @@ def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> Protoc
 
     Delivery at step t succeeds iff yield_point strictly exceeds y(t); with
     a yield above the trace supremum no undershooting is ever experienced,
-    at the price of paying for the worst case at every step. There is no
-    predictor, so the run has no margin-warning column.
+    at the price of paying for the worst case at every step.
     """
     trace = as_trace(trace)
     if yield_point < 1:
         raise ValueError("yield point must be a positive integer")
     header = {"protocol": "elastic", "yield_point": yield_point}
-    return _protocol_run(trace, header, (yield_point,) * len(trace.y), None)
+    return _protocol_run(trace, header, (yield_point,) * len(trace.y))
 
 
 def _entelechial(
     trace: ChannelTrace, predictor: Predictor, epsilon: float
-) -> tuple[dict, tuple[int, ...], bytes]:
-    """The entelechial header and its per-step yield and margin-warning
-    columns.
+) -> tuple[dict, tuple[int, ...]]:
+    """The entelechial header and its per-step yield column.
 
     Y(t) is the smallest integer strictly above the prediction, and at
-    least 1. The warning flags a step where Y(t) - prediction >= epsilon:
-    the safety margin 0 < Y - prediction < epsilon cannot be met at integer
-    granularity. Step 0 bootstraps from the first sample itself (the
+    least 1; epsilon is validated and echoed in the header, but the yields
+    do not read it. Step 0 bootstraps from the first sample itself (the
     prediction is y(0), so Y(0) = y(0) + 1); every later step only sees
-    samples up to the previous one. The columns come from one
+    samples up to the previous one. The yields come from one
     ``predictor.predictions`` pass, which is not kept. The trace keeps the
-    last columns, so a call with an equal predictor and epsilon shares them,
-    and they are immutable: the yields a tuple, the warnings one byte a step.
+    last yields, so a call with an equal predictor and epsilon shares them,
+    and they are immutable: a tuple.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -564,14 +563,12 @@ def _entelechial(
         "bootstrap_yield": trace.y[0] + 1,
     }
     key = (predictor, epsilon)
-    if trace._columns is None or trace._columns[0] != key:
+    if trace._yields is None or trace._yields[0] != key:
         predictions = predictor.predictions(trace.y)
         yields = tuple(map(max, repeat(1), map(operator.add, map(math.floor, predictions),
                                                repeat(1))))
-        warns = bytes(map(operator.ge, map(operator.sub, yields, predictions),
-                          repeat(epsilon)))
-        object.__setattr__(trace, "_columns", (key, (yields, warns)))
-    return (header, *trace._columns[1])
+        object.__setattr__(trace, "_yields", (key, yields))
+    return header, trace._yields[1]
 
 
 def run_entelechial(
@@ -618,9 +615,9 @@ def run_antifragile(
 ) -> ProtocolRun:
     """Evolving protocol: the entelechial run plus a mutation point.
 
-    It starts entelechial: its yields and margin warnings are those of
-    :func:`run_entelechial` with the same predictor and epsilon, and so is
-    its delivery up to the mutation point. Every
+    It starts entelechial: its yields are those of :func:`run_entelechial`
+    with the same predictor and epsilon, and so is its delivery up to the
+    mutation point. Every
     ``epochs_per_review`` steps the analysis organ estimates channel
     burstiness over the last epoch. When it exceeds the configured
     threshold the protocol mutates its algorithm to block interleaving
@@ -636,7 +633,7 @@ def run_antifragile(
     ys = trace.y
     n = len(ys)
     review_every = config.epochs_per_review
-    header, yields, warns = _entelechial(trace, config.predictor, config.epsilon)
+    header, yields = _entelechial(trace, config.predictor, config.epsilon)
     header.update(
         protocol="antifragile",
         epochs_per_review=review_every,
@@ -683,7 +680,7 @@ def run_antifragile(
         })
         break  # a genotypical change is permanent: nothing is left to review
 
-    run = _protocol_run(trace, header, yields, warns, mutation_step, depth)
+    run = _protocol_run(trace, header, yields, mutation_step, depth)
     run.mutations = mutations
 
     # Identity accounting: jitter per review epoch. The delivery times never

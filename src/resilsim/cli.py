@@ -215,16 +215,12 @@ def _protocol_name(config, path: str, index: int, taken) -> str:
 # Output writers
 
 
-def _write_csv(path: str, header: Sequence[str], lines: Iterable[str]) -> None:
-    """The header, then ``lines``: finished CSV lines, each ending in a line
-    end, joined and written 4 096 at a time (faster than a write per line)."""
-    from itertools import islice
-
-    lines = iter(lines)
+def _write_csv(path: str, header: Sequence[str], blocks: Iterable[str]) -> None:
+    """The header, then ``blocks``: runs of finished CSV lines, each ending
+    in a line end, one write per block as the producer made it."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        while chunk := "".join(islice(lines, 4096)):
-            handle.write(chunk)
+        handle.writelines(blocks)
 
 
 def _write_rows(path: str, header: Sequence[str], rows) -> None:

@@ -19,7 +19,7 @@ import random
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import sub
 from typing import Iterator
 
@@ -293,30 +293,36 @@ SCENARIO_CSV_HEADER = (
 CURVE_CSV_HEADER = ("f", "supply", "fit")
 
 
+class _TraceFormats(dict):
+    """A ``trace.csv`` line's ``%`` format by its (pool size, mine state,
+    canaries, miner alive, evacuated), built on first lookup: ``%d`` for
+    ``t``, then the cells; the estimates are empty without a pool."""
+
+    def __missing__(self, key: tuple) -> str:
+        pool_size, mine_state, canaries, *flags = key
+        estimate = ","
+        if pool_size >= 1:
+            supply_est = _supply(pool_size, pool_size - canaries)
+            fit = fit_of_supply(supply_est)
+            estimate = f"{supply_est!r},{FLOAT_MIN_LABEL if fit == FLOAT_MIN else repr(fit)}"
+        rest = "".join(",true" if flag else ",false" for flag in flags)
+        tail = f",{mine_state},{canaries},{estimate}{rest}\n"
+        self[key] = line = "%d" + tail.replace("%", "%%")
+        return line
+
+
 def scenario_csv_rows(run: ScenarioRun) -> Iterator[str]:
-    """The scenario CSV's lines after the header, one per step, made as they
-    are read; each distinct text after ``t`` is built once. The miner is
-    alive before ``miner_failed_step`` and evacuated from ``evacuation_step``
-    on; the estimates follow from the canary count (empty without a pool)."""
+    """The scenario CSV's lines after the header, made as they are read, in
+    blocks of up to 4 096. The miner is alive before ``miner_failed_step``
+    and evacuated from ``evacuation_step`` on."""
     pool_size, n = run.header["pool_size"], len(run.steps)
     failed_at, evac_at = run.miner_failed_step, run.evacuation_step
     alive = chain(repeat(True, n if failed_at is None else failed_at), repeat(False))
     evacuated = chain(repeat(False, n if evac_at is None else evac_at), repeat(True))
-    tails: dict[tuple, str] = {}
-    for t, key in enumerate(zip(run.mine_state, run.canaries_alive, alive, evacuated)):
-        tail = tails.get(key)
-        if tail is None:
-            mine_state, canaries, *flags = key
-            rest = "".join(",true" if flag else ",false" for flag in flags) + "\n"
-            if pool_size >= 1:
-                supply_est = _supply(pool_size, pool_size - canaries)
-                fit = fit_of_supply(supply_est)
-                fit_text = FLOAT_MIN_LABEL if fit == FLOAT_MIN else repr(fit)
-                estimate = f"{supply_est!r},{fit_text}"
-            else:
-                estimate = ","
-            tail = tails[key] = f",{mine_state},{canaries},{estimate}{rest}"
-        yield f"{t}{tail}"
+    keys = zip(repeat(pool_size), run.mine_state, run.canaries_alive, alive, evacuated)
+    formats = map(_TraceFormats().__getitem__, keys)
+    for start in range(0, n, 4096):
+        yield "".join(islice(formats, 4096)) % tuple(run.steps[start:start + 4096])
 
 
 def _supplied_count(pool_size: int) -> int:
@@ -330,21 +336,22 @@ def _supplied_count(pool_size: int) -> int:
 def curve_csv_rows(pool_size: int) -> Iterator[str]:
     """The curve CSV's lines after the header, one per ``supply_fit_curve``
     row, with the cells that ``trace.csv`` writes at the same failure count,
-    made as they are read. The supplies are a ``map`` over the failure
-    counts; below ``_supplied_count`` a line writes the fit 1/(1+s), from
-    there on ``float_min``, so no line calls a Python function. An empty
-    pool raises at the call."""
+    made as they are read, in blocks of up to 4 096. The supplies are a
+    ``map`` over the failure counts; below ``_supplied_count`` a line writes
+    the fit 1/(1+s), from there on ``float_min``, so no line calls a Python
+    function. An empty pool raises at the call."""
     if pool_size < 1:
         raise EmptyPool("the curve needs at least one canary")
     half = _supply(pool_size, 0)
     split = _supplied_count(pool_size)
     supplied, undersupplied = range(split), range(split, pool_size + 1)
     tail = f",{FLOAT_MIN_LABEL}\n"
-    return chain(
+    lines = chain(
         (f"{f},{s!r},{1.0 / (1.0 + s)!r}\n"
          for f, s in zip(supplied, map(sub, repeat(half), supplied))),
         (f"{f},{s!r}{tail}"
          for f, s in zip(undersupplied, map(sub, repeat(half), undersupplied))))
+    return iter(lambda: "".join(islice(lines, 4096)), "")
 
 
 def simulate(

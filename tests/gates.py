@@ -8,9 +8,9 @@ options. Each gate runs in a fresh child of the same interpreter, with
 
 * no runtime dependency: under ``python -S`` (no site-packages), a channel
   run and three sentinel runs load only the standard library and resilsim;
-* memory: the ``tracemalloc`` peak of a 10^5-step ``channel-walk`` run is
-  at most 12 MB, and that of the ``sentinel-pool`` run with its 100 001-row
-  curve at most 4 MB;
+* memory: the ``tracemalloc`` peaks of the 10^5-step ``channel-walk`` run
+  and the 40 000-step ``channel-bursty`` run are each at most 12 MB, and
+  that of the ``sentinel-pool`` run with its 100 001-row curve at most 4 MB;
 * golden digests: ``tests/golden_cases.py`` under ``PYTHONHASHSEED`` 0 and
   12345, so byte-identical outputs do not depend on string hashing;
 * oracles: fixed cases of both studies equal the reference models of
@@ -88,53 +88,78 @@ def no_runtime_dependency() -> None:
 
 
 def tracemalloc_peak() -> None:
-    """The benchmark's channel-walk config (10^5 random-walk steps, elastic
-    and entelechial, seed 5) through the command line peaks at most 12 MB
-    under ``tracemalloc``. Per step the trace keeps 8 bytes (its demand), an
-    elastic run 9 (yields and delivery) and an entelechial or antifragile run
-    10 (yields, margin warnings and delivery; the 8-byte predictions live
-    only during the predictor pass), and the CSVs are streamed, 4 096 lines
-    at a time (about 0.5 MB). ``cli.main`` imports the channel study once it
-    knows the command, so the peak includes loading it: 5.1 MB on Python
-    3.10, 4.8 MB on 3.11 and 5.5–5.6 MB on 3.12 and 3.13. Per-step int or
-    float objects, or a list of rows, would pass 12 MB."""
+    """The benchmark's channel configs through the command line each peak at
+    most 12 MB under ``tracemalloc``: channel-walk (10^5 random-walk steps,
+    elastic and entelechial, seed 5), then channel-bursty (the README's
+    three protocols over 40 000 bursty steps, seed 17), whose antifragile
+    run takes the interleaved path. Per step the trace keeps 8 bytes (its
+    demand) and a run 9 (yields and delivery; the 8-byte predictions live
+    only during the predictor pass), and the CSVs are streamed in blocks of
+    4 096 lines (about 0.5 MB). ``cli.main`` imports the channel study once
+    it knows the command, so the first peak includes loading it. The peaks
+    are those of the predictor pass: channel-walk's 5.1 MB on Python 3.10,
+    4.8 MB on 3.11 and 5.6 MB on 3.12 and 3.13, channel-bursty's 1.9 MB
+    on each. Per-step int or float objects, or a list of rows, would
+    pass 12 MB."""
     import json
     import tempfile
     import tracemalloc
 
     from resilsim.cli import main
 
+    window_max = {"kind": "window_max", "window": 8}
+    configs = {
+        "channel-walk": {
+            "channel": {"kind": "random_walk", "y0": 3, "step_prob": 0.2,
+                        "min": 1, "max": 6},
+            "steps": 100_000,
+            "seed": 5,
+            "protocols": [
+                {"kind": "elastic", "yield_point": 7},
+                {"kind": "entelechial", "predictor": {"kind": "ewma_slope"},
+                 "epsilon": 1.5},
+            ],
+        },
+        "channel-bursty": {
+            "channel": {"kind": "bursty", "p_enter": 0.05, "p_exit": 0.3,
+                        "y_calm": 1, "y_burst": 5, "burst_correlated": True},
+            "steps": 40_000,
+            "seed": 17,
+            "protocols": [
+                {"kind": "elastic", "yield_point": 6},
+                {"kind": "entelechial", "predictor": window_max, "epsilon": 1.5},
+                {"kind": "antifragile", "predictor": window_max, "epsilon": 1.5,
+                 "epochs_per_review": 50,
+                 "identity_profile": {"kind": "teleconferencing",
+                                      "jitter_bound": 0.5}},
+            ],
+        },
+    }
+    over = []
     with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "walk.json")
-        with open(config, "w", encoding="utf-8") as handle:
-            json.dump({
-                "channel": {"kind": "random_walk", "y0": 3, "step_prob": 0.2,
-                            "min": 1, "max": 6},
-                "steps": 100_000,
-                "seed": 5,
-                "protocols": [
-                    {"kind": "elastic", "yield_point": 7},
-                    {"kind": "entelechial", "predictor": {"kind": "ewma_slope"},
-                     "epsilon": 1.5},
-                ],
-            }, handle)
-        tracemalloc.start()
-        status = main(["channel", "-c", config, "-o", os.path.join(tmp, "out")])
-        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-        tracemalloc.stop()
-    if status != 0:
-        sys.exit(f"channel run failed with exit code {status}")
-    print(f"tracemalloc peak: {peak_mb:.2f} MB")
-    if peak_mb > 12:
-        sys.exit(f"tracemalloc peak {peak_mb:.2f} MB exceeds 12 MB")
+        for name, payload in configs.items():
+            config = os.path.join(tmp, f"{name}.json")
+            with open(config, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle)
+            tracemalloc.start()
+            status = main(["channel", "-c", config, "-o", os.path.join(tmp, name)])
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+            tracemalloc.stop()
+            if status != 0:
+                sys.exit(f"{name} run failed with exit code {status}")
+            print(f"{name} tracemalloc peak: {peak_mb:.2f} MB")
+            if peak_mb > 12:
+                over.append(f"{name} tracemalloc peak {peak_mb:.2f} MB exceeds 12 MB")
+    if over:
+        sys.exit("; ".join(over))
 
 
 def curve_tracemalloc_peak() -> None:
     """The benchmark's sentinel-pool command (a pool of 10 000 over 2 000
     steps, seed 3, ``--curve 100000``) peaks at most 4 MB under
     ``tracemalloc``. The run keeps two columns of 2 000 entries, and
-    ``curve.csv`` is streamed from columns made as they are read, joined
-    4 096 lines at a time, so the peak is mostly loading the sentinel study:
+    ``curve.csv`` is streamed from columns made as they are read, in blocks
+    of 4 096 lines, so the peak is mostly loading the sentinel study:
     2.26 MB on Python 3.10, 1.99 MB on 3.11, 2.65 MB on 3.12 and 2.60 MB on
     3.13. A list of the 100 001 supplies would add 3.2 MB, a list of the
     lines 9 MB."""
@@ -164,6 +189,10 @@ def oracles_agree() -> None:
     """Both studies equal their reference models in ``tests/oracles.py`` on
     fixed cases, compared only through its ``assert_*`` helpers:
 
+    * the random-walk generator: the benchmark's walk at seeds 0 to 19 and
+      the edge cases of ``WALK_CASES`` (``step_prob`` 0 and 1, ``y0`` at
+      either bound, ``min == max``, 1 and 2 steps) against ``oracle_walk``,
+      demand and random draws;
     * predictors: an entelechial run (epsilon 1.5) against the per-step
       predictor and yield rule, predictions bit for bit (``float.hex``), on
       the README's bursty channel and the benchmark's random walk, 2 000
@@ -191,10 +220,11 @@ def oracles_agree() -> None:
     import traceback
 
     from oracles import (COMPARE_DESCRIPTORS, EDGE_CASES, FIT_VARIANTS, ODD_POOL_FIT_POLICY,
-                         PREMISE_EXAMPLES, assert_antifragile_matches_oracle,
+                         PREMISE_EXAMPLES, WALK_CASES, assert_antifragile_matches_oracle,
                          assert_compare_matches_oracle, assert_curve_matches_oracle,
                          assert_elastic_matches_oracle, assert_entelechial_matches_oracle,
-                         assert_premise_matches_oracle, assert_run_matches_oracle)
+                         assert_premise_matches_oracle, assert_run_matches_oracle,
+                         assert_walk_matches_oracle)
     from resilsim.channel import (AntifragileEvolving, BurstyChannel, EwmaPlusSlope,
                                   FileTransfer, RandomWalkChannel, Teleconferencing,
                                   WindowMax, generate_trace)
@@ -217,6 +247,8 @@ def oracles_agree() -> None:
             frame = traceback.extract_tb(exc.__traceback__)[-1]
             wrong.append(f"{name} (oracles.py line {frame.lineno}: {frame.line})")
 
+    for name, (model, steps) in WALK_CASES.items():
+        check("random walks", f"walk {name}", assert_walk_matches_oracle, model, steps)
     for name, trace in (*traces.items(), ("short", (1, 5, 2, 2, 6, 1))):
         n = len(trace) if isinstance(trace, tuple) else len(trace.y)
         for predictor in (*map(WindowMax, sorted({1, 2, 8, n - 1, n, n + 1})),
@@ -340,7 +372,7 @@ def main() -> int:
     golden = os.path.join(TESTS, "golden_cases.py")
     gates = [("no runtime dependency", child(
                  "-S", "-c", "import gates; gates.no_runtime_dependency()")),
-             ("channel-walk tracemalloc peak at most 12 MB", child(
+             ("channel-walk and channel-bursty tracemalloc peaks at most 12 MB", child(
                  "-c", "import gates; gates.tracemalloc_peak()")),
              ("sentinel-pool tracemalloc peak at most 4 MB", child(
                  "-c", "import gates; gates.curve_tracemalloc_peak()"))]

@@ -3,10 +3,14 @@ comparisons that check the library against them.
 
 ``resilsim.channel`` computes the predictors and the yield rule as whole
 columns at once (``WindowMax.predictions``, ``EwmaPlusSlope.predictions``
-and the yield and margin-warning columns of ``_entelechial``). The per-step
-forms below are the reference those columns must equal bit for bit: a
-predictor observes the demand one sample at a time and predicts the next
-from what it holds. On them stand the earlier protocol runs, which built
+and the yield column of ``_entelechial``). The per-step forms below are the
+reference those columns must equal bit for bit: a predictor observes the
+demand one sample at a time and predicts the next from what it holds, and
+the yield rule also flags where the margin epsilon cannot be met, a flag
+that only acceptance criterion 7 reads. ``oracle_walk`` is the earlier
+random-walk generator, one ``min``/``max`` clamp a step, which
+``RandomWalkChannel`` must equal, random draws included. On the predictors
+stand the earlier protocol runs, which built
 one ``StepRecord`` per step (the antifragile one with its prefix-rescanning
 review pass and per-epoch rescanning identity accounting), with their own
 exact jitter reference, so that they share neither the prediction loop nor
@@ -20,7 +24,8 @@ one alive flag per canary; a run must equal it, random draws included.
 The curve and the set checks of the scenario premise have their earlier
 forms too.
 
-The CSV producers stream finished lines; their oracles are the earlier
+The CSV producers stream blocks of finished lines, which ``csv_lines``
+splits back into lines as they are read; their oracles are the earlier
 tuple and dict row builders, written through ``csv.writer`` as the command
 line used to write them.
 
@@ -56,10 +61,12 @@ from resilsim.behavior import (BehaviorDescriptor, FigureSpec, commensurable, di
 from resilsim.channel import (
     ChannelTrace,
     KnowledgeStore,
+    RandomWalkChannel,
     Teleconferencing,
     _signature,
     as_trace,
     burstiness,
+    generate_trace,
     mean_step_fit,
     run_antifragile,
     run_elastic,
@@ -92,6 +99,52 @@ def csv_text(rows):
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
+
+
+def csv_lines(blocks):
+    """The lines of a CSV producer's ``blocks``, each with its line end,
+    split as they are read, so a producer too long to list is read only as
+    far as its lines are taken."""
+    return itertools.chain.from_iterable(block.splitlines(True) for block in blocks)
+
+
+def oracle_walk(model, steps, rng):
+    """The earlier ``RandomWalkChannel._generate``: y read back from the
+    list, and clamped by ``min`` and ``max``, at every step."""
+    ys = [model.y0]
+    for _ in range(steps - 1):
+        y = ys[-1]
+        if rng.random() < model.step_prob:
+            y += rng.choice((-1, 1))
+            y = min(model.y_max, max(model.y_min, y))
+        ys.append(y)
+    return ys
+
+
+# Random walks and their step counts: the benchmark's walk at seeds 0 to 19,
+# then the edge cases of the generator's clamp and loop.
+WALK_CASES = {
+    **{f"seed {seed}": (RandomWalkChannel(y0=3, step_prob=0.2, y_min=1, y_max=6,
+                                          seed=seed), 2_000) for seed in range(20)},
+    "step_prob 0": (RandomWalkChannel(y0=3, step_prob=0.0, seed=1), 500),
+    "step_prob 1": (RandomWalkChannel(y0=3, step_prob=1.0, seed=1), 500),
+    "y0 at min": (RandomWalkChannel(y0=1, step_prob=0.9, y_min=1, y_max=6, seed=2), 500),
+    "y0 at max": (RandomWalkChannel(y0=6, step_prob=0.9, y_min=1, y_max=6, seed=2), 500),
+    "min == max": (RandomWalkChannel(y0=4, step_prob=0.9, y_min=4, y_max=4, seed=3), 500),
+    "1 step": (RandomWalkChannel(y0=3, step_prob=0.5, seed=4), 1),
+    "2 steps": (RandomWalkChannel(y0=3, step_prob=1.0, seed=4), 2),
+}
+
+
+def assert_walk_matches_oracle(model, steps):
+    """``generate_trace`` gives ``oracle_walk``'s demand, and the generator
+    leaves a random generator of the model's seed in the state that the
+    oracle leaves it in, so it made the same draws."""
+    rng, oracle_rng = random.Random(model.seed), random.Random(model.seed)
+    ys = tuple(oracle_walk(model, steps, oracle_rng))
+    assert generate_trace(model, steps).y == ys
+    assert tuple(model._generate(steps, rng)) == ys
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 
@@ -148,7 +201,7 @@ def choose_yield(prediction, epsilon):
 
 
 def predict_yields(ys, predictor, epsilon):
-    """The yields, predictions and margin warnings of each step of ``ys``:
+    """The yields, predictions and margin flags of each step of ``ys``:
     step 0 primes the predictor with y(0), every later step predicts from
     the samples before it."""
     steps = stepper(predictor)
@@ -178,7 +231,6 @@ class StepRecord:
     cost: int
     algorithm: str
     prediction: float | None = None
-    margin_warning: bool = False
     delivered_at: int | None = None
 
 
@@ -213,15 +265,14 @@ def oracle_run_elastic(trace, yield_point):
 def oracle_run_entelechial(trace, predictor, epsilon):
     """The original run_entelechial's step records."""
     ys = as_trace(trace).y
-    yields, predictions, warns = predict_yields(ys, predictor, epsilon)
+    yields, predictions, _ = predict_yields(ys, predictor, epsilon)
     records = []
     for t, y in enumerate(ys):
         delivered = yields[t] > y
         records.append(StepRecord(
             t=t, y=y, yield_point=yields[t], delivered=delivered,
             shoot=shooting(y, yields[t], t), cost=yields[t], algorithm="repetition",
-            prediction=predictions[t], margin_warning=warns[t],
-            delivered_at=t if delivered else None,
+            prediction=predictions[t], delivered_at=t if delivered else None,
         ))
     return records
 
@@ -257,11 +308,10 @@ def assert_run_matches_records(run, records, predictor=None, variants=()):
     assert delivered == sorted(delivered)
     assert list(run.algorithms()) == [s.algorithm for s in records]
     if all(s.prediction is None for s in records):  # elastic: no predictor
-        assert predictor is None and run.margin_warning is None
+        assert predictor is None
     else:
         assert [p.hex() for p in predictor.predictions(run.y)] == \
             [s.prediction.hex() for s in records]
-        assert list(run.margin_warning) == [s.margin_warning for s in records]
     for variant in variants:
         assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
     assert run.undershoot_count == sum(
@@ -281,7 +331,7 @@ def oracle_run_antifragile(trace, config, store):
     ys = trace.y
     n = len(ys)
     review_every = config.epochs_per_review
-    yields, predictions, warns = predict_yields(ys, config.predictor, config.epsilon)
+    yields, predictions, _ = predict_yields(ys, config.predictor, config.epsilon)
 
     algorithm = "repetition"
     depth = 0
@@ -354,7 +404,7 @@ def oracle_run_antifragile(trace, config, store):
             t=t, y=y, yield_point=yields[t], delivered=delivered[t],
             shoot=shooting(y, yields[t], t), cost=step_cost[t],
             algorithm=step_algorithm[t], prediction=predictions[t],
-            margin_warning=warns[t], delivered_at=delivered_at[t],
+            delivered_at=delivered_at[t],
         )
         for t, y in enumerate(ys)
     ]
@@ -678,7 +728,7 @@ def assert_curve_rows_match_oracle(pool_size, start, stop):
     """Lines ``start`` to ``stop`` of ``curve_csv_rows``, read lazily, are
     the oracle's rows at those failure counts, so a pool too large to list
     is checked where it is read."""
-    assert "".join(itertools.islice(curve_csv_rows(pool_size), start, stop)) == \
+    assert "".join(itertools.islice(csv_lines(curve_csv_rows(pool_size)), start, stop)) == \
         oracle_curve_lines(oracle_curve_row(pool_size, f) for f in range(start, stop))
 
 

@@ -27,12 +27,14 @@ from resilsim.channel import (
 )
 from resilsim.errors import StoreCorrupt, TraceMismatch
 
+from oracles import csv_lines
+
 BURSTY = BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=3)
 
 
 def csv_rows(run):
     """The run's step CSV lines, parsed back into cell tuples."""
-    return [tuple(row) for row in csv.reader(step_csv_rows(run))]
+    return [tuple(row) for row in csv.reader(csv_lines(step_csv_rows(run)))]
 
 
 class TestGenerateTrace:
@@ -84,25 +86,27 @@ class TestGenerateTrace:
 
 class TestChooseYield:
     """The entelechial yield rule: Y is the smallest integer strictly above
-    the prediction, with a warning where Y - prediction >= epsilon."""
+    the prediction, so Y - prediction >= epsilon where the margin is tight."""
 
     # EwmaPlusSlope() predicts 3.6 for the step after 3 and 4.
     RAMP = [3, 4, 1]
 
     def test_within_margin(self):
         run = run_entelechial(self.RAMP, EwmaPlusSlope(), 1.0)
-        assert EwmaPlusSlope().predictions(run.y)[2] == pytest.approx(3.6)
-        assert (run.yields[2], run.margin_warning[2]) == (4, False)
+        prediction = EwmaPlusSlope().predictions(run.y)[2]
+        assert prediction == pytest.approx(3.6)
+        assert run.yields[2] == 4
+        assert 0 < run.yields[2] - prediction < 1.0
 
     def test_tight_margin_warns(self):
         run = run_entelechial(self.RAMP, EwmaPlusSlope(), 0.05)
-        assert (run.yields[2], run.margin_warning[2]) == (4, True)
+        assert run.yields[2] == 4
+        assert run.yields[2] - EwmaPlusSlope().predictions(run.y)[2] >= 0.05
 
     def test_integer_prediction_forces_next_integer(self):
         run = run_entelechial([3, 3, 3], WindowMax(4), 0.5)
         assert list(WindowMax(4).predictions(run.y)) == [3.0, 3.0, 3.0]
         assert run.yields == (4, 4, 4)
-        assert run.margin_warning == bytes([True] * 3)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -205,7 +209,8 @@ class TestRunEntelechial:
     def test_margin_compliance_flags(self):
         run = run_entelechial([2] * 10, WindowMax(4), 0.5)
         # Integer demand makes the gap exactly 1.0 >= 0.5 at every step.
-        assert len(run.margin_warning) == 10 and all(run.margin_warning)
+        predictions = WindowMax(4).predictions(run.y)
+        assert [Y - p for Y, p in zip(run.yields, predictions)] == [1.0] * 10
 
 
 def antifragile_config(**overrides):
@@ -288,7 +293,7 @@ class TestRunAntifragile:
         first = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         second = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         assert first.y is second.y is trace.y
-        for column in ("yields", "delivered", "margin_warning"):
+        for column in ("yields", "delivered"):
             assert list(getattr(first, column)) == list(getattr(second, column)), column
             assert len(getattr(first, column)) == 500
         for derived in ("costs", "arrivals", "algorithms"):
@@ -299,7 +304,8 @@ class TestRunAntifragile:
                 json.dumps(getattr(second, part), sort_keys=True)
         assert json.dumps(first.aggregates(), sort_keys=True) == \
             json.dumps(second.aggregates(), sort_keys=True)
-        assert list(step_csv_rows(first)) == list(step_csv_rows(second))
+        assert list(csv_lines(step_csv_rows(first))) == \
+            list(csv_lines(step_csv_rows(second)))
 
     def test_csv_rows_shape(self):
         trace = generate_trace(BURSTY, 120)

@@ -928,7 +928,7 @@ def test_readme_example_config_runs(tmp_path, monkeypatch, capsys, command):
 def test_one_predictor_pass_per_trace_and_parameters(tmp_path, monkeypatch):
     """The README config's entelechial and antifragile entries share one
     ``WindowMax`` pass; a different epsilon takes a second. Clearing the
-    trace's columns before every run changes no output byte."""
+    trace's yields before every run changes no output byte."""
     calls = []
     predictions = WindowMax.predictions
 
@@ -953,7 +953,7 @@ def test_one_predictor_pass_per_trace_and_parameters(tmp_path, monkeypatch):
     entelechial = channel._entelechial
 
     def unshared(trace, predictor, epsilon):
-        object.__setattr__(trace, "_columns", None)
+        object.__setattr__(trace, "_yields", None)
         return entelechial(trace, predictor, epsilon)
 
     monkeypatch.setattr(channel, "_entelechial", unshared)

@@ -73,6 +73,7 @@ from oracles import (
     FIT_VARIANTS,
     ODD_POOL_FIT_POLICY,
     PREMISE_EXAMPLES,
+    WALK_CASES,
     OraclePool,
     assert_antifragile_matches_oracle,
     assert_curve_matches_oracle,
@@ -81,6 +82,8 @@ from oracles import (
     assert_elastic_matches_oracle,
     assert_entelechial_matches_oracle,
     assert_run_matches_oracle,
+    assert_walk_matches_oracle,
+    csv_lines,
     csv_text,
     exact_jitter,
     oracle_curve_csv,
@@ -246,8 +249,7 @@ def test_run_antifragile_starts_entelechial(trace, predictor, epsilon, review_ev
     )
     run = run_antifragile(trace, config, KnowledgeStore(lessons))
     entelechial = run_entelechial(trace, predictor, epsilon)
-    for column in ("yields", "margin_warning"):
-        assert list(getattr(run, column)) == list(getattr(entelechial, column))
+    assert list(run.yields) == list(entelechial.yields)
     assert run.header == entelechial.header | {
         "protocol": "antifragile",
         "epochs_per_review": review_every,
@@ -357,6 +359,26 @@ def test_oracle_examples_undershoot_and_lose_identity():
 
 
 # ---------------------------------------------------------------------------
+# Random-walk generator
+
+
+@pytest.mark.parametrize("name", list(WALK_CASES))
+def test_walk_cases_match_oracle(name):
+    assert_walk_matches_oracle(*WALK_CASES[name])
+
+
+@settings(max_examples=200, deadline=None)
+@given(y_min=st.integers(1, 4), span=st.integers(0, 4), offset=st.integers(0, 4),
+       step_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(1, 400))
+def test_walk_matches_oracle(y_min, span, offset, step_prob, seed, steps):
+    """Any bounds, start and step probability: the same demand and draws."""
+    model = RandomWalkChannel(y0=y_min + min(offset, span), step_prob=step_prob,
+                              y_min=y_min, y_max=y_min + span, seed=seed)
+    assert_walk_matches_oracle(model, steps)
+
+
+# ---------------------------------------------------------------------------
 # Predictor kernels
 
 
@@ -381,17 +403,17 @@ def test_predictions_match_the_observe_predict_loop(ys, predictor):
 
 
 def test_a_trace_keeps_the_columns_of_its_last_predictor_pass():
-    """An epsilon sweep leaves one set of columns on the trace, those of the
+    """An epsilon sweep leaves one yield column on the trace, that of the
     last run; the memo is no part of the trace's value."""
     trace = generate_trace(
         BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=17), 2_000)
     runs = [run_entelechial(trace, WindowMax(8), epsilon) for epsilon in (0.5, 1.0, 1.5)]
-    key, columns = trace._columns
+    key, yields = trace._yields
     assert key == (WindowMax(8), 1.5)
-    assert columns == (runs[-1].yields, runs[-1].margin_warning)
-    assert isinstance(runs[-1].yields, tuple) and isinstance(runs[-1].margin_warning, bytes)
+    assert yields is runs[-1].yields
+    assert isinstance(runs[-1].yields, tuple)
     fresh = replace(trace)
-    assert fresh._columns is None
+    assert fresh._yields is None
     assert (fresh, hash(fresh), repr(fresh)) == (trace, hash(trace), repr(trace))
     assert runs == [run_entelechial(list(trace.y), WindowMax(8), epsilon)
                     for epsilon in (0.5, 1.0, 1.5)]
@@ -431,8 +453,8 @@ TELECONFERENCING = AntifragileEvolving(
 ], ids=["elastic", "entelechial-ewma_slope", "entelechial-window_max", "antifragile"])
 def test_runs_keep_at_most_32_bytes_per_step(make_run):
     """A run stores a byte of delivery and at most a one-word yields column
-    and a byte of margin flags per step; the trace's ``y`` is shared. Per-step
-    int, float or string objects would take 72 bytes or more."""
+    per step; the trace's ``y`` is shared. Per-step int, float or string
+    objects would take 72 bytes or more."""
     run, retained, peak = traced_bytes_per_step(make_run, MEMORY_TRACE)
     assert retained <= 32
     if run.header["protocol"] == "antifragile":
@@ -454,10 +476,9 @@ def test_a_trace_keeps_at_most_9_bytes_per_step():
 
 
 def test_an_elastic_run_keeps_at_most_10_bytes_per_step():
-    """An elastic run has no predictor: it stores its yields column and a
-    byte of delivery per step, and no margin-warning column."""
-    run, retained, _ = traced_bytes_per_step(lambda trace: run_elastic(trace, 7), WALK_TRACE)
-    assert run.margin_warning is None
+    """An elastic run stores its yields column and a byte of delivery per
+    step."""
+    _, retained, _ = traced_bytes_per_step(lambda trace: run_elastic(trace, 7), WALK_TRACE)
     assert retained <= 10
 
 
@@ -557,8 +578,8 @@ def test_until_decided_is_a_prefix_of_the_full_run(name):
         k = len(short.steps)
         assert k == (min(decided) + 1 if decided else 300)
         assert short.steps == range(k)
-        short_lines = list(scenario_csv_rows(short))
-        assert short_lines == list(scenario_csv_rows(full))[:k]
+        short_lines = list(csv_lines(scenario_csv_rows(short)))
+        assert short_lines == list(csv_lines(scenario_csv_rows(full)))[:k]
         if decided:
             # The last line shows the decision: the miner is dead or evacuated.
             *_, miner_alive, evacuated = next(csv.reader(short_lines[-1:]))
@@ -661,13 +682,77 @@ def test_compare_csv_quotes_protocol_names(tmp_path):
         ["protocol", *sorted(names)]
 
 
+def assert_blocks_of_whole_lines(blocks, count):
+    """``blocks`` hold ``count`` lines in all, each block at most 4 096 whole
+    lines, the last one ending in its line end."""
+    blocks = list(blocks)
+    assert all(block.endswith("\n") and block.count("\n") <= 4096 for block in blocks)
+    assert sum(block.count("\n") for block in blocks) == count
+
+
 def test_csv_producers_stream():
+    """Each producer is an iterator, not a list, and yields blocks of whole
+    lines, at most 4 096 to a block, on either side of a block boundary."""
     run = run_elastic([2, 5, 2], 3)
     scenario_run = simulate(Scenario(pool_size=3), 5, seed=0)
     for produced in (step_csv_rows(run), scenario_csv_rows(scenario_run),
                      supply_fit_curve(4), curve_csv_rows(4)):
         assert not isinstance(produced, list)
         assert iter(produced) is produced
+    for steps in (1, 4_095, 4_096, 4_097, 8_193):
+        assert_blocks_of_whole_lines(step_csv_rows(run_elastic([2] * steps, 3)), steps)
+        scenario_run = simulate(Scenario(pool_size=3), steps, seed=0)
+        assert_blocks_of_whole_lines(scenario_csv_rows(scenario_run), steps)
+        assert_blocks_of_whole_lines(curve_csv_rows(steps), steps + 1)
+
+
+def boundary_trace(steps):
+    """The README bursty channel over ``steps`` steps, opening with
+    ``1, 5, 5``: a burst in the first review window of any length from 3,
+    so a threshold of 0 mutates at the first review."""
+    ys = list(generate_trace(
+        BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=17), steps).y)
+    ys[:3] = [1, 5, 5][:steps]
+    return ys
+
+
+@pytest.mark.parametrize("steps", [1, 4_095, 4_096, 4_097, 8_193])
+def test_step_csv_across_block_boundaries_matches_oracle(steps):
+    """Elastic and entelechial runs of each length write the oracle's rows
+    byte for byte, in blocks of whole lines."""
+    trace = boundary_trace(steps)
+    for run, _ in (assert_elastic_matches_oracle(trace, 4),
+                   assert_entelechial_matches_oracle(trace, WindowMax(8), 1.5)):
+        assert_blocks_of_whole_lines(step_csv_rows(run), steps)
+
+
+# (steps, review_every, depth): the mutation at step 4 095, the last line of
+# the first block, then the mutation where a trailing one-step interleave
+# block follows, at each length past one block.
+MUTATION_BOUNDARY_CASES = [
+    *((steps, 4_095, 4) for steps in (4_096, 4_097, 8_193)),
+    (4_095, 4, 2), (4_096, 3, 2), (4_097, 4, 2), (8_193, 4, 2),
+]
+
+
+@pytest.mark.parametrize("steps, review_every, depth", MUTATION_BOUNDARY_CASES)
+def test_antifragile_step_csv_across_block_boundaries_matches_oracle(
+        steps, review_every, depth):
+    config = AntifragileEvolving(predictor=WindowMax(8), epsilon=1.5,
+                                 epochs_per_review=review_every,
+                                 burstiness_threshold=0.0, interleave_depth=depth)
+    run, _ = assert_antifragile_matches_oracle(boundary_trace(steps), config)
+    assert run.mutation_step == review_every
+    if review_every < 4_095:
+        assert (steps - run.mutation_step) % depth == 1  # a trailing one-step block
+    assert_blocks_of_whole_lines(step_csv_rows(run), steps)
+
+
+def test_a_percent_in_a_step_tail_is_written_literally(monkeypatch):
+    """A line's format doubles any ``%`` of its tail, so only ``t`` is filled in."""
+    monkeypatch.setattr(channel, "_csv_tail", lambda *key: ",100%d%%s\n")
+    run = run_elastic([2, 5, 2], 3)
+    assert "".join(step_csv_rows(run)) == "".join(f"{t},100%d%%s\n" for t in range(3))
 
 
 def test_simulate_estimates_supply_once_per_step(monkeypatch):

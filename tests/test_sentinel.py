@@ -26,6 +26,8 @@ from resilsim.sentinel import (
     survival_rate,
 )
 
+from oracles import csv_lines
+
 
 def pool_with_failures(size, failed):
     pool = CanaryPool(size)
@@ -36,7 +38,7 @@ def pool_with_failures(size, failed):
 
 def csv_rows(run):
     """The run's scenario CSV lines, parsed back into cell tuples."""
-    return [tuple(row) for row in csv.reader(scenario_csv_rows(run))]
+    return [tuple(row) for row in csv.reader(csv_lines(scenario_csv_rows(run)))]
 
 
 class TestStructuralAssertions:
@@ -161,7 +163,7 @@ class TestSupplyFitCurve:
 def test_trace_and_curve_write_one_estimate(pool_size):
     """Every trace line carries the ``supply,fit`` cells of the curve row at
     failed = pool - canaries, and both are the pool's own estimates."""
-    curve = list(csv.reader(curve_csv_rows(pool_size)))
+    curve = list(csv.reader(csv_lines(curve_csv_rows(pool_size))))
     assert len(curve) == pool_size + 1
     scenario = Scenario(mine=CoalMine(p_enter_ts=0.2), pool_size=pool_size)
     seen = set()
