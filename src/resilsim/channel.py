@@ -27,7 +27,6 @@ import os
 import random
 import shutil
 import sys
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -180,16 +179,15 @@ class WindowMax:
         if self.window < 1:
             raise ValueError("window must be a positive integer")
 
-    def predictions(self, ys: Sequence[int]) -> array:
-        """The prediction before each step of ``ys``: ``ys[0]``, then the
-        maximum of the last ``window`` samples of ``ys[:t]``, a running
-        maximum up to ``window`` steps and then the maximum of the spans
-        ``span[j] = max(ys[j:j + width])`` at offsets 0, width, ... and
-        ``window - width``, where each doubling of ``width`` is one pass:
-        O(log window) per step."""
+    def yields(self, ys: Sequence[int]) -> tuple[int, ...]:
+        """The yield before each step of ``ys``, one above its exact integer
+        prediction: ``ys[0]``, then the maximum of the last ``window`` samples
+        of ``ys[:t]``, a running maximum up to ``window`` steps and then the
+        maximum of the spans ``span[j] = max(ys[j:j + width])`` at offsets
+        0, width, ... and ``window - width``, where each doubling of
+        ``width`` is one pass: O(log window) per step."""
         n, window = len(ys), self.window
-        columns = array("d", chain(islice(ys, 1),
-                                   accumulate(islice(ys, min(window, n) - 1), max)))
+        maxima = chain(islice(ys, 1), accumulate(islice(ys, min(window, n) - 1), max))
         if window < n:
             span, width = ys, 1
             while window > 8 * width:
@@ -197,8 +195,8 @@ class WindowMax:
                 width *= 2
             offsets = chain(range(0, window - width, width), (window - width,))
             starts = (islice(span, i, i + n - window) for i in offsets)
-            columns.extend(map(max, zip(*starts)))
-        return columns
+            maxima = chain(maxima, map(max, zip(*starts)))
+        return tuple(map((1).__add__, maxima))
 
 
 @dataclass(frozen=True)
@@ -221,23 +219,25 @@ class EwmaPlusSlope:
         if self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
 
-    def predictions(self, ys: Sequence[int]) -> array:
-        """The prediction before each step of ``ys``: level + horizon *
-        slope, where level and slope start at ``ys[0]`` and 0, and each
-        sample y of ``ys[1:t]`` takes the slope to alpha * (y - the sample
-        before) + (1 - alpha) * slope, then the level to alpha * y + (1 -
-        alpha) * level."""
-        alpha, beta, horizon = self.alpha, 1 - self.alpha, self.horizon
+    def yields(self, ys: Sequence[int]) -> tuple[int, ...]:
+        """The yield before each step of ``ys``: the smallest integer above
+        the prediction level + horizon * slope, and at least 1. Level and
+        slope start at ``ys[0]`` and 0, and each sample y of ``ys[1:t]``
+        takes the slope to alpha * (y - the sample before) + (1 - alpha) *
+        slope, then the level to alpha * y + (1 - alpha) * level."""
+        alpha, beta, horizon, floor = self.alpha, 1 - self.alpha, self.horizon, math.floor
         level = last = float(ys[0])
         slope = 0.0
-        columns = array("d", repeat(level + horizon * slope, min(2, len(ys))))
+        Y = floor(level + horizon * slope) + 1
+        columns = [Y if Y > 1 else 1] * min(2, len(ys))
         append = columns.append
         for y in islice(ys, 1, len(ys) - 1):
             slope = alpha * (y - last) + beta * slope
             level = alpha * y + beta * level
             last = float(y)
-            append(level + horizon * slope)
-        return columns
+            Y = floor(level + horizon * slope) + 1
+            append(Y if Y > 1 else 1)
+        return tuple(columns)
 
 
 Predictor = WindowMax | EwmaPlusSlope
@@ -321,9 +321,9 @@ class ProtocolRun:
 
     With ``mutation_step`` (None if the run never mutates) and the
     interleaving ``depth`` they fix what is derived on read, each in one
-    place: over- and undershoot, ``delivery_times`` and the per-step
-    iterators ``costs()``, ``algorithms()`` and ``arrivals()``, which the
-    step CSV, ``total_cost``, ``jitter`` and identity accounting stream.
+    place: over- and undershoot, ``delivery_times``, ``_segments()``, which
+    the step CSV and ``costs()`` read, and ``arrivals()``. ``total_cost``,
+    ``jitter`` and identity accounting stream these iterators.
     Each aggregate is computed in one pass on first use and cached, so
     ``aggregates`` and ``compare_runs`` share it; the columns must not
     change after the run is built.
@@ -342,19 +342,21 @@ class ProtocolRun:
     def _repetition_steps(self) -> int:
         return len(self.y) if self.mutation_step is None else self.mutation_step
 
-    def costs(self) -> Iterator[int]:
-        """The copies sent (redundancy paid) at each step: Y(t) before the
-        mutation, 2 after it, as each step of a block of length >= 2 gets
-        exactly one second copy, and 1 in a trailing one-step block."""
+    def _segments(self) -> tuple[tuple[int, int, int | None, str], ...]:
+        """(start, stop, copies sent, algorithm) of each run of steps: Y(t),
+        given as None, before the mutation, 2 after it, as each step of a
+        block of length >= 2 gets exactly one second copy, and 1 in a
+        trailing one-step block."""
         m, n = self._repetition_steps, len(self.y)
         single = m < n and (n - m) % self.depth == 1  # a trailing one-step block
-        return chain(islice(self.yields, m), repeat(2, n - m - single),
-                     repeat(1, single))
+        return ((0, m, None, "repetition"), (m, n - single, 2, "interleaved"),
+                (n - single, n, 1, "interleaved"))
 
-    def algorithms(self) -> Iterator[str]:
-        """Each step's transmission algorithm, "repetition" or "interleaved"."""
-        m = self._repetition_steps
-        return chain(repeat("repetition", m), repeat("interleaved", len(self.y) - m))
+    def costs(self) -> Iterator[int]:
+        """The copies sent at each step (see :meth:`_segments`)."""
+        return chain.from_iterable(
+            islice(self.yields, start, stop) if cost is None else repeat(cost, stop - start)
+            for start, stop, cost, _ in self._segments())
 
     def arrivals(self) -> Iterator[int]:
         """When each step's packet arrives if delivered: at the step itself
@@ -417,11 +419,15 @@ def _csv_tail(y: int, Y: int, delivered: bool, cost: int, algorithm: str) -> str
 
 
 class _StepFormats(dict):
-    """A step line's ``%`` format by its (y, Y, delivered, cost, algorithm),
+    """A step line's ``%`` format by its (y, Y, delivered) in one segment,
     built on first lookup: ``%d`` for ``t``, then its :func:`_csv_tail`."""
 
+    def __init__(self, cost: int | None, algorithm: str):
+        self.cost, self.algorithm = cost, algorithm
+
     def __missing__(self, key: tuple) -> str:
-        self[key] = line = "%d" + _csv_tail(*key).replace("%", "%%")
+        tail = _csv_tail(*key, self.cost or key[1], self.algorithm)
+        self[key] = line = "%d" + tail.replace("%", "%%")
         return line
 
 
@@ -429,8 +435,10 @@ def step_csv_rows(run: ProtocolRun) -> Iterator[str]:
     """The step CSV's lines after the header, made as they are read, in
     blocks of up to 4 096 whole lines: each block is its lines' formats
     joined and filled with their ``t`` by one ``%``."""
-    keys = zip(run.y, run.yields, run.delivered, run.costs(), run.algorithms())
-    formats = map(_StepFormats().__getitem__, keys)
+    formats = chain.from_iterable(
+        map(_StepFormats(cost, algorithm).__getitem__,
+            zip(*(islice(c, start, stop) for c in (run.y, run.yields, run.delivered))))
+        for start, stop, cost, algorithm in run._segments())
     ts = range(len(run.y))
     for start in range(0, len(ts), 4096):
         yield "".join(islice(formats, 4096)) % tuple(ts[start:start + 4096])
@@ -547,28 +555,20 @@ def _entelechial(
 
     Y(t) is the smallest integer strictly above the prediction, and at
     least 1; epsilon is validated and echoed in the header, but the yields
-    do not read it. Step 0 bootstraps from the first sample itself (the
-    prediction is y(0), so Y(0) = y(0) + 1); every later step only sees
-    samples up to the previous one. The yields come from one
-    ``predictor.predictions`` pass, which is not kept. The trace keeps the
-    last yields, so a call with an equal predictor and epsilon shares them,
-    and they are immutable: a tuple.
+    do not read it. Step 0 predicts y(0), and the header's
+    ``bootstrap_yield`` is Y(0); every later step only sees samples up to
+    the previous one. The yields are one ``predictor.yields`` pass, which
+    keeps no prediction. The trace keeps them, immutable (a tuple), so a
+    call with an equal predictor and epsilon shares them.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    header = {
-        "protocol": "entelechial",
-        "predictor": config_dict(predictor),
-        "epsilon": epsilon,
-        "bootstrap_yield": trace.y[0] + 1,
-    }
     key = (predictor, epsilon)
     if trace._yields is None or trace._yields[0] != key:
-        predictions = predictor.predictions(trace.y)
-        yields = tuple(map(max, repeat(1), map(operator.add, map(math.floor, predictions),
-                                               repeat(1))))
-        object.__setattr__(trace, "_yields", (key, yields))
-    return header, trace._yields[1]
+        object.__setattr__(trace, "_yields", (key, predictor.yields(trace.y)))
+    yields = trace._yields[1]
+    return {"protocol": "entelechial", "predictor": config_dict(predictor),
+            "epsilon": epsilon, "bootstrap_yield": yields[0]}, yields
 
 
 def run_entelechial(

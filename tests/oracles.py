@@ -1,13 +1,14 @@
 """Reference models of both studies, defined one step at a time, and the
 comparisons that check the library against them.
 
-``resilsim.channel`` computes the predictors and the yield rule as whole
-columns at once (``WindowMax.predictions``, ``EwmaPlusSlope.predictions``
-and the yield column of ``_entelechial``). The per-step forms below are the
-reference those columns must equal bit for bit: a predictor observes the
-demand one sample at a time and predicts the next from what it holds, and
-the yield rule also flags where the margin epsilon cannot be met, a flag
-that only acceptance criterion 7 reads. ``oracle_walk`` is the earlier
+``resilsim.channel`` computes each predictor with the yield rule as one
+column kernel, which returns the yields (``WindowMax.yields``,
+``EwmaPlusSlope.yields``) and keeps no prediction. The per-step forms below
+are the reference those yields must equal: a predictor observes the demand
+one sample at a time and predicts the next from what it holds (a window
+maximum is the integer sample itself), and the yield rule takes the
+smallest integer above the prediction and also flags where the margin
+epsilon cannot be met, a flag that only acceptance criterion 7 reads. ``oracle_walk`` is the earlier
 random-walk generator, one ``min``/``max`` clamp a step, which
 ``RandomWalkChannel`` must equal, random draws included. On the predictors
 stand the earlier protocol runs, which built
@@ -158,7 +159,7 @@ class WindowMaxSteps:
         self._recent.append(y)
 
     def predict(self):
-        return float(max(self._recent))
+        return max(self._recent)
 
 
 class EwmaPlusSlopeSteps:
@@ -230,7 +231,7 @@ class StepRecord:
     shoot: object
     cost: int
     algorithm: str
-    prediction: float | None = None
+    prediction: float | int | None = None
     delivered_at: int | None = None
 
 
@@ -293,11 +294,19 @@ def oracle_mean_step_fit(records, variant):
     return total / len(records)
 
 
+def assert_yields_match_oracle(ys, predictor):
+    """``predictor.yields`` gives a tuple, the yields of the per-step
+    predictor and yield rule of ``predict_yields``."""
+    yields = predictor.yields(tuple(ys))
+    assert type(yields) is tuple
+    assert yields == tuple(predict_yields(ys, predictor, 1.0)[0])
+
+
 def assert_run_matches_records(run, records, predictor=None, variants=()):
     """Every column, aggregate and CSV row equals the one read from the
-    records, and so do the predictions of ``predictor``, the run's own, bit
-    for bit, and the mean step fit under each of ``variants``. The delivery
-    times ascend."""
+    records, ``predictor``'s column kernel, the run's own, gives the yields
+    of the per-step rule, and so does the mean step fit under each of
+    ``variants``. The delivery times ascend."""
     assert run.y == tuple(s.y for s in records)
     assert list(run.yields) == [s.yield_point for s in records]
     assert list(run.costs()) == [s.cost for s in records]
@@ -306,12 +315,15 @@ def assert_run_matches_records(run, records, predictor=None, variants=()):
         [s.delivered_at for s in records]
     delivered = list(itertools.compress(run.arrivals(), run.delivered))
     assert delivered == sorted(delivered)
-    assert list(run.algorithms()) == [s.algorithm for s in records]
+    segments = run._segments()  # they cut steps 0 to n in order
+    assert [start for start, *_ in segments] == [0, *(stop for _, stop, *_ in segments[:-1])]
+    assert segments[-1][1] == len(records)
+    assert [algorithm for start, stop, _, algorithm in segments
+            for _ in range(start, stop)] == [s.algorithm for s in records]
     if all(s.prediction is None for s in records):  # elastic: no predictor
         assert predictor is None
     else:
-        assert [p.hex() for p in predictor.predictions(run.y)] == \
-            [s.prediction.hex() for s in records]
+        assert_yields_match_oracle(run.y, predictor)
     for variant in variants:
         assert mean_step_fit(run, variant) == oracle_mean_step_fit(records, variant)
     assert run.undershoot_count == sum(
@@ -434,7 +446,7 @@ def assert_elastic_matches_oracle(trace, yield_point, variants=()):
 
 def assert_entelechial_matches_oracle(trace, predictor, epsilon, variants=()):
     """``run_entelechial`` equals ``oracle_run_entelechial`` as
-    ``assert_run_matches_records`` checks it, predictions bit for bit.
+    ``assert_run_matches_records`` checks it, the kernel's yields included.
     Returns the run and the records."""
     run = run_entelechial(trace, predictor, epsilon)
     records = oracle_run_entelechial(trace, predictor, epsilon)

@@ -204,9 +204,10 @@ def test_criterion_07_margin_compliance():
     for seed in range(100):
         trace = generate_trace(RandomWalkChannel(seed=seed, **WALK), 1000)
         run = run_entelechial(trace, WindowMax(8), epsilon)
-        predictions = WindowMax(8).predictions(trace.y)
-        # The flag where the margin cannot be met, from the per-step rule.
-        _, _, warnings = predict_yields(trace.y, WindowMax(8), epsilon)
+        # The predictions and the flag where the margin cannot be met, from
+        # the per-step rule; the run keeps no prediction.
+        yields, predictions, warnings = predict_yields(trace.y, WindowMax(8), epsilon)
+        assert list(run.yields) == yields
         assert len(run.yields) == len(predictions) == len(warnings) == 1000
         for yield_point, prediction, margin_warning in zip(
                 run.yields, predictions, warnings):

@@ -27,7 +27,7 @@ from resilsim.channel import (
 )
 from resilsim.errors import StoreCorrupt, TraceMismatch
 
-from oracles import csv_lines
+from oracles import csv_lines, predict_yields
 
 BURSTY = BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=3)
 
@@ -93,7 +93,7 @@ class TestChooseYield:
 
     def test_within_margin(self):
         run = run_entelechial(self.RAMP, EwmaPlusSlope(), 1.0)
-        prediction = EwmaPlusSlope().predictions(run.y)[2]
+        prediction = predict_yields(run.y, EwmaPlusSlope(), 1.0)[1][2]
         assert prediction == pytest.approx(3.6)
         assert run.yields[2] == 4
         assert 0 < run.yields[2] - prediction < 1.0
@@ -101,12 +101,12 @@ class TestChooseYield:
     def test_tight_margin_warns(self):
         run = run_entelechial(self.RAMP, EwmaPlusSlope(), 0.05)
         assert run.yields[2] == 4
-        assert run.yields[2] - EwmaPlusSlope().predictions(run.y)[2] >= 0.05
+        assert run.yields[2] - predict_yields(run.y, EwmaPlusSlope(), 0.05)[1][2] >= 0.05
 
     def test_integer_prediction_forces_next_integer(self):
         run = run_entelechial([3, 3, 3], WindowMax(4), 0.5)
-        assert list(WindowMax(4).predictions(run.y)) == [3.0, 3.0, 3.0]
-        assert run.yields == (4, 4, 4)
+        assert predict_yields(run.y, WindowMax(4), 0.5)[1] == [3, 3, 3]
+        assert run.yields == WindowMax(4).yields(run.y) == (4, 4, 4)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -115,22 +115,23 @@ class TestChooseYield:
 
 class TestPredictors:
     def test_window_max_tracks_recent_maximum(self):
-        # the prediction after 1, 5, 2, 2, 2: the 5 fell out of the window
-        assert WindowMax(3).predictions((1, 5, 2, 2, 2, 1))[-1] == 2.0
+        # the yield after 1, 5, 2, 2, 2: the 5 fell out of the window
+        assert WindowMax(3).yields((1, 5, 2, 2, 2, 1))[-1] == 3
 
     def test_window_max_at_least_latest(self):
-        assert WindowMax(8).predictions((1, 2, 6, 3, 1))[-1] >= 6.0
+        assert WindowMax(8).yields((1, 2, 6, 3, 1))[-1] >= 7
 
     def test_ewma_constant_series(self):
-        predictions = EwmaPlusSlope(alpha=0.5, horizon=2).predictions((4,) * 21)
-        assert predictions[-1] == pytest.approx(4.0)
+        # the prediction is 4.0 exactly, so the yield is the next integer
+        assert EwmaPlusSlope(alpha=0.5, horizon=2).yields((4,) * 21)[-1] == 5
 
     def test_ewma_extrapolates_trend(self):
-        # On a steady ramp the slope term compensates the level's lag; a
-        # longer horizon extrapolates past the last observation, 10.
+        # On a steady ramp the slope term compensates the level's lag (a
+        # prediction of at least 10, a yield of at least 11); a longer
+        # horizon extrapolates past the last observation, 10, to 11 or more.
         ramp = tuple(range(1, 12))
-        assert EwmaPlusSlope(alpha=0.5, horizon=1).predictions(ramp)[-1] >= 10.0
-        assert EwmaPlusSlope(alpha=0.5, horizon=3).predictions(ramp)[-1] > 10.0
+        assert EwmaPlusSlope(alpha=0.5, horizon=1).yields(ramp)[-1] >= 11
+        assert EwmaPlusSlope(alpha=0.5, horizon=3).yields(ramp)[-1] >= 12
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -204,13 +205,13 @@ class TestRunEntelechial:
         run = run_entelechial([4, 1, 1], WindowMax(8), 1.5)
         assert run.yields[0] == 5
         assert run.header["bootstrap_yield"] == 5
-        assert WindowMax(8).predictions(run.y)[0] == 4.0
+        assert predict_yields(run.y, WindowMax(8), 1.5)[1][0] == 4
 
     def test_margin_compliance_flags(self):
         run = run_entelechial([2] * 10, WindowMax(4), 0.5)
-        # Integer demand makes the gap exactly 1.0 >= 0.5 at every step.
-        predictions = WindowMax(4).predictions(run.y)
-        assert [Y - p for Y, p in zip(run.yields, predictions)] == [1.0] * 10
+        # Integer demand makes the gap exactly 1 >= 0.5 at every step.
+        _, predictions, _ = predict_yields(run.y, WindowMax(4), 0.5)
+        assert [Y - p for Y, p in zip(run.yields, predictions)] == [1] * 10
 
 
 def antifragile_config(**overrides):
@@ -225,7 +226,7 @@ class TestRunAntifragile:
         antifragile = run_antifragile(trace, antifragile_config(), KnowledgeStore())
         entelechial = run_entelechial(trace, WindowMax(8), 1.5)
         assert antifragile.mutations == []
-        assert list(antifragile.algorithms()) == ["repetition"] * 300
+        assert [row[7] for row in csv_rows(antifragile)] == ["repetition"] * 300
         for column in ("y", "yields", "delivered"):
             assert list(getattr(antifragile, column)) == \
                 list(getattr(entelechial, column)), column
@@ -277,7 +278,7 @@ class TestRunAntifragile:
         }])
         run = run_antifragile(trace, antifragile_config(), store)
         assert run.mutations == []
-        assert list(run.algorithms()) == ["repetition"] * 1000
+        assert [row[7] for row in csv_rows(run)] == ["repetition"] * 1000
 
     def test_uncorrelated_bursts_defeat_interleaving(self):
         model = BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5,
@@ -296,9 +297,10 @@ class TestRunAntifragile:
         for column in ("yields", "delivered"):
             assert list(getattr(first, column)) == list(getattr(second, column)), column
             assert len(getattr(first, column)) == 500
-        for derived in ("costs", "arrivals", "algorithms"):
+        for derived in ("costs", "arrivals"):
             assert list(getattr(first, derived)()) == list(getattr(second, derived)())
             assert len(list(getattr(first, derived)())) == 500
+        assert first._segments() == second._segments()
         for part in ("header", "mutations"):
             assert json.dumps(getattr(first, part), sort_keys=True) == \
                 json.dumps(getattr(second, part), sort_keys=True)

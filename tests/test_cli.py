@@ -930,13 +930,13 @@ def test_one_predictor_pass_per_trace_and_parameters(tmp_path, monkeypatch):
     ``WindowMax`` pass; a different epsilon takes a second. Clearing the
     trace's yields before every run changes no output byte."""
     calls = []
-    predictions = WindowMax.predictions
+    yields = WindowMax.yields
 
     def counted(self, ys):
         calls.append(len(ys))
-        return predictions(self, ys)
+        return yields(self, ys)
 
-    monkeypatch.setattr(WindowMax, "predictions", counted)
+    monkeypatch.setattr(WindowMax, "yields", counted)
     config = readme_config("channel")
     del config["knowledge_store"]  # each run keeps its own, in its -o
     antifragile_1 = edited(config, ("protocols", 2, "epsilon"), 1.0)

@@ -21,7 +21,6 @@ import random
 import statistics
 import sys
 import tracemalloc
-from array import array
 from dataclasses import replace
 
 import pytest
@@ -83,6 +82,7 @@ from oracles import (
     assert_entelechial_matches_oracle,
     assert_run_matches_oracle,
     assert_walk_matches_oracle,
+    assert_yields_match_oracle,
     csv_lines,
     csv_text,
     exact_jitter,
@@ -258,9 +258,11 @@ def test_run_antifragile_starts_entelechial(trace, predictor, epsilon, review_ev
     }
     until = run.mutations[0]["step"] if run.mutations else len(run.y)
     assert run.delivered[:until] == entelechial.delivered[:until]
-    for derived in ("arrivals", "costs", "algorithms"):
+    for derived in ("arrivals", "costs"):
         assert list(getattr(run, derived)())[:until] == \
             list(getattr(entelechial, derived)())[:until]
+    assert list(itertools.islice(csv_lines(step_csv_rows(run)), until)) == \
+        list(itertools.islice(csv_lines(step_csv_rows(entelechial)), until))
 
 
 def test_bursty_readme_trace_matches_oracle():
@@ -389,17 +391,83 @@ def test_walk_matches_oracle(y_min, span, offset, step_prob, seed, steps):
 @example(ys=[3, 1], predictor=WindowMax(8))
 @example(ys=[3, 1], predictor=EwmaPlusSlope())
 @example(ys=[1, 5, 2, 2, 6, 1], predictor=WindowMax(1))
-def test_predictions_match_the_observe_predict_loop(ys, predictor):
-    """One ``predictions`` call gives the floats of the observe/predict loop
-    bit for bit, for windows shorter and longer than the trace, and for
-    windows of 1, n//2, n-1, n and n+1 steps of an n-step trace."""
+@example(ys=[(7 * t) % 6 + 1 for t in range(300)], predictor=WindowMax(40))
+def test_yields_match_the_observe_predict_loop(ys, predictor):
+    """One ``yields`` call gives the yields of the observe/predict loop and
+    the per-step yield rule, for windows shorter and longer than the trace,
+    and for windows of 1, n//2, n-1, n, n+1 and ``sys.maxsize`` steps of an
+    n-step trace."""
     n = len(ys)
-    windows = {w for w in (1, n // 2, n - 1, n, n + 1) if w >= 1}
+    windows = {w for w in (1, n // 2, n - 1, n, n + 1, sys.maxsize) if w >= 1}
     for predictor in (predictor, *map(WindowMax, sorted(windows))):
-        _, expected, _ = predict_yields(ys, predictor, 1.0)
-        columns = predictor.predictions(tuple(ys))
-        assert type(columns) is array and columns.typecode == "d"
-        assert [p.hex() for p in columns] == [p.hex() for p in expected]
+        assert_yields_match_oracle(ys, predictor)
+
+
+# A ramp falling from ``top`` by ``drop`` a step, then flat at 1: the slope
+# turns negative, so a long horizon predicts below 0 and the yield is 1.
+falling_ramps = st.builds(lambda top, drop, steps: [max(1, top - drop * t)
+                                                     for t in range(steps)],
+                          st.integers(1, 80), st.integers(1, 8), st.integers(1, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ys=falling_ramps, alpha=st.floats(0.05, 1.0), horizon=st.integers(1, 50))
+@example(ys=[max(1, 30 - 3 * t) for t in range(15)], alpha=0.5, horizon=50)
+def test_ewma_yields_match_the_oracle_on_falling_ramps(ys, alpha, horizon):
+    assert_yields_match_oracle(ys, EwmaPlusSlope(alpha, horizon))
+
+
+@pytest.mark.parametrize("horizon", [2, 3, 5, 10, 50])
+def test_ewma_yields_clamp_at_1_where_the_prediction_is_negative(horizon):
+    ys = [max(1, 30 - 3 * t) for t in range(15)]
+    predictor = EwmaPlusSlope(alpha=0.5, horizon=horizon)
+    _, predictions, _ = predict_yields(ys, predictor, 1.0)
+    negative = [t for t, prediction in enumerate(predictions) if prediction < 0]
+    assert negative  # the clamp acts
+    assert {predictor.yields(tuple(ys))[t] for t in negative} == {1}
+    assert_yields_match_oracle(ys, predictor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ys=plain_traces | st.integers(1, 2**40).flatmap(
+           lambda y: st.integers(1, 60).map(lambda steps: [y] * steps)),
+       alpha=st.sampled_from([0.5, 1.0]), horizon=st.integers(1, 50))
+@example(ys=[4] * 21, alpha=0.5, horizon=2)
+@example(ys=[4] * 21, alpha=1.0, horizon=50)
+@example(ys=[1, 3, 6, 2, 2], alpha=1.0, horizon=3)
+def test_ewma_yields_where_the_prediction_is_an_integer(ys, alpha, horizon):
+    """A constant trace keeps the prediction on its integer demand at any
+    alpha that halves exactly, and alpha 1.0 predicts y + horizon * (the
+    last change) on any trace: each yield is the next integer, or 1."""
+    predictor = EwmaPlusSlope(alpha, horizon)
+    _, predictions, _ = predict_yields(ys, predictor, 1.0)
+    if len(set(ys)) == 1 or alpha == 1.0:
+        assert all(prediction == int(prediction) for prediction in predictions)
+        assert predictor.yields(tuple(ys)) == tuple(max(1, int(prediction) + 1)
+                                                  for prediction in predictions)
+    assert_yields_match_oracle(ys, predictor)
+
+
+BEYOND_DOUBLES = 2**53 + 1  # the smallest positive int that no float holds
+
+
+@pytest.mark.parametrize("window", [1, 2, 8, 100])
+def test_window_max_yields_are_exact_above_2_to_the_53(window):
+    """A window maximum is an integer sample, so its yield is one above it
+    at any size: a steady demand of 2**53 + 1 is delivered at every step."""
+    ys = [BEYOND_DOUBLES] * 20 + [1, BEYOND_DOUBLES + 2, 3]
+    run, _ = assert_entelechial_matches_oracle(ys, WindowMax(window), 1.5)
+    assert run.header["bootstrap_yield"] == run.yields[0] == BEYOND_DOUBLES + 1
+    assert run.yields[:20] == (BEYOND_DOUBLES + 1,) * 20
+    assert run.delivered[:20] == b"\x01" * 20
+
+
+def test_ewma_bootstrap_yield_is_its_first_yield():
+    """EWMA predicts from floats, so y(0) = 2**53 + 1 is predicted as 2**53
+    and Y(0) = y(0) undershoots; the header states that Y(0)."""
+    run, _ = assert_entelechial_matches_oracle([BEYOND_DOUBLES, 1], EwmaPlusSlope(), 1.5)
+    assert run.header["bootstrap_yield"] == run.yields[0] == BEYOND_DOUBLES
+    assert run.delivered[0] == 0
 
 
 def test_a_trace_keeps_the_columns_of_its_last_predictor_pass():
@@ -746,6 +814,25 @@ def test_antifragile_step_csv_across_block_boundaries_matches_oracle(
     if review_every < 4_095:
         assert (steps - run.mutation_step) % depth == 1  # a trailing one-step block
     assert_blocks_of_whole_lines(step_csv_rows(run), steps)
+
+
+@pytest.mark.parametrize("steps, review_every", [(4_095, 8), (4_096, 7), (4_097, 8)])
+def test_step_lines_take_cost_and_algorithm_from_their_segment(steps, review_every):
+    """(y, Y, delivered) = (2, 3, true) on both sides of the mutation: before
+    it the line has cost Y and "repetition", after it cost 2 and
+    "interleaved", and in the trailing one-step block cost 1."""
+    config = AntifragileEvolving(predictor=WindowMax(1), epsilon=1.0,
+                                 epochs_per_review=review_every,
+                                 burstiness_threshold=0.0, interleave_depth=2)
+    run, _ = assert_antifragile_matches_oracle([1, 5, 5] + [2] * (steps - 3), config)
+    assert run.mutation_step == review_every
+    lines = list(csv_lines(step_csv_rows(run)))
+    assert len(lines) == steps
+    tail = ",2,3,true,overshoot,1"
+    assert lines[review_every - 1] == f"{review_every - 1}{tail},3,repetition\n"
+    assert lines[review_every] == f"{review_every}{tail},2,interleaved\n"
+    assert lines[-2] == f"{steps - 2}{tail},2,interleaved\n"
+    assert lines[-1] == f"{steps - 1}{tail},1,interleaved\n"
 
 
 def test_a_percent_in_a_step_tail_is_written_literally(monkeypatch):
