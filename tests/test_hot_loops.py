@@ -424,7 +424,8 @@ def test_ewma_yields_clamp_at_1_where_the_prediction_is_negative(horizon):
     _, predictions, _ = predict_yields(ys, predictor, 1.0)
     negative = [t for t, prediction in enumerate(predictions) if prediction < 0]
     assert negative  # the clamp acts
-    assert {predictor.yields(tuple(ys))[t] for t in negative} == {1}
+    yields = predictor.yields(tuple(ys))
+    assert {yields[t] for t in negative} == {1}
     assert_yields_match_oracle(ys, predictor)
 
 
