@@ -23,6 +23,15 @@ CARDINALITY_BITS = 29
 MAX_CARDINALITY = 1 << CARDINALITY_BITS  # exclusive upper bound
 
 
+def check_keys(data: dict, allowed: tuple[str, ...], what: str) -> None:
+    """A ``ValueError`` naming the first key of ``data`` outside ``allowed``:
+    a misspelt key must not read as an absent one."""
+    for key in data:
+        if key not in allowed:
+            raise ValueError(
+                f"{what}: unknown key {key!r}, expected one of {', '.join(allowed)}")
+
+
 class BehaviorClass(Enum):
     """The five behavior classes, ordered from least to most complex."""
 
@@ -85,6 +94,7 @@ class FigureSpec:
     def from_dict(cls, data: dict) -> "FigureSpec":
         if not isinstance(data, dict):
             raise ValueError("figures must be an object")
+        check_keys(data, ("named", "cardinality"), "figures")
         if "named" in data and "cardinality" in data:
             raise ValueError("figures must have exactly one of 'named' or 'cardinality'")
         if "named" in data:
@@ -117,6 +127,7 @@ class BehaviorDescriptor:
     def from_dict(cls, data: dict) -> "BehaviorDescriptor":
         if not isinstance(data, dict):
             raise ValueError("descriptor must be an object")
+        check_keys(data, ("class", "figures", "social"), "descriptor")
         try:
             klass = BehaviorClass(data["class"])
         except (KeyError, ValueError) as exc:

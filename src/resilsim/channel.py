@@ -748,8 +748,7 @@ class KnowledgeStore:
     def __init__(self, entries: list[dict] | None = None):
         self._entries: dict[str, dict] = {}
         for entry in entries or []:
-            self._validate(entry)
-            self._entries[entry["signature"]] = dict(entry)
+            self.put(entry)
 
     @staticmethod
     def _validate(entry: dict) -> None:

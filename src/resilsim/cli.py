@@ -87,7 +87,6 @@ _TYPES = {
     int: (f"an integer between -{sys.maxsize} and {sys.maxsize}",
           lambda v: _is_int(v) and abs(v) <= sys.maxsize),
     float: ("a finite number", _is_number),
-    float | None: ("a finite number or null", lambda v: v is None or _is_number(v)),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     frozenset[str]: ("a list of strings (figure names must be non-empty strings)",
                      lambda v: isinstance(v, list)

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .behavior import BehaviorClass, BehaviorDescriptor
+from .behavior import BehaviorClass, BehaviorDescriptor, check_keys
 from .fitness import Direction, resolve_direction
 
 # Figure names that mark an analyze organ as aware of the risk of
@@ -95,6 +95,8 @@ class CyberneticClass:
     def from_dict(cls, data: dict) -> "CyberneticClass":
         if not isinstance(data, dict):
             raise ValueError("cybernetic class must be an object")
+        check_keys(data, (*(organ.value for organ in Organ), "k_stateful"),
+                   "cybernetic class")
 
         def load(key: str) -> BehaviorDescriptor | None:
             value = data.get(key)

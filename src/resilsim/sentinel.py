@@ -8,7 +8,8 @@ more susceptible companion systems ("canaries") that do perceive the
 threat figure, and monitoring their failures, augments the miner's
 perception organ into a social, collective one whose behavior now sits
 above the mine's. The canary pool doubles as a live estimator of supply
-and fit; an evacuation policy turns the estimate into survival.
+and fit; evacuating when the supply estimate drops below the miner's
+threshold turns the estimate into survival.
 
 All randomness flows from a single per-run seed.
 """
@@ -122,21 +123,8 @@ class CollectiveMC:
 
 
 @dataclass(frozen=True)
-class EvacuationPolicy:
-    """Optional fit-based evacuation trigger on top of the supply margin.
-
-    The primary trigger lives on the miner (evacuate when estimated supply
-    drops below its threshold); a fit threshold here additionally triggers
-    when the estimated fit falls below it, which in practice catches the
-    FLOAT_MIN sentinel of outright undersupply.
-    """
-
-    fit_threshold: float | None = None
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Mine, miner, canary template, pool size, and evacuation policy.
+    """Mine, miner, canary template and pool size.
 
     Construction checks the structural relations the scenario relies on.
     The canary perceives the threat figure and the miner does not (their
@@ -154,7 +142,6 @@ class Scenario:
     miner: Miner = field(default_factory=Miner)
     canary: Canary = field(default_factory=Canary)
     pool_size: int = 100
-    policy: EvacuationPolicy = EvacuationPolicy()
 
     def __post_init__(self) -> None:
         if self.pool_size < 0:
@@ -230,8 +217,7 @@ def estimate_supply(pool: CanaryPool) -> float:
 def estimate_fit(pool: CanaryPool) -> float:
     """Fit estimate from the supply estimate; FLOAT_MIN on undersupply. The
     pool's fit on the calculus surface, and a span the benchmark traces;
-    ``simulate`` and ``trace.csv`` apply ``fit_of_supply`` to a supply they
-    hold."""
+    ``trace.csv`` applies ``fit_of_supply`` to the supplies it writes."""
     return fit_of_supply(estimate_supply(pool))
 
 
@@ -294,12 +280,17 @@ CURVE_CSV_HEADER = ("f", "supply", "fit")
 
 
 class _TraceFormats(dict):
-    """A ``trace.csv`` line's ``%`` format by its (pool size, mine state,
-    canaries, miner alive, evacuated), built on first lookup: ``%d`` for
-    ``t``, then the cells; the estimates are empty without a pool."""
+    """A ``trace.csv`` line's ``%`` format in a pool of ``pool_size`` by its
+    (mine state, canaries, miner alive, evacuated), built on first lookup:
+    ``%d`` for ``t``, then the cells; the estimates are empty without a
+    pool."""
+
+    def __init__(self, pool_size: int):
+        self.pool_size = pool_size
 
     def __missing__(self, key: tuple) -> str:
-        pool_size, mine_state, canaries, *flags = key
+        mine_state, canaries, *flags = key
+        pool_size = self.pool_size
         estimate = ","
         if pool_size >= 1:
             supply_est = _supply(pool_size, pool_size - canaries)
@@ -315,12 +306,12 @@ def scenario_csv_rows(run: ScenarioRun) -> Iterator[str]:
     """The scenario CSV's lines after the header, made as they are read, in
     blocks of up to 4 096. The miner is alive before ``miner_failed_step``
     and evacuated from ``evacuation_step`` on."""
-    pool_size, n = run.header["pool_size"], len(run.steps)
+    n = len(run.steps)
     failed_at, evac_at = run.miner_failed_step, run.evacuation_step
     alive = chain(repeat(True, n if failed_at is None else failed_at), repeat(False))
     evacuated = chain(repeat(False, n if evac_at is None else evac_at), repeat(True))
-    keys = zip(repeat(pool_size), run.mine_state, run.canaries_alive, alive, evacuated)
-    formats = map(_TraceFormats().__getitem__, keys)
+    keys = zip(run.mine_state, run.canaries_alive, alive, evacuated)
+    formats = map(_TraceFormats(run.header["pool_size"]).__getitem__, keys)
     for start in range(0, n, 4096):
         yield "".join(islice(formats, 4096)) % tuple(run.steps[start:start + 4096])
 
@@ -360,9 +351,9 @@ def simulate(
     """Run the scenario for a number of steps under one seed.
 
     Step order: the mine state evolves; live canaries roll their hazard
-    while the state is threatening; the miner (if present) reads the pool
-    estimates and may evacuate, irreversibly; a non-evacuated miner then
-    rolls its own hazard while the threat persists. With an empty pool no
+    while the state is threatening; the miner evacuates, irreversibly, when
+    the pool's supply estimate is below its threshold; a non-evacuated miner
+    then rolls its own hazard while the threat persists. With an empty pool no
     estimates exist and the miner never evacuates.
 
     A step costs one random draw per live canary while the mine threatens,
@@ -383,7 +374,6 @@ def simulate(
     canary_hazard = scenario.canary.hazard_ts
     miner_hazard = scenario.miner.hazard_ts
     threshold = scenario.miner.evacuation_threshold
-    fit_threshold = scenario.policy.fit_threshold
     threatening = False
     decided = False
     evacuation_step: int | None = None
@@ -397,14 +387,10 @@ def simulate(
             pool.step_threatened(rng, canary_hazard)
 
         if not decided:
-            if pool.size >= 1:
-                supply_est = estimate_supply(pool)
-                if supply_est < threshold or (
-                        fit_threshold is not None
-                        and fit_of_supply(supply_est) < fit_threshold):
-                    decided = True
-                    evacuation_step = t
-            if threatening and not decided and draw() < miner_hazard:
+            if pool.size >= 1 and estimate_supply(pool) < threshold:
+                decided = True
+                evacuation_step = t
+            elif threatening and draw() < miner_hazard:
                 decided = True
                 miner_failed_step = t
 
@@ -420,7 +406,8 @@ def simulate(
         "canary_hazard_ts": canary_hazard,
         "miner_hazard_ts": miner_hazard,
         "evacuation_threshold": threshold,
-        "fit_threshold": fit_threshold,
+        # Always null: perfbench/golden.json pins it until its next regeneration.
+        "fit_threshold": None,
         "steps": steps,
         "seed": seed,
     }

@@ -208,7 +208,7 @@ def oracles_agree() -> None:
       run over 5 000 bursty steps, which mutates and violates identity;
     * sentinel runs, with ``until_decided`` off and on: the CSV lines, the
       columns, the decisions, the header and the summary, for the README
-      scenario, no canaries and ``ODD_POOL_FIT_POLICY`` at seeds 0 to 19
+      scenario, no canaries and ``ODD_POOL`` at seeds 0 to 19
       over 500 steps, and ``sentinel-pool``'s pool of 10 000 over 2 000
       steps at its seed 3;
     * the supply/fit curve and ``curve.csv`` for pools 1 to 50, and the
@@ -220,7 +220,7 @@ def oracles_agree() -> None:
     ``tests/oracles.py`` that failed."""
     import traceback
 
-    from oracles import (COMPARE_DESCRIPTORS, EDGE_CASES, FIT_VARIANTS, ODD_POOL_FIT_POLICY,
+    from oracles import (COMPARE_DESCRIPTORS, EDGE_CASES, FIT_VARIANTS, ODD_POOL,
                          PREMISE_EXAMPLES, WALK_CASES, assert_antifragile_matches_oracle,
                          assert_compare_matches_oracle, assert_curve_matches_oracle,
                          assert_elastic_matches_oracle, assert_entelechial_matches_oracle,
@@ -283,7 +283,7 @@ def oracles_agree() -> None:
           assert_antifragile_matches_oracle, bursty(5_000), readme, variants=FIT_VARIANTS)
 
     scenarios = {"README": Scenario(), "no-canary": Scenario(pool_size=0),
-                 "odd-pool": ODD_POOL_FIT_POLICY}
+                 "odd-pool": ODD_POOL}
     cases = [(name, scenario, 500, seed) for name, scenario in scenarios.items()
              for seed in range(20)]
     cases.append(("pool-10000", Scenario(pool_size=10_000), 2_000, 3))

@@ -5,8 +5,11 @@ config at the relative path ``config.json`` and outputs under ``out/``
 (the manifest records the config path as given), and compares the sha256
 of every file the invocation wrote with the digests below. The digests
 were recorded from the code before the hot loops were made linear, those
-of the two single sentinel runs without canaries and with a fit policy
-from the code before sentinel runs were stored as columns, and those of
+of the two single sentinel runs without canaries and with evacuation at
+the first undersupply from the code before sentinel runs were stored as
+columns (the latter's ``summary.json`` since its config traded a fit
+threshold of 1e-20 and an evacuation threshold of -1000 for an evacuation
+threshold of 0, which moved only those two header fields), and those of
 the jitter case on Python 3.11 from the code before the jitter was
 computed in integers (3.10 then wrote other bytes), and those of the
 curve-and-batch and default-store cases from the code before every output
@@ -102,10 +105,11 @@ CASES = {
                       "epsilon": 1.5}},
         ["channel"],
     ),
-    # Evacuation through the fit threshold, at step 41.
+    # Evacuation at the first undersupplied step, whose fit is float_min:
+    # step 41.
     "sentinel-fit-policy": (
-        {"miner": {"evacuation_threshold": -1000.0}, "canary": {"hazard_ts": 0.5},
-         "policy": {"fit_threshold": 1e-20}, "pool_size": 20, "steps": 500, "seed": 0},
+        {"miner": {"evacuation_threshold": 0.0}, "canary": {"hazard_ts": 0.5},
+         "pool_size": 20, "steps": 500, "seed": 0},
         ["sentinel"],
     ),
 }
@@ -168,7 +172,7 @@ GOLDEN = {
     },
     "sentinel-fit-policy": {
         "out/manifest.json": "fd19b2f90f7eb88aa6fcc8e3a9b9d59a9cee8f79ad394ad72c5d01d388f0d5f8",
-        "out/summary.json": "f6e9d8c09f2190f6a0c633ecaca913a41eb3a34f62d8e0fd093396fc13355855",
+        "out/summary.json": "46b2fff7e49c7ca3bf69e6cc79f95d3ed5b9f05f7bed8a89d89818acfe4af200",
         "out/trace.csv": "6335b84e70604c76415c5a96bcc3cd06c0a4854378bf1c6d74ff8ad87fe1e72d",
     },
 }

@@ -85,7 +85,6 @@ from resilsim.sentinel import (
     FLOAT_MIN_LABEL,
     Canary,
     CoalMine,
-    EvacuationPolicy,
     Miner,
     Scenario,
     curve_csv_rows,
@@ -600,10 +599,7 @@ def oracle_simulate(scenario, steps, seed, until_decided=False):
             supply_est = scenario.pool_size / 2.0 - (scenario.pool_size - alive)
             fit_est = 1.0 / (1.0 + supply_est) if supply_est >= 0 else FLOAT_MIN
             if miner_alive and not evacuated:
-                trigger = supply_est < scenario.miner.evacuation_threshold
-                if scenario.policy.fit_threshold is not None:
-                    trigger = trigger or fit_est < scenario.policy.fit_threshold
-                if trigger:
+                if supply_est < scenario.miner.evacuation_threshold:
                     evacuated = True
                     evacuation_step = t
 
@@ -631,7 +627,7 @@ def oracle_simulate(scenario, steps, seed, until_decided=False):
         "canary_hazard_ts": scenario.canary.hazard_ts,
         "miner_hazard_ts": scenario.miner.hazard_ts,
         "evacuation_threshold": scenario.miner.evacuation_threshold,
-        "fit_threshold": scenario.policy.fit_threshold,
+        "fit_threshold": None,
         "steps": steps,
         "seed": seed,
     }
@@ -646,13 +642,12 @@ def oracle_simulate(scenario, steps, seed, until_decided=False):
     )
 
 
-# An odd pool under constant threat with a fit policy: x.5 supplies, then
-# the FLOAT_MIN sentinel of undersupply.
-ODD_POOL_FIT_POLICY = Scenario(
+# An odd pool under constant threat whose miner evacuates on undersupply:
+# x.5 supplies, then the FLOAT_MIN sentinel of undersupply.
+ODD_POOL = Scenario(
     mine=CoalMine(p_enter_ts=1.0, p_exit_ts=0.0),
-    miner=Miner(hazard_ts=0.0, evacuation_threshold=-1000.0),
+    miner=Miner(hazard_ts=0.0, evacuation_threshold=0.0),
     canary=Canary(hazard_ts=0.5), pool_size=7,
-    policy=EvacuationPolicy(fit_threshold=1e-20),
 )
 
 

@@ -672,7 +672,7 @@ class TestSentinelCommand:
     @pytest.mark.parametrize("path, value, where", [
         (("miner", "hazard_ts"), "0.3", "miner.hazard_ts"),
         (("miner", "evacuation_threshold"), "x", "miner.evacuation_threshold"),
-        (("policy", "fit_threshold"), "x", "policy.fit_threshold"),
+        (("policy",), {"fit_threshold": 1e-20}, "policy: unknown key"),
         (("mine", "p_enter_ts"), [1], "mine.p_enter_ts"),
         (("mine", "figures"), "tgas", "mine.figures"),
         (("canary", "hazard_ts"), float("inf"), "canary.hazard_ts"),
@@ -687,22 +687,12 @@ class TestSentinelCommand:
                                                      value, where):
         config = write_json(tmp_path / "config.json",
                             edited({**SENTINEL_CONFIG, "mine": {}, "miner": {},
-                                    "canary": {}, "policy": {}}, path, value))
+                                    "canary": {}}, path, value))
         out = tmp_path / "out"
         assert main(["sentinel", "-c", config, "-o", str(out)]) == 2
         message = capsys.readouterr().err
         assert message.startswith(f"config error: {where}")
         assert not out.exists()
-
-    def test_null_fit_threshold_is_the_default(self, tmp_path):
-        outputs = []
-        for policy in ({}, {"fit_threshold": None}):
-            config = write_json(tmp_path / "config.json",
-                                {**SENTINEL_CONFIG, "policy": policy})
-            out = tmp_path / f"out{len(outputs)}"
-            assert main(["sentinel", "-c", config, "-o", str(out)]) == 0
-            outputs.append(read_tree(out))
-        assert outputs[0] == outputs[1]
 
 
 class TestCompareCommand:
@@ -804,6 +794,21 @@ class TestCompareCommand:
         assert main(["compare", a, b]) == 2
         message = capsys.readouterr().err
         assert message.startswith(f"config error: {a}: figures.")
+
+    @pytest.mark.parametrize("organs, data, key", [
+        (False, {"class": "purposeful", "figures": {"named": ["a"]}, "socail": True},
+         "socail"),
+        (False, {"class": "purposeful", "figures": {"named": ["a"], "cardinalty": 1}},
+         "cardinalty"),
+        (True, {"monitor": MINER_DESCRIPTOR, "k_stateful": False}, "monitor"),
+    ], ids=["descriptor", "figures", "organs"])
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, organs, data, key):
+        a = write_json(tmp_path / "a.json", data)
+        flags = ["--organs"] if organs else []
+        assert main(["compare", a, a, *flags]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith(f"config error: {a}: ")
+        assert f"unknown key {key!r}" in message
 
 
 # One config section per kind, with every key away from its default.
@@ -1015,9 +1020,8 @@ CONFIG_KEYS = st.sampled_from(sorted({
     "burst_correlated", "yield_point", "predictor", "window", "alpha", "horizon",
     "epsilon", "epochs_per_review", "identity_profile", "jitter_bound",
     "burstiness_threshold", "interleave_depth", "mine", "miner", "canary",
-    "policy", "pool_size", "figures", "p_enter_ts", "p_exit_ts", "hazard_ts",
-    "evacuation_threshold", "fit_threshold", "class", "social", "named",
-    "cardinality",
+    "pool_size", "figures", "p_enter_ts", "p_exit_ts", "hazard_ts",
+    "evacuation_threshold", "class", "social", "named", "cardinality",
 })) | st.text(max_size=6)
 KNOWN_GOOD = [
     ("channel", CHANNEL_CONFIG),

@@ -56,7 +56,6 @@ from resilsim.sentinel import (
     Canary,
     CanaryPool,
     CoalMine,
-    EvacuationPolicy,
     Miner,
     Scenario,
     curve_csv_rows,
@@ -70,7 +69,7 @@ from resilsim.sentinel import (
 from oracles import (
     EDGE_CASES,
     FIT_VARIANTS,
-    ODD_POOL_FIT_POLICY,
+    ODD_POOL,
     PREMISE_EXAMPLES,
     WALK_CASES,
     OraclePool,
@@ -578,17 +577,14 @@ def test_pool_matches_oracle_count_and_rng_state(size, seed, hazards):
 
 
 scenarios = st.builds(
-    lambda p_enter, p_exit, miner_hazard, threshold, canary_hazard, pool,
-    fit_threshold: Scenario(
+    lambda p_enter, p_exit, miner_hazard, threshold, canary_hazard, pool: Scenario(
         mine=CoalMine(p_enter_ts=p_enter, p_exit_ts=p_exit),
         miner=Miner(hazard_ts=miner_hazard, evacuation_threshold=threshold),
         canary=Canary(hazard_ts=canary_hazard),
         pool_size=pool,
-        policy=EvacuationPolicy(fit_threshold=fit_threshold),
     ),
     st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.5),
     st.floats(-60.0, 40.0), st.floats(0.0, 1.0), st.integers(0, 61),
-    st.one_of(st.none(), st.just(1e-20), st.floats(0.0, 1.0)),
 )
 
 
@@ -596,7 +592,7 @@ scenarios = st.builds(
 @given(scenario=scenarios, steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
        until_decided=st.booleans())
 @example(scenario=Scenario(pool_size=0), steps=20, seed=0, until_decided=False)
-@example(scenario=ODD_POOL_FIT_POLICY, steps=30, seed=1, until_decided=True)
+@example(scenario=ODD_POOL, steps=30, seed=1, until_decided=True)
 def test_simulate_matches_oracle(scenario, steps, seed, until_decided):
     assert_run_matches_oracle(scenario, steps, seed, until_decided)
 
@@ -610,9 +606,9 @@ SCENARIOS = {
     "no-canaries": Scenario(pool_size=0),
     "hazardous": Scenario(mine=CoalMine(p_enter_ts=0.05, p_exit_ts=0.05),
                           miner=Miner(hazard_ts=0.1), pool_size=30),
-    "fit-policy": Scenario(miner=Miner(evacuation_threshold=-1000.0),
-                           canary=Canary(hazard_ts=0.5),
-                           policy=EvacuationPolicy(fit_threshold=1e-20)),
+    # Evacuation at the first undersupplied step, where the fit is float_min.
+    "fit-policy": Scenario(miner=Miner(evacuation_threshold=0.0),
+                           canary=Canary(hazard_ts=0.5)),
 }
 
 
@@ -679,13 +675,13 @@ def test_survival_rate_calls_simulate_through_module_global(monkeypatch):
 @given(scenario=scenarios, steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
        until_decided=st.booleans())
 @example(scenario=Scenario(pool_size=0), steps=20, seed=0, until_decided=False)
-@example(scenario=ODD_POOL_FIT_POLICY, steps=30, seed=1, until_decided=False)
+@example(scenario=ODD_POOL, steps=30, seed=1, until_decided=False)
 def test_scenario_csv_lines_match_oracle(scenario, steps, seed, until_decided):
     assert_run_matches_oracle(scenario, steps, seed, until_decided)
 
 
 def test_odd_pool_example_writes_half_supplies_and_float_min():
-    text = "".join(scenario_csv_rows(simulate(ODD_POOL_FIT_POLICY, 30, seed=1)))
+    text = "".join(scenario_csv_rows(simulate(ODD_POOL, 30, seed=1)))
     assert ",0.5," in text and ",-1.5,float_min," in text
 
 

@@ -12,7 +12,6 @@ from resilsim.sentinel import (
     Canary,
     CanaryPool,
     CoalMine,
-    EvacuationPolicy,
     Miner,
     Scenario,
     curve_csv_rows,
@@ -232,14 +231,13 @@ class TestSimulate:
         c = simulate(scenario, 200, seed=8)
         assert list(scenario_csv_rows(a)) != list(scenario_csv_rows(c))
 
-    def test_fit_threshold_policy_triggers_on_sentinel(self):
-        # A fit threshold below any attainable fit value only fires on the
-        # FLOAT_MIN sentinel, i.e. on outright undersupply.
+    def test_zero_threshold_evacuates_at_the_first_undersupply(self):
+        # A threshold of 0 fires on outright undersupply, the step whose fit
+        # is the FLOAT_MIN sentinel.
         scenario = Scenario(
             mine=CoalMine(p_enter_ts=1.0, p_exit_ts=0.0),
-            miner=Miner(hazard_ts=0.0, evacuation_threshold=-1000.0),
+            miner=Miner(hazard_ts=0.0, evacuation_threshold=0.0),
             canary=Canary(hazard_ts=1.0),
-            policy=EvacuationPolicy(fit_threshold=1e-20),
         )
         run = simulate(scenario, 3, seed=0)
         assert run.evacuation_step == 0
