@@ -15,21 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
-
-from .errors import CardinalityOverflow
 
 CARDINALITY_BITS = 29
 MAX_CARDINALITY = 1 << CARDINALITY_BITS  # exclusive upper bound
-
-
-def check_keys(data: dict, allowed: tuple[str, ...], what: str) -> None:
-    """A ``ValueError`` naming the first key of ``data`` outside ``allowed``:
-    a misspelt key must not read as an absent one."""
-    for key in data:
-        if key not in allowed:
-            raise ValueError(
-                f"{what}: unknown key {key!r}, expected one of {', '.join(allowed)}")
 
 
 class BehaviorClass(Enum):
@@ -55,32 +43,28 @@ class FigureSpec:
     """Context figures a behavior manifests through.
 
     Either a concrete set of figure names, or only how many figures there
-    are (the "order" of the behavior) when the names are not specified.
-    Use :meth:`named` or :meth:`of_order` instead of the raw constructor.
+    are (the "order" of the behavior) when the names are not specified:
+    give exactly one of ``names`` and ``count``. A named spec's count is
+    its number of distinct names. Either way the count fits the 29 bits
+    that :func:`encode` gives it.
     """
 
     names: frozenset[str] | None = None
-    count: int = 0
+    count: int | None = None
+    config_keys = {"names": "named", "count": "cardinality"}
 
     def __post_init__(self) -> None:
+        if (self.names is None) == (self.count is None):
+            raise ValueError("exactly one of named and cardinality must be given")
         if self.names is not None:
             names = frozenset(self.names)
-            for name in names:
-                if not isinstance(name, str) or not name:
-                    raise ValueError("figure names must be non-empty strings")
+            if not all(isinstance(name, str) and name for name in names):
+                raise ValueError("figure names must be non-empty strings")
             object.__setattr__(self, "names", names)
             object.__setattr__(self, "count", len(names))
-        else:
-            if not isinstance(self.count, int) or self.count < 0:
-                raise ValueError("cardinality must be a non-negative integer")
-
-    @classmethod
-    def named(cls, figures: Iterable[str]) -> "FigureSpec":
-        return cls(names=frozenset(figures))
-
-    @classmethod
-    def of_order(cls, n: int) -> "FigureSpec":
-        return cls(names=None, count=n)
+        if not 0 <= self.count < MAX_CARDINALITY:
+            raise ValueError(
+                f"cardinality must be in [0, {MAX_CARDINALITY}), got {self.count}")
 
     @property
     def is_named(self) -> bool:
@@ -90,30 +74,6 @@ class FigureSpec:
     def cardinality(self) -> int:
         return self.count
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FigureSpec":
-        if not isinstance(data, dict):
-            raise ValueError("figures must be an object")
-        check_keys(data, ("named", "cardinality"), "figures")
-        if "named" in data and "cardinality" in data:
-            raise ValueError("figures must have exactly one of 'named' or 'cardinality'")
-        if "named" in data:
-            names = data["named"]
-            if not isinstance(names, list) \
-                    or not all(isinstance(name, str) for name in names):
-                raise ValueError(
-                    f"figures.named must be a list of strings, got {names!r}"
-                )
-            return cls.named(names)
-        if "cardinality" in data:
-            count = data["cardinality"]
-            if isinstance(count, bool) or not isinstance(count, int) \
-                    or not 0 <= count < MAX_CARDINALITY:
-                raise ValueError(f"figures.cardinality must be an integer in "
-                                 f"[0, {MAX_CARDINALITY}), got {count!r}")
-            return cls.of_order(count)
-        raise ValueError("figures must have one of 'named' or 'cardinality'")
-
 
 @dataclass(frozen=True)
 class BehaviorDescriptor:
@@ -122,21 +82,7 @@ class BehaviorDescriptor:
     klass: BehaviorClass
     figures: FigureSpec
     social: bool = False
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BehaviorDescriptor":
-        if not isinstance(data, dict):
-            raise ValueError("descriptor must be an object")
-        check_keys(data, ("class", "figures", "social"), "descriptor")
-        try:
-            klass = BehaviorClass(data["class"])
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad behavior class: {data.get('class')!r}") from exc
-        figures = FigureSpec.from_dict(data.get("figures", {}))
-        social = data.get("social", False)
-        if not isinstance(social, bool):
-            raise ValueError("social must be a boolean")
-        return cls(klass, figures, social)
+    config_keys = {"klass": "class"}
 
 
 def precedes_by_inclusion(b1: BehaviorDescriptor, b2: BehaviorDescriptor) -> bool:
@@ -184,12 +130,7 @@ def encode(b: BehaviorDescriptor) -> int:
     Bits 31..29 hold the class rank, bits 28..0 the figure cardinality.
     The social flag is deliberately not encoded.
     """
-    n = b.figures.cardinality
-    if n >= MAX_CARDINALITY:
-        raise CardinalityOverflow(
-            f"cardinality {n} does not fit in {CARDINALITY_BITS} bits"
-        )
-    return (b.klass.rank << CARDINALITY_BITS) | n
+    return (b.klass.rank << CARDINALITY_BITS) | b.figures.cardinality
 
 
 def distance(b1: BehaviorDescriptor, b2: BehaviorDescriptor) -> int:

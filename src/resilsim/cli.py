@@ -113,12 +113,27 @@ def _section(config, path: str, allowed=None) -> dict:
 
 
 def _value(annotation, value, path: str):
-    """``value`` checked against a parameter's ``annotation``: a dataclass is
-    a nested section, a type of ``_TYPES`` a checked value, and any other
-    annotation a union of classes that each declare ``kind``, whose section's
-    ``kind`` key picks the member."""
+    """``value`` checked against a parameter's ``annotation``: ``X | None``
+    takes JSON null as None and any other value as an ``X``, an ``Enum`` is
+    the member with that value, a dataclass is a nested section, a type of
+    ``_TYPES`` a checked value, and any other annotation a union of classes
+    that each declare ``kind``, whose section's ``kind`` key picks the
+    member."""
     from dataclasses import is_dataclass
+    from enum import Enum
 
+    members = getattr(annotation, "__args__", ())
+    if type(None) in members:
+        if value is None:
+            return None
+        (annotation,) = (member for member in members if member is not type(None))
+    if isinstance(annotation, type) and issubclass(annotation, Enum):
+        try:
+            return annotation(value)
+        except ValueError:
+            raise ConfigError(
+                f"{path} must be one of {', '.join(m.value for m in annotation)}, "
+                f"got {value!r}") from None
     if is_dataclass(annotation):
         return _build(annotation, value, path)
     if annotation not in _TYPES:
@@ -430,11 +445,12 @@ def cmd_sentinel(config_path: str, out_dir: str, curve: int | None = None,
 
 
 def _load(cls, path: str):
-    """The ``cls`` (a descriptor or an organ tuple) that the JSON file holds."""
-    data = _load_json(path)
+    """The ``cls`` (a descriptor or an organ tuple) that the JSON file holds;
+    a config error in it starts with the file's path."""
+    config = _load_json(path)
     try:
-        return cls.from_dict(data)
-    except ValueError as exc:
+        return _build(cls, config, "")
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

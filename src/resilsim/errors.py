@@ -12,20 +12,12 @@ class ResilienceError(Exception):
     """Base class for package-specific errors."""
 
 
-class CardinalityOverflow(ResilienceError):
-    """Figure-set cardinality does not fit the 29-bit encoding field."""
-
-
 class IncommensurableBehaviors(ResilienceError):
     """Neither behavior precedes the other, so supply is undefined.
 
     Callers should treat this as the cue to consider a social behavior
     (augmenting perception through another system) rather than a number.
     """
-
-
-class ContainsUndershoot(ResilienceError):
-    """Cumulative overshoot was asked to integrate an undershoot record."""
 
 
 class EmptyTraceOverlap(ResilienceError):

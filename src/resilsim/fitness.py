@@ -22,7 +22,7 @@ from .behavior import (
     precedes,
     precedes_by_inclusion,
 )
-from .errors import ContainsUndershoot, EmptyTraceOverlap, IncommensurableBehaviors
+from .errors import EmptyTraceOverlap, IncommensurableBehaviors
 
 
 class Direction(Enum):
@@ -94,9 +94,6 @@ class FitOutcome:
     @property
     def lost_identity(self) -> bool:
         return self.value is None
-
-    def serialized(self) -> str:
-        return IDENTITY_LOSS_LABEL if self.value is None else repr(self.value)
 
 
 IDENTITY_LOSS = FitOutcome(None)
@@ -176,32 +173,17 @@ class ShootingRecord:
     when the two coincide.
     """
 
-    t: int
     kind: ShootKind
     magnitude: float
 
 
-def shooting(y: float, yield_point: float, t: int = 0) -> ShootingRecord:
+def shooting(y: float, yield_point: float) -> ShootingRecord:
     """Classify one step of a yielding-point run."""
     if y > yield_point:
-        return ShootingRecord(t, ShootKind.UNDERSHOOT, y - yield_point)
+        return ShootingRecord(ShootKind.UNDERSHOOT, y - yield_point)
     if yield_point > y:
-        return ShootingRecord(t, ShootKind.OVERSHOOT, yield_point - y)
-    return ShootingRecord(t, ShootKind.EXACT, yield_point - y)
-
-
-def cumulative_overshoot(records: Iterable[ShootingRecord], dt: float = 1.0) -> float:
-    """Left-Riemann discretization of the overshoot integral.
-
-    Accepts overshoot and exact records only; undershoot steps are
-    accounted separately by callers and raise here.
-    """
-    total = 0.0
-    for record in records:
-        if record.kind is ShootKind.UNDERSHOOT:
-            raise ContainsUndershoot(f"undershoot record at t={record.t}")
-        total += record.magnitude
-    return total * dt
+        return ShootingRecord(ShootKind.OVERSHOOT, yield_point - y)
+    return ShootingRecord(ShootKind.EXACT, yield_point - y)
 
 
 @dataclass(frozen=True)

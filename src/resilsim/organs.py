@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .behavior import BehaviorClass, BehaviorDescriptor, check_keys
+from .behavior import BehaviorClass, BehaviorDescriptor
 from .fitness import Direction, resolve_direction
 
 # Figure names that mark an analyze organ as aware of the risk of
@@ -66,6 +66,15 @@ class ResilienceClass(Enum):
     UNCLASSIFIED = "unclassified"
 
 
+_ORGAN_FIELDS = {
+    Organ.M: "monitor",
+    Organ.A: "analyze",
+    Organ.P: "plan",
+    Organ.E: "execute",
+    Organ.K: "knowledge",
+}
+
+
 @dataclass(frozen=True)
 class CyberneticClass:
     """The behaviors of a system's five resilience organs.
@@ -80,6 +89,7 @@ class CyberneticClass:
     execute: BehaviorDescriptor | None = None
     knowledge: BehaviorDescriptor | None = None
     k_stateful: bool = False
+    config_keys = {name: organ.value for organ, name in _ORGAN_FIELDS.items()}
 
     def __post_init__(self) -> None:
         if self.monitor is not None and self.monitor.klass is BehaviorClass.RANDOM:
@@ -90,32 +100,6 @@ class CyberneticClass:
 
     def organ(self, organ: Organ) -> BehaviorDescriptor | None:
         return getattr(self, _ORGAN_FIELDS[organ])
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CyberneticClass":
-        if not isinstance(data, dict):
-            raise ValueError("cybernetic class must be an object")
-        check_keys(data, (*(organ.value for organ in Organ), "k_stateful"),
-                   "cybernetic class")
-
-        def load(key: str) -> BehaviorDescriptor | None:
-            value = data.get(key)
-            return None if value is None else BehaviorDescriptor.from_dict(value)
-
-        stateful = data.get("k_stateful", False)
-        if not isinstance(stateful, bool):
-            raise ValueError("k_stateful must be a boolean")
-        return cls(k_stateful=stateful, **{
-            name: load(organ.value) for organ, name in _ORGAN_FIELDS.items()})
-
-
-_ORGAN_FIELDS = {
-    Organ.M: "monitor",
-    Organ.A: "analyze",
-    Organ.P: "plan",
-    Organ.E: "execute",
-    Organ.K: "knowledge",
-}
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ DEFAULT_CANARY_FIGURES = frozenset({"t", "gas_level", "noise"})
 
 def _monitor(figures: frozenset[str], social: bool = False) -> BehaviorDescriptor:
     """The monitor behavior of a system that purposefully perceives ``figures``."""
-    return BehaviorDescriptor(BehaviorClass.PURPOSEFUL, FigureSpec.named(figures), social)
+    return BehaviorDescriptor(BehaviorClass.PURPOSEFUL, FigureSpec(names=figures), social)
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class CoalMine:
     @property
     def behavior(self) -> BehaviorDescriptor:
         return BehaviorDescriptor(
-            BehaviorClass.RANDOM, FigureSpec.named(self.figures), social=False
+            BehaviorClass.RANDOM, FigureSpec(names=self.figures), social=False
         )
 
 

@@ -10,8 +10,7 @@ line events fire:
 
 * every case of ``golden_cases.CASES``;
 * ``compare`` on every ordered pair of ``oracles.COMPARE_DESCRIPTORS`` under
-  the default fit variant; its ``cardinality`` descriptors reach
-  ``FigureSpec.of_order``;
+  the default fit variant;
 * ``compare --organs`` on two fixed organ tuples.
 
 It lists every ``def`` in the package's modules with ``ast``. A function is

@@ -14,7 +14,7 @@ def descriptor_universe():
     for r in range(len(UNIVERSE_FIGURES) + 1):
         subsets.extend(itertools.combinations(UNIVERSE_FIGURES, r))
     return [
-        BehaviorDescriptor(klass, FigureSpec.named(subset), social)
+        BehaviorDescriptor(klass, FigureSpec(names=subset), social)
         for klass in BehaviorClass
         for subset in subsets
         for social in (False, True)
@@ -29,8 +29,8 @@ def universe():
 figure_names = st.sampled_from(["speed", "luminosity", "t", "gas", "noise", "x"])
 
 figure_specs = st.one_of(
-    st.frozensets(figure_names, max_size=5).map(FigureSpec.named),
-    st.integers(min_value=0, max_value=10_000).map(FigureSpec.of_order),
+    st.builds(FigureSpec, names=st.frozensets(figure_names, max_size=5)),
+    st.builds(FigureSpec, count=st.integers(min_value=0, max_value=10_000)),
 )
 
 descriptors = st.builds(

@@ -33,8 +33,9 @@ line used to write them.
 ``compare`` reads a descriptor pair's supply, fit and marker from the one
 point of ``fit_timeline``; ``oracle_compare`` is the earlier reading, from
 ``supply`` and ``fit`` one call at a time. The package reads descriptors
-and organ tuples from JSON but never writes them; ``oracle_dict`` is the
-writer that the round-trip tests check ``from_dict`` against.
+and organ tuples from JSON, through ``cli._build``, but never writes them;
+``oracle_dict`` is the writer that the round-trip tests check the loader
+against, and ``oracle_compare`` reads its descriptors without the loader.
 
 Each ``assert_*`` helper is the one statement of a comparison. They need
 no pytest, so ``tests/gates.py`` runs fixed cases through them on
@@ -57,8 +58,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from resilsim.behavior import (BehaviorDescriptor, FigureSpec, commensurable, distance,
-                               precedes)
+from resilsim.behavior import (BehaviorClass, BehaviorDescriptor, FigureSpec,
+                               commensurable, distance, precedes)
 from resilsim.channel import (
     ChannelTrace,
     KnowledgeStore,
@@ -256,7 +257,7 @@ def oracle_run_elastic(trace, yield_point):
         delivered = yield_point > y
         records.append(StepRecord(
             t=t, y=y, yield_point=yield_point, delivered=delivered,
-            shoot=shooting(y, yield_point, t), cost=yield_point,
+            shoot=shooting(y, yield_point), cost=yield_point,
             algorithm="repetition", delivered_at=t if delivered else None,
         ))
     return records
@@ -271,7 +272,7 @@ def oracle_run_entelechial(trace, predictor, epsilon):
         delivered = yields[t] > y
         records.append(StepRecord(
             t=t, y=y, yield_point=yields[t], delivered=delivered,
-            shoot=shooting(y, yields[t], t), cost=yields[t], algorithm="repetition",
+            shoot=shooting(y, yields[t]), cost=yields[t], algorithm="repetition",
             prediction=predictions[t], delivered_at=t if delivered else None,
         ))
     return records
@@ -413,7 +414,7 @@ def oracle_run_antifragile(trace, config, store):
     records = [
         StepRecord(
             t=t, y=y, yield_point=yields[t], delivered=delivered[t],
-            shoot=shooting(y, yields[t], t), cost=step_cost[t],
+            shoot=shooting(y, yields[t]), cost=step_cost[t],
             algorithm=step_algorithm[t], prediction=predictions[t],
             delivered_at=delivered_at[t],
         )
@@ -780,7 +781,7 @@ def assert_premise_matches_oracle(mine, miner, canary):
 
 
 def oracle_dict(value):
-    """The JSON object that ``from_dict`` reads back into ``value``, a
+    """The JSON object that ``cli._build`` reads back into ``value``, a
     ``FigureSpec``, ``BehaviorDescriptor`` or ``CyberneticClass`` (None for
     an absent organ). The package only reads these objects, so the round-trip
     tests write them with this."""
@@ -800,7 +801,13 @@ def oracle_compare(a, b, variant):
     """The text ``compare`` prints for the descriptor dicts ``a`` and ``b``
     under ``variant``: supply, then fit, or the marker where supply is
     undefined."""
-    x, y = BehaviorDescriptor.from_dict(a), BehaviorDescriptor.from_dict(b)
+    def descriptor(data):
+        figures = data["figures"]
+        spec = (FigureSpec(names=figures["named"]) if "named" in figures
+                else FigureSpec(count=figures["cardinality"]))
+        return BehaviorDescriptor(BehaviorClass(data["class"]), spec, data["social"])
+
+    x, y = descriptor(a), descriptor(b)
     result = {"precedes_ab": precedes(x, y), "precedes_ba": precedes(y, x),
               "commensurable": commensurable(x, y), "distance": distance(x, y),
               "fit_variant": variant.label()}

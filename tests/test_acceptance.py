@@ -97,9 +97,9 @@ def _random_descriptor(rng: random.Random) -> BehaviorDescriptor:
     klass = rng.choice(list(BehaviorClass))
     if rng.random() < 0.5:
         names = rng.sample(["a", "b", "c", "d", "e", "f", "g"], rng.randrange(0, 6))
-        figures = FigureSpec.named(names)
+        figures = FigureSpec(names=names)
     else:
-        figures = FigureSpec.of_order(rng.randrange(0, 500))
+        figures = FigureSpec(count=rng.randrange(0, 500))
     return BehaviorDescriptor(klass, figures, rng.random() < 0.5)
 
 
@@ -141,7 +141,7 @@ def test_criterion_03_fit_endpoints():
 
 def test_criterion_04_fit_timeline_reconstruction():
     system = TurbulenceTrace.from_pairs(
-        [(0, BehaviorDescriptor(PUR, FigureSpec.named({"1", "2", "3", "4"})))]
+        [(0, BehaviorDescriptor(PUR, FigureSpec(names={"1", "2", "3", "4"})))]
     )
     segments = [
         {"1", "2", "3", "4"},
@@ -151,7 +151,7 @@ def test_criterion_04_fit_timeline_reconstruction():
         {"1", "2", "3", "4", "5"},
     ]
     environment = TurbulenceTrace.from_pairs(
-        (t, BehaviorDescriptor(PUR, FigureSpec.named(figures)))
+        (t, BehaviorDescriptor(PUR, FigureSpec(names=figures)))
         for t, figures in enumerate(segments)
     )
     points = fit_timeline(system, environment, BASELINE)

@@ -15,14 +15,14 @@ from resilsim.behavior import (
     encode,
     precedes,
 )
-from resilsim.errors import CardinalityOverflow
+from resilsim.cli import ConfigError, _build
 
 
 def desc(klass, figures, social=False):
     if isinstance(figures, int):
-        spec = FigureSpec.of_order(figures)
+        spec = FigureSpec(count=figures)
     else:
-        spec = FigureSpec.named(figures)
+        spec = FigureSpec(names=figures)
     return BehaviorDescriptor(klass, spec, social)
 
 
@@ -54,27 +54,33 @@ class TestRanks:
 
 class TestFigureSpec:
     def test_named_deduplicates(self):
-        spec = FigureSpec.named(["speed", "speed", "luminosity"])
+        spec = FigureSpec(names=["speed", "speed", "luminosity"])
         assert spec.cardinality == 2
 
     def test_named_rejects_empty_name(self):
         with pytest.raises(ValueError):
-            FigureSpec.named([""])
+            FigureSpec(names=[""])
 
     def test_order_rejects_negative(self):
         with pytest.raises(ValueError):
-            FigureSpec.of_order(-1)
+            FigureSpec(count=-1)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"names": ["a"], "count": 1}])
+    def test_needs_exactly_one_form(self, kwargs):
+        with pytest.raises(ValueError, match="exactly one of named and cardinality"):
+            FigureSpec(**kwargs)
 
     def test_named_differs_from_same_order(self):
-        assert FigureSpec.named(["a", "b"]) != FigureSpec.of_order(2)
+        assert FigureSpec(names=["a", "b"]) != FigureSpec(count=2)
 
     def test_json_round_trip(self):
-        for spec in (FigureSpec.named(["b", "a"]), FigureSpec.of_order(7)):
-            assert FigureSpec.from_dict(oracle_dict(spec)) == spec
+        for spec in (FigureSpec(names=["b", "a"]), FigureSpec(count=7)):
+            assert _build(FigureSpec, oracle_dict(spec), "figures") == spec
 
     def test_json_rejects_both_forms(self):
-        with pytest.raises(ValueError):
-            FigureSpec.from_dict({"named": ["a"], "cardinality": 1})
+        with pytest.raises(ConfigError, match="^figures: exactly one of named and "
+                                              "cardinality must be given$"):
+            _build(FigureSpec, {"named": ["a"], "cardinality": 1}, "figures")
 
 
 class TestPrecedes:
@@ -130,7 +136,7 @@ class TestPrecedes:
             return
         grown = BehaviorDescriptor(
             b2.klass,
-            FigureSpec.named(b2.figures.names | (extra.names or frozenset())),
+            FigureSpec(names=b2.figures.names | (extra.names or frozenset())),
             b2.social,
         )
         assert precedes(b1, grown)
@@ -163,10 +169,12 @@ class TestEncoding:
         assert encode(desc(PUR, 3, True)) == encode(desc(PUR, 3, False))
 
     def test_overflow(self):
-        with pytest.raises(CardinalityOverflow):
-            encode(desc(PUR, MAX_CARDINALITY))
-        with pytest.raises(CardinalityOverflow):
-            distance(desc(PUR, MAX_CARDINALITY), desc(PUR, 0))
+        # A count past the 29-bit field is refused when the spec is made,
+        # so encode never sees one.
+        assert encode(desc(PUR, MAX_CARDINALITY - 1)) == 3 * 2**29 - 1
+        with pytest.raises(ValueError, match=r"^cardinality must be in \[0, 536870912\), "
+                                             "got 536870912$"):
+            desc(PUR, MAX_CARDINALITY)
 
     @given(descriptors)
     def test_bit_layout_oracle(self, b):
@@ -203,7 +211,7 @@ class TestDescriptorJson:
             "figures": {"named": ["luminosity", "speed"]},
             "social": False,
         }
-        assert BehaviorDescriptor.from_dict(data) == b
+        assert _build(BehaviorDescriptor, data, "") == b
 
     def test_cardinality_form(self):
         b = desc(PRO, 2, True)
@@ -212,23 +220,28 @@ class TestDescriptorJson:
             "figures": {"cardinality": 2},
             "social": True,
         }
-        assert BehaviorDescriptor.from_dict(oracle_dict(b)) == b
+        assert _build(BehaviorDescriptor, oracle_dict(b), "") == b
 
     def test_social_defaults_false(self):
-        parsed = BehaviorDescriptor.from_dict(
-            {"class": "random", "figures": {"cardinality": 0}}
-        )
+        parsed = _build(BehaviorDescriptor,
+                        {"class": "random", "figures": {"cardinality": 0}}, "")
         assert parsed.social is False
 
     @pytest.mark.parametrize("bad", [
-        {"class": "bogus", "figures": {"cardinality": 0}},
-        {"figures": {"cardinality": 0}},
-        {"class": "random", "figures": {}},
-        {"class": "random", "figures": {"cardinality": 0}, "social": "yes"},
+        ({"class": "bogus", "figures": {"cardinality": 0}},
+         "class must be one of random, purposeful, reactive, proactive, antifragile, "
+         "got 'bogus'"),
+        ({"figures": {"cardinality": 0}}, "class: missing required key"),
+        ({"class": "random", "figures": {}},
+         "figures: exactly one of named and cardinality must be given"),
+        ({"class": "random", "figures": {"cardinality": 0}, "social": "yes"},
+         "social must be true or false, got 'yes'"),
     ])
     def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            BehaviorDescriptor.from_dict(bad)
+        bad, message = bad
+        with pytest.raises(ConfigError) as error:
+            _build(BehaviorDescriptor, bad, "")
+        assert str(error.value) == message
 
 
 def test_universe_irreflexive_and_antisymmetry_shape(universe):

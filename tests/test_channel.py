@@ -84,7 +84,7 @@ class TestGenerateTrace:
             generate_trace(ConstantChannel(1), 0)
 
 
-class TestChooseYield:
+class TestYieldRule:
     """The entelechial yield rule: Y is the smallest integer strictly above
     the prediction, so Y - prediction >= epsilon where the margin is tight."""
 
@@ -98,7 +98,7 @@ class TestChooseYield:
         assert run.yields[2] == 4
         assert 0 < run.yields[2] - prediction < 1.0
 
-    def test_tight_margin_warns(self):
+    def test_tight_margin_keeps_epsilon(self):
         run = run_entelechial(self.RAMP, EwmaPlusSlope(), 0.05)
         assert run.yields[2] == 4
         assert run.yields[2] - predict_yields(run.y, EwmaPlusSlope(), 0.05)[1][2] >= 0.05
@@ -207,7 +207,7 @@ class TestRunEntelechial:
         assert run.header["bootstrap_yield"] == 5
         assert predict_yields(run.y, WindowMax(8), 1.5)[1][0] == 4
 
-    def test_margin_compliance_flags(self):
+    def test_integer_demand_gives_a_gap_of_one(self):
         run = run_entelechial([2] * 10, WindowMax(4), 0.5)
         # Integer demand makes the gap exactly 1 >= 0.5 at every step.
         _, predictions, _ = predict_yields(run.y, WindowMax(4), 0.5)

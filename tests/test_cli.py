@@ -778,37 +778,75 @@ class TestCompareCommand:
         c = write_json(tmp_path / "c.json", {"class": "nope", "figures": {}})
         assert main(["compare", c, b]) == 2
 
+    NAMED = "figures.named must be a list of strings"
+    INTEGER = "figures.cardinality must be an integer between"
+    RANGE = f"figures: cardinality must be in [0, {MAX_CARDINALITY}), got "
+
     @pytest.mark.parametrize("figures", [
-        {"named": 5},
-        {"named": "abc"},
-        {"named": ["a", 1]},
-        {"cardinality": True},
-        {"cardinality": 2.0},
-        {"cardinality": -1},
-        {"cardinality": MAX_CARDINALITY},
-        {"cardinality": 10**40},
+        ({"named": 5}, NAMED),
+        ({"named": "abc"}, NAMED),
+        ({"named": ["a", 1]}, NAMED),
+        ({"cardinality": True}, INTEGER),
+        ({"cardinality": 2.0}, INTEGER),
+        ({"cardinality": -1}, RANGE + "-1"),
+        ({"cardinality": MAX_CARDINALITY}, RANGE + str(MAX_CARDINALITY)),
+        ({"cardinality": 10**40}, INTEGER),
     ])
     def test_malformed_figures_exit_2(self, tmp_path, capsys, figures):
+        figures, error = figures
         a = write_json(tmp_path / "a.json", {**MINER_DESCRIPTOR, "figures": figures})
         b = write_json(tmp_path / "b.json", MINE_DESCRIPTOR)
         assert main(["compare", a, b]) == 2
         message = capsys.readouterr().err
-        assert message.startswith(f"config error: {a}: figures.")
+        assert message.startswith(f"config error: {a}: {error}")
 
-    @pytest.mark.parametrize("organs, data, key", [
+    ONE_FORM = "figures: exactly one of named and cardinality must be given"
+
+    @pytest.mark.parametrize("organs, data, error", [
+        (False, {"figures": {"named": ["a"]}}, "class: missing required key"),
+        (False, {"class": "bogus", "figures": {"named": ["a"]}},
+         "class must be one of random, purposeful, reactive, proactive, antifragile, "
+         "got 'bogus'"),
+        (False, {"class": "purposeful"}, "figures: missing required key"),
+        (False, {"class": "purposeful", "figures": {}}, ONE_FORM),
+        (False, {"class": "purposeful", "figures": {"named": ["a"], "cardinality": 1}},
+         ONE_FORM),
+        (False, {"class": "purposeful", "figures": {"named": None}}, ONE_FORM),
+        (False, {"class": "purposeful", "figures": {"named": [""]}},
+         "figures.named must be a list of strings (figure names must be non-empty"),
+        (False, {**MINER_DESCRIPTOR, "social": 1}, "social must be true or false, got 1"),
+        (False, [MINER_DESCRIPTOR], "config: expected an object, got list"),
+        (True, {"M": {"class": "purposeful", "socail": True}, "k_stateful": False},
+         "M.socail: unknown key, expected one of class, figures, social"),
+        (True, {"A": {"class": "nope", "figures": {"cardinality": 1}}},
+         "A.class must be one of random, purposeful, reactive, proactive, antifragile, "
+         "got 'nope'"),
+        (True, {"K": MINER_DESCRIPTOR, "k_stateful": "yes"},
+         "k_stateful must be true or false, got 'yes'"),
+        (True, "M", "config: expected an object, got str"),
+    ], ids=["no class", "unknown class", "no figures", "empty figures", "both forms",
+            "named null", "empty name", "social", "list", "organ key", "organ class",
+            "k_stateful", "organs string"])
+    def test_malformed_input_exits_2_naming_its_key_path(self, tmp_path, capsys, organs,
+                                                         data, error):
+        a = write_json(tmp_path / "a.json", data)
+        flags = ["--organs"] if organs else []
+        assert main(["compare", a, a, *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {a}: {error}")
+
+    @pytest.mark.parametrize("organs, data, path", [
         (False, {"class": "purposeful", "figures": {"named": ["a"]}, "socail": True},
          "socail"),
         (False, {"class": "purposeful", "figures": {"named": ["a"], "cardinalty": 1}},
-         "cardinalty"),
+         "figures.cardinalty"),
         (True, {"monitor": MINER_DESCRIPTOR, "k_stateful": False}, "monitor"),
     ], ids=["descriptor", "figures", "organs"])
-    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, organs, data, key):
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, organs, data, path):
         a = write_json(tmp_path / "a.json", data)
         flags = ["--organs"] if organs else []
         assert main(["compare", a, a, *flags]) == 2
         message = capsys.readouterr().err
-        assert message.startswith(f"config error: {a}: ")
-        assert f"unknown key {key!r}" in message
+        assert message.startswith(f"config error: {a}: {path}: unknown key, expected one of ")
 
 
 # One config section per kind, with every key away from its default.

@@ -3,11 +3,7 @@ from hypothesis import given
 
 from conftest import descriptors
 from resilsim.behavior import BehaviorClass, BehaviorDescriptor, FigureSpec, distance
-from resilsim.errors import (
-    ContainsUndershoot,
-    EmptyTraceOverlap,
-    IncommensurableBehaviors,
-)
+from resilsim.errors import EmptyTraceOverlap, IncommensurableBehaviors
 from resilsim.fitness import (
     BASELINE,
     IDENTITY_LOSS,
@@ -16,7 +12,6 @@ from resilsim.fitness import (
     FitVariant,
     ShootKind,
     TurbulenceTrace,
-    cumulative_overshoot,
     fit,
     fit_timeline,
     resolve_direction,
@@ -30,9 +25,9 @@ PRO = BehaviorClass.PROACTIVE
 
 def desc(klass, figures, social=False):
     if isinstance(figures, int):
-        spec = FigureSpec.of_order(figures)
+        spec = FigureSpec(count=figures)
     else:
-        spec = FigureSpec.named(figures)
+        spec = FigureSpec(names=figures)
     return BehaviorDescriptor(klass, spec, social)
 
 
@@ -124,10 +119,6 @@ class TestFit:
             beyond = values[3:]  # past any plateau
             assert all(a > b for a, b in zip(beyond, beyond[1:]))
 
-    def test_serialization(self):
-        assert fit(0).serialized() == "1.0"
-        assert fit(-5).serialized() == "-inf"
-
     def test_variant_parse(self):
         assert FitVariant.parse("baseline") == BASELINE
         assert FitVariant.parse("quadratic") == QUADRATIC
@@ -165,8 +156,8 @@ class TestShooting:
         # Over/undersupply quantify over/undershooting: same-class
         # yielding-point descriptors agree with the shooting verdict.
         y, yield_point = a.figures.cardinality, b.figures.cardinality
-        system = BehaviorDescriptor(PUR, FigureSpec.of_order(yield_point))
-        environment = BehaviorDescriptor(PUR, FigureSpec.of_order(y))
+        system = BehaviorDescriptor(PUR, FigureSpec(count=yield_point))
+        environment = BehaviorDescriptor(PUR, FigureSpec(count=y))
         record = shooting(y, yield_point)
         value = supply(system, environment)
         if record.kind is ShootKind.OVERSHOOT:
@@ -175,33 +166,6 @@ class TestShooting:
             assert value < 0
         else:
             assert value == 0
-
-
-class TestCumulativeOvershoot:
-    def test_constant_gap(self):
-        records = [shooting(2, 5, t) for t in range(10)]
-        assert cumulative_overshoot(records, dt=1.0) == 30
-
-    def test_all_exact(self):
-        records = [shooting(4, 4, t) for t in range(5)]
-        assert cumulative_overshoot(records) == 0
-
-    def test_alternating_with_dt(self):
-        ys = [1, 3, 1, 3]
-        records = [shooting(y, 4, t) for t, y in enumerate(ys)]
-        assert cumulative_overshoot(records, dt=0.5) == 4.0
-
-    def test_rejects_undershoot(self):
-        with pytest.raises(ContainsUndershoot):
-            cumulative_overshoot([shooting(9, 5, 0)])
-
-    def test_additive_over_concatenation(self):
-        first = [shooting(1, 4, t) for t in range(3)]
-        second = [shooting(2, 4, t) for t in range(3, 7)]
-        total = cumulative_overshoot(first + second, dt=0.5)
-        assert total == cumulative_overshoot(first, dt=0.5) + cumulative_overshoot(
-            second, dt=0.5
-        )
 
 
 def behavior_segments(*figure_sets):

@@ -2,6 +2,7 @@ import pytest
 
 from oracles import oracle_dict
 from resilsim.behavior import BehaviorClass, BehaviorDescriptor, FigureSpec
+from resilsim.cli import ConfigError, _build
 from resilsim.organs import (
     CyberneticClass,
     FeedbackKind,
@@ -19,9 +20,9 @@ REA = BehaviorClass.REACTIVE
 
 def desc(klass, figures=0, social=False):
     if isinstance(figures, int):
-        spec = FigureSpec.of_order(figures)
+        spec = FigureSpec(count=figures)
     else:
-        spec = FigureSpec.named(figures)
+        spec = FigureSpec(names=figures)
     return BehaviorDescriptor(klass, spec, social)
 
 
@@ -163,18 +164,21 @@ class TestCyberneticClassType:
         assert data["K"] == {"class": "purposeful", "figures": {"cardinality": 0},
                              "social": False}
         assert data["k_stateful"] is True
-        assert CyberneticClass.from_dict(data) == C2
+        assert _build(CyberneticClass, data, "") == C2
 
     def test_json_absent_organs(self):
         data = oracle_dict(C1)
         assert data["K"] is None
-        assert CyberneticClass.from_dict(data) == C1
+        assert _build(CyberneticClass, data, "") == C1
+        del data["K"], data["k_stateful"]
+        assert _build(CyberneticClass, data, "") == C1
 
     def test_json_rejects_bad_stateful_flag(self):
         data = oracle_dict(C1)
         data["k_stateful"] = "yes"
-        with pytest.raises(ValueError):
-            CyberneticClass.from_dict(data)
+        with pytest.raises(ConfigError,
+                           match="^k_stateful must be true or false, got 'yes'$"):
+            _build(CyberneticClass, data, "")
 
 
 def test_only_genotypical_feedback_mutates_identity():
