@@ -70,10 +70,6 @@ class FigureSpec:
     def is_named(self) -> bool:
         return self.names is not None
 
-    @property
-    def cardinality(self) -> int:
-        return self.count
-
 
 @dataclass(frozen=True)
 class BehaviorDescriptor:
@@ -97,7 +93,7 @@ def precedes_by_inclusion(b1: BehaviorDescriptor, b2: BehaviorDescriptor) -> boo
     f, g = b1.figures, b2.figures
     if f.is_named and g.is_named:
         return f.names < g.names
-    return f.cardinality < g.cardinality
+    return f.count < g.count
 
 
 def precedes_by_social(b1: BehaviorDescriptor, b2: BehaviorDescriptor) -> bool:
@@ -130,7 +126,7 @@ def encode(b: BehaviorDescriptor) -> int:
     Bits 31..29 hold the class rank, bits 28..0 the figure cardinality.
     The social flag is deliberately not encoded.
     """
-    return (b.klass.rank << CARDINALITY_BITS) | b.figures.cardinality
+    return (b.klass.rank << CARDINALITY_BITS) | b.figures.count
 
 
 def distance(b1: BehaviorDescriptor, b2: BehaviorDescriptor) -> int:

@@ -141,17 +141,6 @@ class ChannelTrace:
     _yields: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def as_trace(trace: ChannelTrace | Sequence[int]) -> ChannelTrace:
-    if isinstance(trace, ChannelTrace):
-        return trace
-    ys = tuple(trace)
-    if not ys:
-        raise ValueError("trace must contain at least one step")
-    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in ys):
-        raise ValueError("y values must be positive integers")
-    return ChannelTrace(y=ys)
-
-
 def generate_trace(model: ChannelModel, steps: int) -> ChannelTrace:
     """Deterministically generate a channel model's demand, a word a step."""
     if steps < 1:
@@ -534,14 +523,13 @@ def _protocol_run(
     return ProtocolRun(header, trace.y, yields, bytes(delivered), mutation_step, depth)
 
 
-def run_elastic(trace: ChannelTrace | Sequence[int], yield_point: int) -> ProtocolRun:
+def run_elastic(trace: ChannelTrace, yield_point: int) -> ProtocolRun:
     """Fixed yielding point for the whole run.
 
     Delivery at step t succeeds iff yield_point strictly exceeds y(t); with
     a yield above the trace supremum no undershooting is ever experienced,
     at the price of paying for the worst case at every step.
     """
-    trace = as_trace(trace)
     if yield_point < 1:
         raise ValueError("yield point must be a positive integer")
     header = {"protocol": "elastic", "yield_point": yield_point}
@@ -571,11 +559,8 @@ def _entelechial(
             "epsilon": epsilon, "bootstrap_yield": yields[0]}, yields
 
 
-def run_entelechial(
-    trace: ChannelTrace | Sequence[int], predictor: Predictor, epsilon: float
-) -> ProtocolRun:
+def run_entelechial(trace: ChannelTrace, predictor: Predictor, epsilon: float) -> ProtocolRun:
     """Adaptive yielding point chosen each step from the predictor."""
-    trace = as_trace(trace)
     return _protocol_run(trace, *_entelechial(trace, predictor, epsilon))
 
 
@@ -609,9 +594,7 @@ def _signature(burstiness_estimate: float) -> str:
 
 
 def run_antifragile(
-    trace: ChannelTrace | Sequence[int],
-    config: AntifragileEvolving,
-    store: "KnowledgeStore",
+    trace: ChannelTrace, config: AntifragileEvolving, store: "KnowledgeStore"
 ) -> ProtocolRun:
     """Evolving protocol: the entelechial run plus a mutation point.
 
@@ -629,7 +612,6 @@ def run_antifragile(
     """
     from .organs import FeedbackKind  # only this protocol records feedback
 
-    trace = as_trace(trace)
     ys = trace.y
     n = len(ys)
     review_every = config.epochs_per_review

@@ -467,8 +467,7 @@ def cmd_compare(path_a: str, path_b: str, organs: bool, variant) -> int:
 
     a = _load(BehaviorDescriptor, path_a)
     b = _load(BehaviorDescriptor, path_b)
-    (point,) = fit_timeline(TurbulenceTrace.from_pairs([(0, a)]),
-                            TurbulenceTrace.from_pairs([(0, b)]), variant)
+    (point,) = fit_timeline(TurbulenceTrace([(0, a)]), TurbulenceTrace([(0, b)]), variant)
     outcome = point.fit
     result = {
         "precedes_ab": precedes(a, b),

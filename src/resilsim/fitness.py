@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .behavior import (
     BehaviorDescriptor,
@@ -191,23 +190,20 @@ class TurbulenceTrace:
     """Piecewise-constant behavior over time.
 
     Each entry gives the behavior holding from its step until the next
-    entry; the last entry holds from its step onward.
+    entry; the last entry holds from its step onward. The entries, any
+    iterable of (step, behavior) pairs, are kept as a tuple.
     """
 
     steps: tuple[tuple[int, BehaviorDescriptor], ...]
 
     def __post_init__(self) -> None:
+        steps = tuple(self.steps)
         previous = None
-        for t, _ in self.steps:
+        for t, _ in steps:
             if previous is not None and t <= previous:
                 raise ValueError("trace steps must be strictly increasing")
             previous = t
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[int, BehaviorDescriptor]]
-    ) -> "TurbulenceTrace":
-        return cls(tuple(pairs))
+        object.__setattr__(self, "steps", steps)
 
     @property
     def start(self) -> int:

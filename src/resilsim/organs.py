@@ -10,7 +10,6 @@ antifragile-candidate.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -81,6 +80,8 @@ class CyberneticClass:
 
     Any organ may be absent (None). ``k_stateful`` flags a knowledge organ
     that persists lessons learned rather than holding transient state.
+    Any organ may have any class: a randomly behaving monitor organ makes
+    little sense, as the paper remarks, but it is a valid tuple.
     """
 
     monitor: BehaviorDescriptor | None = None
@@ -90,13 +91,6 @@ class CyberneticClass:
     knowledge: BehaviorDescriptor | None = None
     k_stateful: bool = False
     config_keys = {name: organ.value for organ, name in _ORGAN_FIELDS.items()}
-
-    def __post_init__(self) -> None:
-        if self.monitor is not None and self.monitor.klass is BehaviorClass.RANDOM:
-            warnings.warn(
-                "a randomly behaving monitor organ makes little sense",
-                stacklevel=3,
-            )
 
     def organ(self, organ: Organ) -> BehaviorDescriptor | None:
         return getattr(self, _ORGAN_FIELDS[organ])

@@ -10,7 +10,10 @@ options. Each gate runs in a fresh child of the same interpreter, with
   run and three sentinel runs load only the standard library and resilsim;
 * memory: the ``tracemalloc`` peak of the 10^5-step ``channel-walk`` run
   is at most 12 MB, and those of the 40 000-step ``channel-bursty`` run
-  and of the ``sentinel-pool`` run with its 100 001-row curve at most 4 MB;
+  and of the ``sentinel-pool`` run with its 100 001-row curve at most 4 MB
+  (``WALK_PEAK_MB``, ``BURSTY_PEAK_MB`` and ``CURVE_PEAK_MB``);
+* README's bounds: every MB bound that README's "Cost" section gives for
+  a memory gate equals that gate's constant;
 * golden digests: ``tests/golden_cases.py`` under ``PYTHONHASHSEED`` 0 and
   12345, so byte-identical outputs do not depend on string hashing;
 * oracles: fixed cases of both studies equal the reference models of
@@ -39,6 +42,12 @@ import sys
 TESTS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS)
 SRC = os.path.join(ROOT, "src")
+
+# The memory gates' tracemalloc bounds, in MB. README's "Cost" section
+# states each as "<N> MB for `<workload>`"; readme_bounds holds them equal.
+WALK_PEAK_MB = 12
+BURSTY_PEAK_MB = 4
+CURVE_PEAK_MB = 4
 
 
 def no_runtime_dependency() -> None:
@@ -110,7 +119,7 @@ def tracemalloc_peak() -> None:
 
     window_max = {"kind": "window_max", "window": 8}
     configs = {
-        ("channel-walk", 12): {
+        ("channel-walk", WALK_PEAK_MB): {
             "channel": {"kind": "random_walk", "y0": 3, "step_prob": 0.2,
                         "min": 1, "max": 6},
             "steps": 100_000,
@@ -121,7 +130,7 @@ def tracemalloc_peak() -> None:
                  "epsilon": 1.5},
             ],
         },
-        ("channel-bursty", 4): {
+        ("channel-bursty", BURSTY_PEAK_MB): {
             "channel": {"kind": "bursty", "p_enter": 0.05, "p_exit": 0.3,
                         "y_calm": 1, "y_burst": 5, "burst_correlated": True},
             "steps": 40_000,
@@ -182,8 +191,29 @@ def curve_tracemalloc_peak() -> None:
     if status != 0:
         sys.exit(f"sentinel run failed with exit code {status}")
     print(f"tracemalloc peak: {peak_mb:.2f} MB")
-    if peak_mb > 4:
-        sys.exit(f"tracemalloc peak {peak_mb:.2f} MB exceeds 4 MB")
+    if peak_mb > CURVE_PEAK_MB:
+        sys.exit(f"tracemalloc peak {peak_mb:.2f} MB exceeds {CURVE_PEAK_MB} MB")
+
+
+def readme_bounds() -> None:
+    """Every MB bound that README's "Cost" section gives for a memory gate,
+    written "<N> MB for `<workload>`", equals that gate's constant, and
+    each gate's bound is given there."""
+    import re
+
+    bounds = {"channel-walk": WALK_PEAK_MB, "channel-bursty": BURSTY_PEAK_MB,
+              "sentinel-pool": CURVE_PEAK_MB}
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        cost = handle.read().partition("\n## Cost\n")[2].partition("\n## ")[0]
+    stated = re.findall(r"(\d+(?:\.\d+)?)\s+MB\s+for\s+`([^`]+)`", cost)
+    wrong = [f"README gives {mb} MB for {name}, the gate {bounds.get(name, 'none')}"
+             for mb, name in stated if float(mb) != bounds.get(name)]
+    wrong += [f"README gives no bound for {name}"
+              for name in bounds.keys() - {name for _, name in stated}]
+    if wrong:
+        sys.exit("; ".join(wrong))
+    print(", ".join(f"{name} {mb} MB" for name, mb in bounds.items())
+          + ", as README's \"Cost\" gives them")
 
 
 def oracles_agree() -> None:
@@ -201,7 +231,7 @@ def oracles_agree() -> None:
       8, n - 1, n and n + 1 of an n-step trace, ``EwmaPlusSlope`` at its
       defaults and at alpha 0.5 with horizon 3;
     * channel runs, with the mean step fit under the three fit variants:
-      the six interleaving edge cases, and on the two 2 000-step traces the
+      the seven interleaving edge cases, and on the two 2 000-step traces the
       elastic run at yields 4 and 6, and the entelechial and antifragile
       runs (``FileTransfer`` and ``Teleconferencing(0.5)``) with
       ``WindowMax(8)`` and ``EwmaPlusSlope()``; and the README antifragile
@@ -226,9 +256,9 @@ def oracles_agree() -> None:
                          assert_elastic_matches_oracle, assert_entelechial_matches_oracle,
                          assert_premise_matches_oracle, assert_run_matches_oracle,
                          assert_walk_matches_oracle)
-    from resilsim.channel import (AntifragileEvolving, BurstyChannel, EwmaPlusSlope,
-                                  FileTransfer, RandomWalkChannel, Teleconferencing,
-                                  WindowMax, generate_trace)
+    from resilsim.channel import (AntifragileEvolving, BurstyChannel, ChannelTrace,
+                                  EwmaPlusSlope, FileTransfer, RandomWalkChannel,
+                                  Teleconferencing, WindowMax, generate_trace)
     from resilsim.sentinel import Scenario
 
     def bursty(steps):
@@ -250,8 +280,8 @@ def oracles_agree() -> None:
 
     for name, (model, steps) in WALK_CASES.items():
         check("random walks", f"walk {name}", assert_walk_matches_oracle, model, steps)
-    for name, trace in (*traces.items(), ("short", (1, 5, 2, 2, 6, 1))):
-        n = len(trace) if isinstance(trace, tuple) else len(trace.y)
+    for name, trace in (*traces.items(), ("short", ChannelTrace((1, 5, 2, 2, 6, 1)))):
+        n = len(trace.y)
         for predictor in (*map(WindowMax, sorted({1, 2, 8, n - 1, n, n + 1})),
                           EwmaPlusSlope(), EwmaPlusSlope(alpha=0.5, horizon=3)):
             check("predictor columns", f"{predictor} on the {name} trace",
@@ -373,10 +403,12 @@ def main() -> int:
     golden = os.path.join(TESTS, "golden_cases.py")
     gates = [("no runtime dependency", child(
                  "-S", "-c", "import gates; gates.no_runtime_dependency()")),
-             ("channel-walk tracemalloc peak at most 12 MB, channel-bursty 4 MB", child(
-                 "-c", "import gates; gates.tracemalloc_peak()")),
-             ("sentinel-pool tracemalloc peak at most 4 MB", child(
-                 "-c", "import gates; gates.curve_tracemalloc_peak()"))]
+             (f"channel-walk tracemalloc peak at most {WALK_PEAK_MB} MB, channel-bursty "
+              f"{BURSTY_PEAK_MB} MB", child("-c", "import gates; gates.tracemalloc_peak()")),
+             (f"sentinel-pool tracemalloc peak at most {CURVE_PEAK_MB} MB", child(
+                 "-c", "import gates; gates.curve_tracemalloc_peak()")),
+             ("README's MB bounds equal the memory gates' bounds", child(
+                 "-c", "import gates; gates.readme_bounds()"))]
     gates += [(f"golden digests under PYTHONHASHSEED={seed}",
                child(golden, PYTHONHASHSEED=seed)) for seed in ("0", "12345")]
     gates.append(("both studies match the oracles of tests/oracles.py", child(

@@ -66,7 +66,6 @@ from resilsim.channel import (
     RandomWalkChannel,
     Teleconferencing,
     _signature,
-    as_trace,
     burstiness,
     generate_trace,
     mean_step_fit,
@@ -253,7 +252,7 @@ def exact_jitter(times):
 def oracle_run_elastic(trace, yield_point):
     """The original run_elastic's step records."""
     records = []
-    for t, y in enumerate(as_trace(trace).y):
+    for t, y in enumerate(trace.y):
         delivered = yield_point > y
         records.append(StepRecord(
             t=t, y=y, yield_point=yield_point, delivered=delivered,
@@ -265,7 +264,7 @@ def oracle_run_elastic(trace, yield_point):
 
 def oracle_run_entelechial(trace, predictor, epsilon):
     """The original run_entelechial's step records."""
-    ys = as_trace(trace).y
+    ys = trace.y
     yields, predictions, _ = predict_yields(ys, predictor, epsilon)
     records = []
     for t, y in enumerate(ys):
@@ -339,7 +338,6 @@ def assert_run_matches_records(run, records, predictor=None, variants=()):
 
 def oracle_run_antifragile(trace, config, store):
     """The original run_antifragile, with its quadratic review and accounting."""
-    trace = as_trace(trace)
     ys = trace.y
     n = len(ys)
     review_every = config.epochs_per_review
@@ -478,30 +476,36 @@ FIT_VARIANTS = (BASELINE, QUADRATIC, FitVariant.parse("plateau:2"))
 # Two more steps make the blocks [3, 4, 5] and [6, 7, 8], no trailing block;
 # with depth 6 the four steps after step 3 are one trailing block.
 # LOW_THEN_HIGH reviewed every 6 steps reads 0.5 ("bursty-low") at step 6
-# and 1.0 ("bursty-high") at step 12.
+# and 1.0 ("bursty-high") at step 12. A stored lesson's depth below 2 gives
+# way to the configured one; a stored depth of 2, the least that
+# interleaves, is adopted.
 BURST_ONSET = (1, 5, 5, 5, 1, 5, 5)
 LOW_THEN_HIGH = (5, 5, 1, 5, 1, 5, 5, 5, 5, 5, 1, 1, 5, 1, 5, 5, 1)
 EDGE_CASES = {
     "trailing one-step block": (
-        dict(trace=list(BURST_ONSET), review_every=3, depth=3, lessons=[]),
+        dict(trace=ChannelTrace(BURST_ONSET), review_every=3, depth=3, lessons=[]),
         (3, "bursty-high", 3)),
     "uncorrelated bursts": (
         dict(trace=ChannelTrace(BURST_ONSET, burst_correlated=False),
              review_every=3, depth=3, lessons=[]),
         (3, "bursty-high", 3)),
     "stored repetition, then a mutation": (
-        dict(trace=list(LOW_THEN_HIGH), review_every=6, depth=4, lessons=[
+        dict(trace=ChannelTrace(LOW_THEN_HIGH), review_every=6, depth=4, lessons=[
             {"signature": "bursty-low", "algorithm": "repetition", "depth": 4}]),
         (12, "bursty-high", 4)),
     "stored depth below 2": (
-        dict(trace=list(BURST_ONSET), review_every=3, depth=3, lessons=[
+        dict(trace=ChannelTrace(BURST_ONSET), review_every=3, depth=3, lessons=[
             {"signature": "bursty-high", "algorithm": "interleaved", "depth": 1}]),
         (3, "bursty-high", 3)),
+    "stored depth 2": (
+        dict(trace=ChannelTrace(BURST_ONSET), review_every=3, depth=3, lessons=[
+            {"signature": "bursty-high", "algorithm": "interleaved", "depth": 2}]),
+        (3, "bursty-high", 2)),
     "full blocks only": (
-        dict(trace=[*BURST_ONSET, 1, 5], review_every=3, depth=3, lessons=[]),
+        dict(trace=ChannelTrace((*BURST_ONSET, 1, 5)), review_every=3, depth=3, lessons=[]),
         (3, "bursty-high", 3)),
     "fewer steps than the depth": (
-        dict(trace=list(BURST_ONSET), review_every=3, depth=6, lessons=[]),
+        dict(trace=ChannelTrace(BURST_ONSET), review_every=3, depth=6, lessons=[]),
         (3, "bursty-high", 6)),
 }
 

@@ -24,6 +24,7 @@ from resilsim.behavior import (
 from resilsim.channel import (
     AntifragileEvolving,
     BurstyChannel,
+    ChannelTrace,
     KnowledgeStore,
     RandomWalkChannel,
     Teleconferencing,
@@ -115,7 +116,7 @@ def test_criterion_02_metric_suite(universe):
     for b1, b2 in itertools.combinations(universe, 2):
         if b1.klass is b2.klass:
             same_class_pairs += 1
-            expected = abs(b1.figures.cardinality - b2.figures.cardinality)
+            expected = abs(b1.figures.count - b2.figures.count)
             assert distance(b1, b2) == expected
     report(2, True, f"10000 triples, {same_class_pairs} same-class pairs exact")
 
@@ -140,7 +141,7 @@ def test_criterion_03_fit_endpoints():
 
 
 def test_criterion_04_fit_timeline_reconstruction():
-    system = TurbulenceTrace.from_pairs(
+    system = TurbulenceTrace(
         [(0, BehaviorDescriptor(PUR, FigureSpec(names={"1", "2", "3", "4"})))]
     )
     segments = [
@@ -150,7 +151,7 @@ def test_criterion_04_fit_timeline_reconstruction():
         {"1", "2", "3", "4"},
         {"1", "2", "3", "4", "5"},
     ]
-    environment = TurbulenceTrace.from_pairs(
+    environment = TurbulenceTrace(
         (t, BehaviorDescriptor(PUR, FigureSpec(names=figures)))
         for t, figures in enumerate(segments)
     )
@@ -186,7 +187,7 @@ def test_criterion_06_shannon_property():
     checked = 0
     for ys in itertools.product(range(1, 5), repeat=6):
         yield_point = max(ys) + 1
-        run = run_elastic(list(ys), yield_point)
+        run = run_elastic(ChannelTrace(ys), yield_point)
         assert run.undershoot_count == 0
         assert run.cumulative_overshoot == sum(yield_point - y for y in ys)
         checked += 1

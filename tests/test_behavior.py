@@ -55,7 +55,7 @@ class TestRanks:
 class TestFigureSpec:
     def test_named_deduplicates(self):
         spec = FigureSpec(names=["speed", "speed", "luminosity"])
-        assert spec.cardinality == 2
+        assert spec.count == 2
 
     def test_named_rejects_empty_name(self):
         with pytest.raises(ValueError):
@@ -179,7 +179,7 @@ class TestEncoding:
     @given(descriptors)
     def test_bit_layout_oracle(self, b):
         # Independent arithmetic: rank * 2^29 + cardinality.
-        assert encode(b) == b.klass.rank * 2**29 + b.figures.cardinality
+        assert encode(b) == b.klass.rank * 2**29 + b.figures.count
         assert encode(b) < 2**32
 
 

@@ -770,6 +770,23 @@ class TestCompareCommand:
         assert result == {"M": "equal", "A": "inferior", "P": "equal",
                           "E": "equal", "K": "left_absent"}
 
+    def test_random_monitor_organ_runs_silently_under_warnings_as_errors(self, tmp_path):
+        """Any organ may have any class: a random monitor writes nothing to
+        stderr, so ``python -W error`` runs it as a plain run does."""
+        a = write_json(tmp_path / "a.json",
+                       {"M": {"class": "random", "figures": {"cardinality": 1}}})
+        b = write_json(tmp_path / "b.json", {"M": MINER_DESCRIPTOR})
+        src = Path(__file__).resolve().parent.parent / "src"
+        runs = [subprocess.run([sys.executable, *flags, "-m", "resilsim", "compare",
+                                "--organs", a, b],
+                               env={**os.environ, "PYTHONPATH": str(src)},
+                               capture_output=True, text=True)
+                for flags in (["-W", "error"], [])]
+        strict, plain = runs
+        assert (strict.returncode, strict.stderr) == (0, "")
+        assert strict.stdout == plain.stdout
+        assert json.loads(strict.stdout)["M"] == "inferior"
+
     def test_parse_failure_exits_2(self, tmp_path):
         a = tmp_path / "a.json"
         a.write_text("{broken")

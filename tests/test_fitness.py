@@ -155,7 +155,7 @@ class TestShooting:
     def test_supply_sign_matches_shooting_kind(self, a, b):
         # Over/undersupply quantify over/undershooting: same-class
         # yielding-point descriptors agree with the shooting verdict.
-        y, yield_point = a.figures.cardinality, b.figures.cardinality
+        y, yield_point = a.figures.count, b.figures.count
         system = BehaviorDescriptor(PUR, FigureSpec(count=yield_point))
         environment = BehaviorDescriptor(PUR, FigureSpec(count=y))
         record = shooting(y, yield_point)
@@ -169,7 +169,7 @@ class TestShooting:
 
 
 def behavior_segments(*figure_sets):
-    return TurbulenceTrace.from_pairs(
+    return TurbulenceTrace(
         (t, desc(PUR, set(figures))) for t, figures in enumerate(figure_sets)
     )
 
@@ -178,7 +178,7 @@ class TestFitTimeline:
     def test_reconstruction_of_constant_system_against_varying_environment(self):
         # Environment affects figures 1..5 over five segments; the system
         # constantly covers 1..4.
-        system = TurbulenceTrace.from_pairs([(0, desc(PUR, {"1", "2", "3", "4"}))])
+        system = TurbulenceTrace([(0, desc(PUR, {"1", "2", "3", "4"}))])
         environment = behavior_segments(
             {"1", "2", "3", "4"},
             {"1", "4"},
@@ -197,30 +197,35 @@ class TestFitTimeline:
 
     def test_identical_constant_traces(self):
         b = desc(PUR, {"a", "b"})
-        trace = TurbulenceTrace.from_pairs([(0, b)])
+        trace = TurbulenceTrace([(0, b)])
         points = fit_timeline(trace, trace)
         assert [(p.supply, p.fit.value) for p in points] == [(0, 1.0)]
 
     def test_incommensurable_steps_carry_marker(self):
-        system = TurbulenceTrace.from_pairs([(0, MINER_M)])
-        environment = TurbulenceTrace.from_pairs([(0, CANARY_M), (2, MINER_M)])
+        system = TurbulenceTrace([(0, MINER_M)])
+        environment = TurbulenceTrace([(0, CANARY_M), (2, MINER_M)])
         points = fit_timeline(system, environment)
         assert [p.marker for p in points] == ["incommensurable", "incommensurable", ""]
         assert points[0].supply is None and points[0].fit is None
         assert points[2].supply == 0
 
     def test_empty_trace_raises(self):
-        trace = TurbulenceTrace.from_pairs([(0, MINER_M)])
+        trace = TurbulenceTrace([(0, MINER_M)])
         with pytest.raises(EmptyTraceOverlap):
             fit_timeline(TurbulenceTrace(()), trace)
 
     def test_plateau_variant_flattens_oversupply(self):
-        system = TurbulenceTrace.from_pairs([(0, desc(PUR, {"1", "2", "3"}))])
-        environment = TurbulenceTrace.from_pairs([(0, desc(PUR, {"1"}))])
+        system = TurbulenceTrace([(0, desc(PUR, {"1", "2", "3"}))])
+        environment = TurbulenceTrace([(0, desc(PUR, {"1"}))])
         points = fit_timeline(system, environment, FitVariant("plateau", 2))
         assert points[0].supply == 2
         assert points[0].fit.value == 1.0
 
     def test_trace_requires_increasing_steps(self):
         with pytest.raises(ValueError):
-            TurbulenceTrace.from_pairs([(0, MINER_M), (0, MINER_M)])
+            TurbulenceTrace([(0, MINER_M), (0, MINER_M)])
+
+    def test_trace_keeps_its_pairs_as_a_tuple(self):
+        trace = TurbulenceTrace(iter([(0, MINER_M), (2, CANARY_M)]))
+        assert trace.steps == ((0, MINER_M), (2, CANARY_M))
+        assert {trace, TurbulenceTrace(list(trace.steps))} == {trace}  # hashable, equal

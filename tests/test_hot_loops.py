@@ -33,6 +33,7 @@ from resilsim.channel import (
     COMPARE_CSV_HEADER,
     AntifragileEvolving,
     BurstyChannel,
+    ChannelTrace,
     EwmaPlusSlope,
     FileTransfer,
     KnowledgeStore,
@@ -130,7 +131,8 @@ def test_jitter_is_exact(times):
 # run_antifragile
 
 
-plain_traces = st.lists(st.integers(1, 6), min_size=1, max_size=300)
+demands = st.lists(st.integers(1, 6), min_size=1, max_size=300)
+plain_traces = demands.map(lambda ys: ChannelTrace(tuple(ys)))
 bursty_traces = st.builds(
     lambda p_enter, p_exit, y_burst, correlated, seed, steps: generate_trace(
         BurstyChannel(p_enter=p_enter, p_exit=p_exit, y_calm=1, y_burst=y_burst,
@@ -181,6 +183,7 @@ antifragile_cases = dict(
 @edge_case_example("uncorrelated bursts")
 @edge_case_example("stored repetition, then a mutation")
 @edge_case_example("stored depth below 2")
+@edge_case_example("stored depth 2")
 @edge_case_example("full blocks only")
 @edge_case_example("fewer steps than the depth")
 def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
@@ -199,6 +202,7 @@ def test_run_antifragile_matches_oracle(trace, predictor, epsilon, review_every,
 @edge_case_example("uncorrelated bursts")
 @edge_case_example("stored repetition, then a mutation")
 @edge_case_example("stored depth below 2")
+@edge_case_example("stored depth 2")
 @edge_case_example("full blocks only")
 @edge_case_example("fewer steps than the depth")
 def test_derived_columns_agree(trace, predictor, epsilon, review_every, profile,
@@ -333,7 +337,7 @@ channel_traces = st.one_of(plain_traces, walk_traces, bursty_traces)
 @settings(max_examples=200, deadline=None)
 @given(trace=channel_traces, yield_point=st.integers(1, 8),
        variant=st.sampled_from(FIT_VARIANTS))
-@example(trace=[2, 5, 2, 6], yield_point=3, variant=BASELINE)  # undershoots
+@example(trace=ChannelTrace((2, 5, 2, 6)), yield_point=3, variant=BASELINE)  # undershoots
 def test_run_elastic_matches_oracle(trace, yield_point, variant):
     assert_elastic_matches_oracle(trace, yield_point, (variant,))
 
@@ -341,7 +345,7 @@ def test_run_elastic_matches_oracle(trace, yield_point, variant):
 @settings(max_examples=200, deadline=None)
 @given(trace=channel_traces, predictor=predictors, epsilon=st.floats(0.1, 3.0),
        variant=st.sampled_from(FIT_VARIANTS))
-@example(trace=[1, 2, 3, 6, 1], predictor=WindowMax(1), epsilon=2.0,
+@example(trace=ChannelTrace((1, 2, 3, 6, 1)), predictor=WindowMax(1), epsilon=2.0,
          variant=QUADRATIC)  # undershoots
 def test_run_entelechial_matches_oracle(trace, predictor, epsilon, variant):
     assert_entelechial_matches_oracle(trace, predictor, epsilon, (variant,))
@@ -384,7 +388,7 @@ def test_walk_matches_oracle(y_min, span, offset, step_prob, seed, steps):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ys=plain_traces, predictor=predictors | st.integers(1, 12).map(WindowMax))
+@given(ys=demands, predictor=predictors | st.integers(1, 12).map(WindowMax))
 @example(ys=[3], predictor=WindowMax(8))
 @example(ys=[3], predictor=EwmaPlusSlope())
 @example(ys=[3, 1], predictor=WindowMax(8))
@@ -429,7 +433,7 @@ def test_ewma_yields_clamp_at_1_where_the_prediction_is_negative(horizon):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ys=plain_traces | st.integers(1, 2**40).flatmap(
+@given(ys=demands | st.integers(1, 2**40).flatmap(
            lambda y: st.integers(1, 60).map(lambda steps: [y] * steps)),
        alpha=st.sampled_from([0.5, 1.0]), horizon=st.integers(1, 50))
 @example(ys=[4] * 21, alpha=0.5, horizon=2)
@@ -455,8 +459,8 @@ BEYOND_DOUBLES = 2**53 + 1  # the smallest positive int that no float holds
 def test_window_max_yields_are_exact_above_2_to_the_53(window):
     """A window maximum is an integer sample, so its yield is one above it
     at any size: a steady demand of 2**53 + 1 is delivered at every step."""
-    ys = [BEYOND_DOUBLES] * 20 + [1, BEYOND_DOUBLES + 2, 3]
-    run, _ = assert_entelechial_matches_oracle(ys, WindowMax(window), 1.5)
+    trace = ChannelTrace((BEYOND_DOUBLES,) * 20 + (1, BEYOND_DOUBLES + 2, 3))
+    run, _ = assert_entelechial_matches_oracle(trace, WindowMax(window), 1.5)
     assert run.header["bootstrap_yield"] == run.yields[0] == BEYOND_DOUBLES + 1
     assert run.yields[:20] == (BEYOND_DOUBLES + 1,) * 20
     assert run.delivered[:20] == b"\x01" * 20
@@ -465,7 +469,8 @@ def test_window_max_yields_are_exact_above_2_to_the_53(window):
 def test_ewma_bootstrap_yield_is_its_first_yield():
     """EWMA predicts from floats, so y(0) = 2**53 + 1 is predicted as 2**53
     and Y(0) = y(0) undershoots; the header states that Y(0)."""
-    run, _ = assert_entelechial_matches_oracle([BEYOND_DOUBLES, 1], EwmaPlusSlope(), 1.5)
+    run, _ = assert_entelechial_matches_oracle(ChannelTrace((BEYOND_DOUBLES, 1)),
+                                               EwmaPlusSlope(), 1.5)
     assert run.header["bootstrap_yield"] == run.yields[0] == BEYOND_DOUBLES
     assert run.delivered[0] == 0
 
@@ -483,7 +488,7 @@ def test_a_trace_keeps_the_columns_of_its_last_predictor_pass():
     fresh = replace(trace)
     assert fresh._yields is None
     assert (fresh, hash(fresh), repr(fresh)) == (trace, hash(trace), repr(trace))
-    assert runs == [run_entelechial(list(trace.y), WindowMax(8), epsilon)
+    assert runs == [run_entelechial(ChannelTrace(trace.y), WindowMax(8), epsilon)
                     for epsilon in (0.5, 1.0, 1.5)]
 
 
@@ -758,14 +763,14 @@ def assert_blocks_of_whole_lines(blocks, count):
 def test_csv_producers_stream():
     """Each producer is an iterator, not a list, and yields blocks of whole
     lines, at most 4 096 to a block, on either side of a block boundary."""
-    run = run_elastic([2, 5, 2], 3)
+    run = run_elastic(ChannelTrace((2, 5, 2)), 3)
     scenario_run = simulate(Scenario(pool_size=3), 5, seed=0)
     for produced in (step_csv_rows(run), scenario_csv_rows(scenario_run),
                      supply_fit_curve(4), curve_csv_rows(4)):
         assert not isinstance(produced, list)
         assert iter(produced) is produced
     for steps in (1, 4_095, 4_096, 4_097, 8_193):
-        assert_blocks_of_whole_lines(step_csv_rows(run_elastic([2] * steps, 3)), steps)
+        assert_blocks_of_whole_lines(step_csv_rows(run_elastic(ChannelTrace((2,) * steps), 3)), steps)
         scenario_run = simulate(Scenario(pool_size=3), steps, seed=0)
         assert_blocks_of_whole_lines(scenario_csv_rows(scenario_run), steps)
         assert_blocks_of_whole_lines(curve_csv_rows(steps), steps + 1)
@@ -778,7 +783,7 @@ def boundary_trace(steps):
     ys = list(generate_trace(
         BurstyChannel(p_enter=0.05, p_exit=0.3, y_calm=1, y_burst=5, seed=17), steps).y)
     ys[:3] = [1, 5, 5][:steps]
-    return ys
+    return ChannelTrace(tuple(ys))
 
 
 @pytest.mark.parametrize("steps", [1, 4_095, 4_096, 4_097, 8_193])
@@ -821,7 +826,8 @@ def test_step_lines_take_cost_and_algorithm_from_their_segment(steps, review_eve
     config = AntifragileEvolving(predictor=WindowMax(1), epsilon=1.0,
                                  epochs_per_review=review_every,
                                  burstiness_threshold=0.0, interleave_depth=2)
-    run, _ = assert_antifragile_matches_oracle([1, 5, 5] + [2] * (steps - 3), config)
+    run, _ = assert_antifragile_matches_oracle(ChannelTrace((1, 5, 5) + (2,) * (steps - 3)),
+                                               config)
     assert run.mutation_step == review_every
     lines = list(csv_lines(step_csv_rows(run)))
     assert len(lines) == steps
@@ -835,7 +841,7 @@ def test_step_lines_take_cost_and_algorithm_from_their_segment(steps, review_eve
 def test_a_percent_in_a_step_tail_is_written_literally(monkeypatch):
     """A line's format doubles any ``%`` of its tail, so only ``t`` is filled in."""
     monkeypatch.setattr(channel, "_csv_tail", lambda *key: ",100%d%%s\n")
-    run = run_elastic([2, 5, 2], 3)
+    run = run_elastic(ChannelTrace((2, 5, 2)), 3)
     assert "".join(step_csv_rows(run)) == "".join(f"{t},100%d%%s\n" for t in range(3))
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from oracles import oracle_dict
@@ -155,9 +157,11 @@ class TestClassify:
 
 
 class TestCyberneticClassType:
-    def test_random_monitor_warns(self):
-        with pytest.warns(UserWarning):
-            CyberneticClass(monitor=desc(BehaviorClass.RANDOM, 1))
+    def test_random_monitor_is_a_silent_valid_tuple(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tuple_ = CyberneticClass(monitor=desc(BehaviorClass.RANDOM, 1))
+        assert tuple_.monitor.klass is BehaviorClass.RANDOM
 
     def test_json_round_trip(self):
         data = oracle_dict(C2)
